@@ -54,6 +54,8 @@ def parse_problem(spec, seed, mu, L):
             lo = mu if mu and mu > 0 else 1.0
             hi = L if L else 10.0
             if "kappa" in opts:
+                if not opts["kappa"] > 0:
+                    raise ConfigError("kappa must be > 0")
                 lo, hi = hi / opts["kappa"], hi
             eigs = np.linspace(lo, hi, d)
             x_star = rng.standard_normal(d)
@@ -175,14 +177,7 @@ def cmd_run(args):
     x0 = rng.standard_normal(d)
     if args.N < 0:
         raise ConfigError("--N must be >= 0")
-    try:
-        trace = run_method(args, oracle, problem, x0)
-    except DivergedError as exc:
-        if exc.trace is not None and args.out:
-            with open(args.out, "w") as fh:
-                fh.write(exc.trace.to_csv())
-        print(f"error: diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    trace = run_method(args, oracle, problem, x0)
     bound = bound_for(args, oracle, x0)
     write_outputs(trace, args, bound, _resolved_config(args))
     return 0
@@ -291,6 +286,12 @@ def main(argv=None):
     except (ConfigError, InvalidArgument, UnsupportedOracle) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except DivergedError as exc:
+        if args.command == "run" and args.out and exc.trace is not None:
+            with open(args.out, "w") as fh:  # the partial trace
+                fh.write(exc.trace.to_csv())
+        print(f"error: diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgument, RunawayLError
+from .momentum import _tau_delta, next_A
 from .oracles import CompositeProblem
 from .tolerances import tol_for
-from .trace import CountingOracle, Counters, Recorder, check_finite
+from .trace import CountingOracle, drive
 
 MAX_BACKTRACKS = 200
 
@@ -45,36 +46,29 @@ def _next_B(B, L1, mu):
         2.0 * (L1 - mu))
 
 
-def _composite_factory(method, problem, co_f, counters, x0, mu, L_init, alpha,
-                       mode, L0=None, beta=None):
+def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None):
     """Shared stepper for fista / prox_agm. State keys: x, z, L, and A (monotone
     mode) or B (non-monotone modes); each step also reports y and wasted count."""
     if mode not in MODES:
         raise InvalidArgument(f"unknown backtracking mode {mode!r}")
     if alpha <= 1:
         raise InvalidArgument("alpha must be > 1")
-    if L0 is None:
-        L0 = L_init
     if L0 <= mu:
         raise InvalidArgument("L0 must exceed mu")
     if beta is None:
         beta = 1.0 / alpha
     if not (0 < beta < 1):
         raise InvalidArgument("beta must be in (0,1)")
-    co_h = CountingOracle(problem.nonsmooth, counters)
+    co_h = CountingOracle(problem.nonsmooth, co_f.counters)
     f_val = problem.smooth.value  # objective evaluations are not oracle calls
 
     monotone = mode == "monotone"
-    state = {"k": 0, "x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float),
+    state = {"x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float),
              "L": float(L0), "wasted": 0}
     if monotone:
         state["A"] = 0.0
     else:
         state["B"] = 0.0
-
-    # next_A with the iteration-dependent q, written out to keep one engine
-    def next_A(A, q):
-        return (2.0 * A + 1.0 + np.sqrt(4.0 * A + 4.0 * q * A * A + 1.0)) / (2.0 * (1.0 - q))
 
     def step(s):
         x, z = s["x"], s["z"]
@@ -90,12 +84,11 @@ def _composite_factory(method, problem, co_f, counters, x0, mu, L_init, alpha,
             if monotone:
                 A = s["A"]
                 A1 = next_A(A, q1)
-                tau = (A1 - A) * (1.0 + q1 * A) / (A1 + 2.0 * q1 * A * A1 - q1 * A * A)
-                delta = (A1 - A) / (1.0 + q1 * A1)
+                tau, delta = _tau_delta(A, A1, q1)
             else:
                 B = s["B"]
                 B1 = _next_B(B, L1, mu)
-                tau = (B1 - B) * (1.0 + mu * B) / (B1 + 2.0 * mu * B * B1 - mu * B * B)
+                tau, _ = _tau_delta(B, B1, mu)
                 delta = L1 * (B1 - B) / (1.0 + mu * B1)
             y = x + tau * (z - x)
             g = co_f.gradient(y)
@@ -116,7 +109,7 @@ def _composite_factory(method, problem, co_f, counters, x0, mu, L_init, alpha,
         else:
             raise RunawayLError("backtracking exceeded 200 increases; "
                                 "is f really smooth, or is alpha too small?")
-        out = {"k": s["k"] + 1, "x": x1, "z": z1, "L": L1, "y": y, "wasted": wasted}
+        out = {"x": x1, "z": z1, "L": L1, "y": y, "wasted": wasted}
         if monotone:
             out["A"] = A1
         else:
@@ -126,48 +119,37 @@ def _composite_factory(method, problem, co_f, counters, x0, mu, L_init, alpha,
     return state, step
 
 
-def _run(method, problem, x0, N, mu, L0, alpha, mode, beta):
+def _view(s):
+    snap = {"z": s["z"], "L": s["L"], "wasted": s["wasted"]}
+    if "A" in s:
+        snap["A"] = s["A"]
+    else:
+        snap["B"] = s["B"]
+    return s["x"], None, snap
+
+
+def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode, beta):
     if not isinstance(problem, CompositeProblem):
         raise InvalidArgument(f"{method} expects a CompositeProblem")
-    counters = Counters()
-    co_f = CountingOracle(problem.smooth, counters)
-    state, step = _composite_factory(method, problem, co_f, counters, x0, mu, L0,
-                                     alpha, mode, L0=L0, beta=beta)
-    rec = Recorder(method, problem.smooth, counters,
-                   meta={"N": N, "mu": mu, "L0": L0, "alpha": alpha, "mode": mode},
-                   objective=problem.objective,
-                   x_star=problem.x_star, f_star=problem.F_star)
-
-    def snapshot(s):
-        snap = {"z": s["z"].copy(), "L": s["L"], "wasted": s["wasted"]}
-        if "A" in s:
-            snap["A"] = s["A"]
-        else:
-            snap["B"] = s["B"]
-        return snap
-
-    rec.record(0, state["x"], grad=problem.smooth.gradient(state["x"]),
-               state=snapshot(state))
-    for k in range(N):
-        state = step(state)
-        check_finite(state["x"], rec.trace)
-        rec.record(k + 1, state["x"], grad=problem.smooth.gradient(state["x"]),
-                   state=snapshot(state))
-    rec.trace.meta["wasted"] = state["wasted"]
-    rec.trace.meta["L_final"] = state["L"]
-    return rec.trace
+    if L0 is None:
+        L0 = problem.smooth.params.L
+    trace = drive(method, problem.smooth,
+                  {"N": N, "mu": mu, "L0": L0, "alpha": alpha, "mode": mode},
+                  lambda co: _composite_factory(method, problem, co, x0, mu, L0, alpha,
+                                                mode, beta),
+                  _view, N, objective=problem.objective, x_star=problem.x_star,
+                  f_star=problem.F_star)
+    trace.meta["wasted"] = trace.final.state["wasted"]
+    trace.meta["L_final"] = trace.final.state["L"]
+    return trace
 
 
 def fista(problem, x0, N, mu=0.0, L0=None, alpha=2.0, mode="monotone", beta=None):
     """Accelerated proximal gradient taking the prox step from y_k."""
-    if L0 is None:
-        L0 = problem.smooth.params.L
-    return _run("fista", problem, x0, N, mu, L0, alpha, mode, beta)
+    return _accelerated_prox("fista", problem, x0, N, mu, L0, alpha, mode, beta)
 
 
 def prox_agm(problem, x0, N, mu=0.0, L0=None, alpha=2.0, mode="monotone", beta=None):
     """Accelerated proximal gradient proxing the z-sequence; keeps all
     iterates in dom h, so f need only be smooth there."""
-    if L0 is None:
-        L0 = problem.smooth.params.L
-    return _run("prox_agm", problem, x0, N, mu, L0, alpha, mode, beta)
+    return _accelerated_prox("prox_agm", problem, x0, N, mu, L0, alpha, mode, beta)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, SingularSystemError
-from .trace import CountingOracle, Counters, Recorder, check_finite
+from .trace import CountingOracle, drive
 
 SINGULAR_PIVOT_REL = 1e-13
 
@@ -188,7 +188,9 @@ def rna(buf, h, lam, c_ref=None):
     return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_gram_cond(A))
 
 
-def _golden_section(fun, a, b, evals=20):
+def golden_section(fun, a, b, evals=20):
+    """Golden-section search for the minimiser of a unimodal `fun` on [a, b],
+    spending `evals` evaluations."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -203,6 +205,10 @@ def _golden_section(fun, a, b, evals=20):
             d = a + invphi * (b - a)
             fd = fun(d)
     return c if fc < fd else d
+
+
+def _x_grad_fallback(s):
+    return s["x"], s.get("g"), ({"fallback": s["fallback"]} if "fallback" in s else {})
 
 
 def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
@@ -220,42 +226,41 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
         raise InvalidArgument("memory m must be >= 1")
     if safeguard not in ("none", "descent", "linesearch"):
         raise InvalidArgument(f"unknown safeguard {safeguard!r}")
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("online_rna", oracle, counters,
-                   meta={"h": h, "lambda": lam, "m": m, "N": N, "safeguard": safeguard})
-    buf = PairBuffer(capacity=m)
-    x = np.array(x0, dtype=float)
-    g = co.gradient(x)
-    rec.record(0, x, grad=g)
-    for k in range(N):
-        buf.append(x, g)
-        fallback = False
+
+    def start(co):
+        buf = PairBuffer(capacity=m)
 
         def extr(step):
             if lam > 0:
                 return rna(buf, step, lam).x_extr
             return na_mixing(buf, step).x_extr
 
-        try:
-            if safeguard == "linesearch":
-                best_h = _golden_section(lambda s: oracle.value(extr(s)), 0.0, 4.0 * h)
-                x_new = extr(best_h)
-            else:
-                x_new = extr(h)
-            if safeguard == "descent":
-                best_buffered = min(oracle.value(xi) for xi in buf.X)
-                if not oracle.value(x_new) < best_buffered:
-                    x_new = x - h * g
-                    fallback = True
-        except SingularSystemError:
-            x_new = x - h * g
-            fallback = True
-        check_finite(x_new, rec.trace)
-        x = x_new
-        g = co.gradient(x)
-        rec.record(k + 1, x, grad=g, state={"fallback": fallback})
-    return rec.trace
+        def step(s):
+            x, g = s["x"], s["g"]
+            buf.append(x, g)
+            fallback = False
+            try:
+                if safeguard == "linesearch":
+                    best_h = golden_section(lambda t: oracle.value(extr(t)), 0.0, 4.0 * h)
+                    x_new = extr(best_h)
+                else:
+                    x_new = extr(h)
+                if safeguard == "descent":
+                    best_buffered = min(oracle.value(xi) for xi in buf.X)
+                    if not oracle.value(x_new) < best_buffered:
+                        x_new = x - h * g
+                        fallback = True
+            except SingularSystemError:
+                x_new = x - h * g
+                fallback = True
+            return {"x": x_new, "g": co.gradient(x_new), "fallback": fallback}
+
+        x = np.array(x0, dtype=float)
+        return {"x": x, "g": co.gradient(x)}, step
+
+    return drive("online_rna", oracle,
+                 {"h": h, "lambda": lam, "m": m, "N": N, "safeguard": safeguard},
+                 start, _x_grad_fallback, N)
 
 
 def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
@@ -267,31 +272,30 @@ def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
     """
     if gamma <= 0:
         raise InvalidArgument("gamma must be > 0")
-    counters = Counters()
-    f = CountingOracle(problem.smooth, counters)
-    h = CountingOracle(problem.nonsmooth, counters)
-    rec = Recorder("prox_rna", problem.smooth, counters,
-                   meta={"gamma": gamma, "lambda": lam, "N": N},
-                   objective=problem.objective,
-                   x_star=problem.x_star, f_star=problem.F_star)
-    buf = PairBuffer(capacity=m)
-    x = np.array(x0, dtype=float)
-    z = x.copy()  # x0 is taken in dom h, so prox_{gamma h}(z0) = x0
-    rec.record(0, x, grad=problem.smooth.gradient(x))
-    for k in range(N):
-        g = (gamma * f.gradient(x) + z - x) / gamma
-        buf.append(z, g)
-        fallback = False
-        try:
-            if lam > 0:
-                z_new = rna(buf, gamma, lam, c_ref=c_ref).x_extr
-            else:
-                z_new = na_mixing(buf, gamma).x_extr
-        except SingularSystemError:
-            z_new = z - gamma * g
-            fallback = True
-        check_finite(z_new, rec.trace)
-        z = z_new
-        x = h.prox(z, gamma)
-        rec.record(k + 1, x, grad=problem.smooth.gradient(x), state={"fallback": fallback})
-    return rec.trace
+
+    def start(f):
+        h = CountingOracle(problem.nonsmooth, f.counters)
+        buf = PairBuffer(capacity=m)
+
+        def step(s):
+            x, z = s["x"], s["z"]
+            g = (gamma * f.gradient(x) + z - x) / gamma
+            buf.append(z, g)
+            fallback = False
+            try:
+                if lam > 0:
+                    z_new = rna(buf, gamma, lam, c_ref=c_ref).x_extr
+                else:
+                    z_new = na_mixing(buf, gamma).x_extr
+            except SingularSystemError:
+                z_new = z - gamma * g
+                fallback = True
+            return {"x": h.prox(z_new, gamma), "z": z_new, "fallback": fallback}
+
+        x = np.array(x0, dtype=float)
+        # x0 is taken in dom h, so prox_{gamma h}(z0) = x0
+        return {"x": x, "z": x.copy()}, step
+
+    return drive("prox_rna", problem.smooth, {"gamma": gamma, "lambda": lam, "N": N},
+                 start, _x_grad_fallback, N, check="z", objective=problem.objective,
+                 x_star=problem.x_star, f_star=problem.F_star)

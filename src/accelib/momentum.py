@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .oracles import CompositeProblem
-from .trace import CountingOracle, Counters, Recorder, check_finite
+from .trace import CountingOracle, drive
 
 
 # ---------------------------------------------------------------------------
@@ -69,55 +69,48 @@ def ogm(oracle, x0, N, form="I", L=None):
         raise InvalidArgument(f"unknown OGM form {form!r}")
     if L is None:
         L = oracle.params.L
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("ogm", oracle, counters, meta={"N": N, "L": L, "form": form})
-    x = np.array(x0, dtype=float)
-    if N == 0:
-        rec.record(0, x, state={"z": x.copy(), "theta_prev": 0.0})
-        return rec.trace
-    thetas = theta_schedule(N)
+    meta = {"N": N, "L": L, "form": form}
+    x0 = np.array(x0, dtype=float)
+    thetas = theta_schedule(N) if N > 0 else None
 
-    if form == "I":
-        z = x.copy()
-        y_prev = None
-        g_prev = None
-        rec.record(0, x, state={"z": z.copy(), "theta_prev": 0.0})
-        for k in range(N):
+    if form == "II" and N > 0:  # with N = 0 both forms record form I's start
+        def start(co):
+            def step(s):
+                k, x, y = s["k"], s["x"], s["y"]
+                g = co.gradient(y)
+                x_new = y - g / L
+                th, th1 = thetas[k], thetas[k + 1]
+                y = x_new + ((th - 1.0) / th1) * (x_new - x) + (th / th1) * (x_new - y)
+                return {"k": k + 1, "x": x_new, "y": y}
+
+            return {"k": 0, "x": x0, "y": x0.copy()}, step
+
+        return drive("ogm", oracle, meta, start,
+                     lambda s: (s["y"] if s["k"] == N else s["x"], None, {"y": s["y"]}),
+                     N, check="y")
+
+    def start(co):
+        def step(s):
+            k, x, z = s["k"], s["x"], s["z"]
             th = thetas[k]
             y = (1.0 - 1.0 / th) * x + (1.0 / th) * z
             g = co.gradient(y)
-            x = y - g / L
-            z = z - (2.0 * th / L) * g
-            check_finite(x, rec.trace)
-            y_prev, g_prev = y, g
-            state = {"z": z.copy(), "theta_prev": th, "y_prev": y.copy(), "g_prev": g.copy()}
-            if k + 1 == N:
-                th_f = thetas[N]
-                y_out = (1.0 - 1.0 / th_f) * x + (1.0 / th_f) * z
-                state["theta_final"] = th_f
-                state["y_final"] = y_out.copy()
-                state["g_final"] = oracle.gradient(y_out)  # reporting only
-                rec.record(N, y_out, state=state)
-            else:
-                rec.record(k + 1, x, state=state)
-        return rec.trace
+            return {"k": k + 1, "x": y - g / L, "z": z - (2.0 * th / L) * g,
+                    "theta_prev": th, "y_prev": y, "g_prev": g}
 
-    # form II
-    y = x.copy()
-    rec.record(0, x, state={"y": y.copy()})
-    for k in range(N):
-        g = co.gradient(y)
-        x_new = y - g / L
-        th, th1 = thetas[k], thetas[k + 1]
-        y = x_new + ((th - 1.0) / th1) * (x_new - x) + (th / th1) * (x_new - y)
-        check_finite(y, rec.trace)
-        x = x_new
-        if k + 1 == N:
-            rec.record(N, y, state={"y": y.copy()})
-        else:
-            rec.record(k + 1, x, state={"y": y.copy()})
-    return rec.trace
+        return {"k": 0, "x": x0, "z": x0.copy(), "theta_prev": 0.0}, step
+
+    def view(s):
+        snap = {key: s[key] for key in ("z", "theta_prev", "y_prev", "g_prev") if key in s}
+        if s["k"] < N or N == 0:
+            return s["x"], None, snap
+        th_f = thetas[N]
+        y_out = (1.0 - 1.0 / th_f) * s["x"] + (1.0 / th_f) * s["z"]
+        g_out = oracle.gradient(y_out)  # reporting only
+        snap.update(theta_final=th_f, y_final=y_out, g_final=g_out)
+        return y_out, g_out, snap
+
+    return drive("ogm", oracle, meta, start, view, N)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +118,7 @@ def ogm(oracle, x0, N, form="I", L=None):
 
 def _fgm_factory(co, x0, mu, L, form_three=False):
     q = mu / L
-    state = {"k": 0, "A": 0.0, "x": np.array(x0, dtype=float),
-             "z": np.array(x0, dtype=float)}
+    state = {"A": 0.0, "x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
 
     def step(s):
         A = s["A"]
@@ -139,9 +131,32 @@ def _fgm_factory(co, x0, mu, L, form_three=False):
             x1 = (A / A1) * s["x"] + (1.0 - A / A1) * z1
         else:
             x1 = y - g / L
-        return {"k": s["k"] + 1, "A": A1, "x": x1, "z": z1, "y": y}
+        return {"A": A1, "x": x1, "z": z1, "y": y}
 
     return state, step
+
+
+def _fgm_momentum_factory(co, x0, mu, L):
+    """Form II: momentum coefficient beta_k = tau_{k+1} (delta_k - 1), derived
+    from the same A-sequence."""
+    q = mu / L
+    x0 = np.array(x0, dtype=float)
+
+    def step(s):
+        A, A1, x = s["A"], s["A1"], s["x"]
+        g = co.gradient(s["y"])
+        x_new = s["y"] - g / L
+        A2 = next_A(A1, q)
+        _, delta = _tau_delta(A, A1, q)
+        tau_next, _ = _tau_delta(A1, A2, q)
+        beta = tau_next * (delta - 1.0)
+        return {"A": A1, "A1": A2, "x": x_new, "y": x_new + beta * (x_new - x)}
+
+    return {"A": 0.0, "A1": next_A(0.0, q), "x": x0, "y": x0.copy()}, step
+
+
+def _x_A_z(s):
+    return s["x"], None, {"A": s["A"], "z": s["z"]}
 
 
 def fgm(oracle, x0, N, form="I", mu=None, L=None):
@@ -153,42 +168,13 @@ def fgm(oracle, x0, N, form="I", mu=None, L=None):
         mu = oracle.params.mu
     if L is None:
         L = oracle.params.L
-    q = mu / L
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("fgm", oracle, counters,
-                   meta={"N": N, "mu": mu, "L": L, "form": form})
-    x = np.array(x0, dtype=float)
-
-    if form in ("I", "III"):
-        state, step = _fgm_factory(co, x, mu, L, form_three=(form == "III"))
-        rec.record(0, x, state={"A": 0.0, "z": state["z"].copy()})
-        for k in range(N):
-            state = step(state)
-            check_finite(state["x"], rec.trace)
-            rec.record(k + 1, state["x"],
-                       state={"A": state["A"], "z": state["z"].copy()})
-        return rec.trace
-
-    # form II: momentum coefficient beta_k = tau_{k+1} (delta_k - 1), derived
-    # from the same A-sequence.
-    A = 0.0
-    A1 = next_A(A, q)
-    y = x.copy()
-    rec.record(0, x, state={"A": 0.0})
-    for k in range(N):
-        g = co.gradient(y)
-        x_new = y - g / L
-        check_finite(x_new, rec.trace)
-        A2 = next_A(A1, q)
-        _, delta = _tau_delta(A, A1, q)
-        tau_next, _ = _tau_delta(A1, A2, q)
-        beta = tau_next * (delta - 1.0)
-        y = x_new + beta * (x_new - x)
-        x = x_new
-        A, A1 = A1, A2
-        rec.record(k + 1, x, state={"A": A})
-    return rec.trace
+    meta = {"N": N, "mu": mu, "L": L, "form": form}
+    if form == "II":
+        return drive("fgm", oracle, meta, lambda co: _fgm_momentum_factory(co, x0, mu, L),
+                     lambda s: (s["x"], None, {"A": s["A"]}), N)
+    return drive("fgm", oracle, meta,
+                 lambda co: _fgm_factory(co, x0, mu, L, form_three=(form == "III")),
+                 _x_A_z, N)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +183,14 @@ def fgm(oracle, x0, N, form="I", mu=None, L=None):
 def _constant_momentum_factory(co, x0, mu, L):
     q = mu / L
     sq = np.sqrt(q)
-    state = {"k": 0, "x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
+    state = {"x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
 
     def step(s):
         y = s["x"] + (sq / (1.0 + sq)) * (s["z"] - s["x"])
         g = co.gradient(y)
         x1 = y - g / L
         z1 = (1.0 - sq) * s["z"] + sq * (y - g / mu)
-        return {"k": s["k"] + 1, "x": x1, "z": z1, "y": y}
+        return {"x": x1, "z": z1, "y": y}
 
     return state, step
 
@@ -219,34 +205,26 @@ def constant_momentum(oracle, x0, N, form="I", mu=None, L=None):
         L = oracle.params.L
     if mu <= 0:
         raise InvalidArgument("constant_momentum requires mu > 0")
-    q = mu / L
-    sq = np.sqrt(q)
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("constant_momentum", oracle, counters,
-                   meta={"N": N, "mu": mu, "L": L, "form": form})
-    x = np.array(x0, dtype=float)
-
+    meta = {"N": N, "mu": mu, "L": L, "form": form}
     if form == "I":
-        state, step = _constant_momentum_factory(co, x, mu, L)
-        rec.record(0, x, state={"z": state["z"].copy()})
-        for k in range(N):
-            state = step(state)
-            check_finite(state["x"], rec.trace)
-            rec.record(k + 1, state["x"], state={"z": state["z"].copy()})
-        return rec.trace
+        return drive("constant_momentum", oracle, meta,
+                     lambda co: _constant_momentum_factory(co, x0, mu, L),
+                     lambda s: (s["x"], None, {"z": s["z"]}), N)
 
+    sq = np.sqrt(mu / L)
     beta = (1.0 - sq) / (1.0 + sq)
-    y = x.copy()
-    rec.record(0, x, state={})
-    for k in range(N):
-        g = co.gradient(y)
-        x_new = y - g / L
-        check_finite(x_new, rec.trace)
-        y = x_new + beta * (x_new - x)
-        x = x_new
-        rec.record(k + 1, x, state={})
-    return rec.trace
+
+    def start(co):
+        def step(s):
+            g = co.gradient(s["y"])
+            x_new = s["y"] - g / L
+            return {"x": x_new, "y": x_new + beta * (x_new - s["x"])}
+
+        x = np.array(x0, dtype=float)
+        return {"x": x, "y": x.copy()}, step
+
+    return drive("constant_momentum", oracle, meta, start,
+                 lambda s: (s["x"], None, {}), N)
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +244,31 @@ def item(oracle, x0, N, mu=None, L=None):
     if not (0 <= mu < L):
         raise InvalidArgument("item requires 0 <= mu < L")
     q = mu / L
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("item", oracle, counters, meta={"N": N, "mu": mu, "L": L})
-    x = np.array(x0, dtype=float)
-    z = x.copy()
-    A = 0.0
-    rec.record(0, x, state={"A": 0.0, "z": z.copy()})
-    for k in range(N):
-        A1 = item_next_A(A, q)
-        delta = 0.5 * ((1.0 - q) ** 2 * A1 - (1.0 + q) * A) / (1.0 + q + q * A)
-        if A == 0.0:
-            y = z.copy()  # tau_0 = 1, so y_0 = z_0; avoids 0/0 at A_0 = 0
-        else:
-            tau = 1.0 - A / ((1.0 - q) * A1)
-            y = x + tau * (z - x)
-        g = co.gradient(y)
-        x = y - g / L
-        z = (1.0 - q * delta) * z + q * delta * y - (delta / L) * g
-        check_finite(x, rec.trace)
-        A = A1
-        rec.record(k + 1, y, grad=g,
-                   state={"A": A, "z": z.copy(), "y": y.copy(), "g": g.copy()})
-    return rec.trace
+
+    def start(co):
+        def step(s):
+            A, x, z = s["A"], s["x"], s["z"]
+            A1 = item_next_A(A, q)
+            delta = 0.5 * ((1.0 - q) ** 2 * A1 - (1.0 + q) * A) / (1.0 + q + q * A)
+            if A == 0.0:
+                y = z.copy()  # tau_0 = 1, so y_0 = z_0; avoids 0/0 at A_0 = 0
+            else:
+                tau = 1.0 - A / ((1.0 - q) * A1)
+                y = x + tau * (z - x)
+            g = co.gradient(y)
+            return {"A": A1, "x": y - g / L,
+                    "z": (1.0 - q * delta) * z + q * delta * y - (delta / L) * g,
+                    "y": y, "g": g}
+
+        x = np.array(x0, dtype=float)
+        return {"A": 0.0, "x": x, "z": x.copy()}, step
+
+    def view(s):
+        if "y" not in s:
+            return s["x"], None, {"A": s["A"], "z": s["z"]}
+        return s["y"], s["g"], {"A": s["A"], "z": s["z"], "y": s["y"], "g": s["g"]}
+
+    return drive("item", oracle, {"N": N, "mu": mu, "L": L}, start, view, N)
 
 
 # ---------------------------------------------------------------------------
@@ -306,32 +286,29 @@ def tmm(oracle, x0, N, mu=None, L=None):
     q = mu / L
     sq = np.sqrt(q)
     beta = (1.0 - sq) / (1.0 + sq)
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("tmm", oracle, counters, meta={"N": N, "mu": mu, "L": L})
-    x0 = np.array(x0, dtype=float)
-    y_prev = x0.copy()
-    z = x0.copy()
-    rec.record(0, x0, state={"z": z.copy(), "y": y_prev.copy(),
-                             "g": oracle.gradient(x0)})
-    for k in range(N):
-        g_prev = co.gradient(y_prev)
-        y = beta * (y_prev - g_prev / L) + (1.0 - beta) * z
-        g = co.gradient(y)
-        z = sq * (y - g / mu) + (1.0 - sq) * z
-        check_finite(y, rec.trace)
-        y_prev = y
-        rec.record(k + 1, y, grad=g,
-                   state={"z": z.copy(), "y": y.copy(), "g": g.copy()})
-    return rec.trace
+
+    def start(co):
+        def step(s):
+            y_prev, z = s["y"], s["z"]
+            g_prev = co.gradient(y_prev)
+            y = beta * (y_prev - g_prev / L) + (1.0 - beta) * z
+            g = co.gradient(y)
+            return {"y": y, "z": sq * (y - g / mu) + (1.0 - sq) * z, "g": g}
+
+        x = np.array(x0, dtype=float)
+        return {"y": x.copy(), "z": x.copy(), "g": oracle.gradient(x)}, step
+
+    return drive("tmm", oracle, {"N": N, "mu": mu, "L": L}, start,
+                 lambda s: (s["y"], s["g"], {"z": s["z"], "y": s["y"], "g": s["g"]}),
+                 N, check="y")
 
 
 # ---------------------------------------------------------------------------
 # Bregman accelerated gradient
 
 def _bregman_factory(problem, co_f, x0, L, dgf):
-    state = {"k": 0, "A": 0.0, "x": np.array(x0, dtype=float),
-             "z": np.array(x0, dtype=float)}
+    prox = CountingOracle(problem.nonsmooth, co_f.counters).prox
+    state = {"A": 0.0, "x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
 
     def step(s):
         A = s["A"]
@@ -340,7 +317,7 @@ def _bregman_factory(problem, co_f, x0, L, dgf):
         y = (A / A1) * s["x"] + (1.0 - A / A1) * s["z"]
         g = co_f.gradient(y)
         if dgf == "euclidean":
-            z1 = problem.nonsmooth.prox(s["z"] - (a / L) * g, a / L)
+            z1 = prox(s["z"] - (a / L) * g, a / L)
         else:  # entropy on the simplex
             with np.errstate(divide="ignore"):  # log(0) = -inf is the limit we want
                 logits = np.log(s["z"]) - (a / L) * g
@@ -348,7 +325,7 @@ def _bregman_factory(problem, co_f, x0, L, dgf):
             w = np.exp(logits)
             z1 = w / np.sum(w)
         x1 = (A / A1) * s["x"] + (1.0 - A / A1) * z1
-        return {"k": s["k"] + 1, "A": A1, "x": x1, "z": z1, "y": y}
+        return {"A": A1, "x": x1, "z": z1, "y": y}
 
     return state, step
 
@@ -373,24 +350,10 @@ def bregman_agm(problem, x0, N, dgf="euclidean", L=None):
             raise InvalidArgument("entropy mode needs strictly positive x0 on the simplex")
     if L is None:
         L = problem.smooth.params.L
-    counters = Counters()
-    co_f = CountingOracle(problem.smooth, counters)
-    co_h = CountingOracle(problem.nonsmooth, counters)
-    rec = Recorder("bregman_agm", problem.smooth, counters,
-                   meta={"N": N, "L": L, "dgf": dgf},
-                   objective=problem.objective,
-                   x_star=problem.x_star, f_star=problem.F_star)
-    prob = CompositeProblem(problem.smooth, co_h if dgf == "euclidean" else problem.nonsmooth,
-                            x_star=problem.x_star, F_star=problem.F_star)
-    state, step = _bregman_factory(prob, co_f, x0, L, dgf)
-    rec.record(0, x0, grad=problem.smooth.gradient(x0),
-               state={"A": 0.0, "z": state["z"].copy()})
-    for k in range(N):
-        state = step(state)
-        check_finite(state["x"], rec.trace)
-        rec.record(k + 1, state["x"], grad=problem.smooth.gradient(state["x"]),
-                   state={"A": state["A"], "z": state["z"].copy()})
-    return rec.trace
+    return drive("bregman_agm", problem.smooth, {"N": N, "L": L, "dgf": dgf},
+                 lambda co: _bregman_factory(problem, co, x0, L, dgf), _x_A_z, N,
+                 objective=problem.objective, x_star=problem.x_star,
+                 f_star=problem.F_star)
 
 
 def bregman_divergence(dgf, a, b):
@@ -420,7 +383,6 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
     """
     if method not in _WRAPPABLE:
         raise InvalidArgument(f"monotone_wrap does not support {method!r}")
-    counters = Counters()
     x0 = np.array(x0, dtype=float)
 
     if isinstance(problem, CompositeProblem):
@@ -431,45 +393,37 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
         objective = problem.value
         smooth = problem
         x_star, f_star = problem.x_star, problem.f_star
-
-    co = CountingOracle(smooth, counters)
     if mu is None:
         mu = smooth.params.mu
     if L is None:
         L = smooth.params.L
 
-    if method == "fgm":
-        state, step = _fgm_factory(co, x0, mu, L,
-                                   form_three=(kwargs.get("form") == "III"))
-    elif method == "constant_momentum":
-        state, step = _constant_momentum_factory(co, x0, mu, L)
-    elif method == "bregman_agm":
-        co_h = CountingOracle(problem.nonsmooth, counters)
-        prob = CompositeProblem(problem.smooth, co_h,
-                                x_star=problem.x_star, F_star=problem.F_star)
-        state, step = _bregman_factory(prob, co, x0, L, kwargs.get("dgf", "euclidean"))
-    else:  # fista / prox_agm
-        from .composite import _composite_factory
+    def factory(co):
+        if method == "fgm":
+            return _fgm_factory(co, x0, mu, L, form_three=(kwargs.get("form") == "III"))
+        if method == "constant_momentum":
+            return _constant_momentum_factory(co, x0, mu, L)
+        if method == "bregman_agm":
+            return _bregman_factory(problem, co, x0, L, kwargs.get("dgf", "euclidean"))
+        from .composite import _composite_factory  # fista / prox_agm
 
-        state, step = _composite_factory(method, problem, co, counters, x0, mu, L,
-                                         kwargs.get("alpha", 2.0),
-                                         kwargs.get("mode", "monotone"),
-                                         L0=kwargs.get("L0"))
+        L0 = kwargs.get("L0")
+        return _composite_factory(method, problem, co, x0, mu, L if L0 is None else L0,
+                                  kwargs.get("alpha", 2.0), kwargs.get("mode", "monotone"))
 
-    rec = Recorder(f"monotone({method})", smooth, counters,
-                   meta={"N": N, "inner": method, "mu": mu, "L": L},
-                   objective=objective, x_star=x_star, f_star=f_star)
-    x_best = x0.copy()
-    f_best = objective(x_best)
-    grad0 = smooth.gradient(x0)
-    rec.record(0, x_best, grad=grad0, state={"A": state.get("A", 0.0)})
-    for k in range(N):
-        state["x"] = x_best.copy()
-        state = step(state)
-        check_finite(state["x"], rec.trace)
-        f_cand = objective(state["x"])
-        if f_cand < f_best:
-            x_best, f_best = state["x"].copy(), f_cand
-        rec.record(k + 1, x_best, grad=smooth.gradient(x_best),
-                   state={"A": state.get("A", 0.0)})
-    return rec.trace
+    def start(co):
+        inner, inner_step = factory(co)
+
+        def step(s):
+            inner = inner_step(dict(s["inner"], x=s["best"]))
+            x = inner["x"]
+            f = objective(x)
+            if f < s["f_best"]:
+                return {"inner": inner, "x": x, "best": x, "f_best": f}
+            return dict(s, inner=inner, x=x)
+
+        return {"inner": inner, "x": x0, "best": x0, "f_best": objective(x0)}, step
+
+    return drive(f"monotone({method})", smooth, {"N": N, "inner": method, "mu": mu, "L": L},
+                 start, lambda s: (s["best"], None, {"A": s["inner"].get("A", 0.0)}), N,
+                 objective=objective, x_star=x_star, f_star=f_star)

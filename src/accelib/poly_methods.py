@@ -7,7 +7,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedOracle
-from .trace import CountingOracle, Counters, Recorder, check_finite
+from .trace import drive
+
+
+def _x_grad(s):
+    return s["x"], s["g"], {}
 
 
 def gradient_descent(oracle, gamma, x0, N, mu=0.0):
@@ -20,18 +24,17 @@ def gradient_descent(oracle, gamma, x0, N, mu=0.0):
         raise InvalidArgument("gamma must be > 0")
     if N < 0:
         raise InvalidArgument("N must be >= 0")
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("gd", oracle, counters, meta={"gamma": gamma, "N": N, "mu": mu})
-    x = np.array(x0, dtype=float)
-    g = co.gradient(x)
-    rec.record(0, x, grad=g)
-    for k in range(N):
-        x = x - gamma * g
-        check_finite(x, rec.trace)
-        g = co.gradient(x)
-        rec.record(k + 1, x, grad=g)
-    return rec.trace
+
+    def start(co):
+        x = np.array(x0, dtype=float)
+
+        def step(s):
+            x = s["x"] - gamma * s["g"]
+            return {"x": x, "g": co.gradient(x)}
+
+        return {"x": x, "g": co.gradient(x)}, step
+
+    return drive("gd", oracle, {"gamma": gamma, "N": N, "mu": mu}, start, _x_grad, N)
 
 
 def delta_sequence(mu, L, N):
@@ -66,27 +69,25 @@ def chebyshev(oracle, x0, N, mu=None, L=None):
         mu, L = oracle.params.mu, oracle.params.L
     if mu <= 0:
         raise InvalidArgument("chebyshev requires mu > 0")
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("chebyshev", oracle, counters, meta={"mu": mu, "L": L, "N": N})
-    x_prev = np.array(x0, dtype=float)
-    g = co.gradient(x_prev)
-    rec.record(0, x_prev, grad=g, state={"delta": None})
-    if N == 0:
-        return rec.trace
-    x = x_prev - (2.0 / (L + mu)) * g
-    g = co.gradient(x)
-    delta = (L - mu) / (L + mu)
-    rec.record(1, x, grad=g, state={"delta": delta})
-    for k in range(2, N + 1):
-        delta = 1.0 / (2.0 * (L + mu) / (L - mu) - delta)
-        x_new = (x - (4.0 * delta / (L - mu)) * g
-                 + (1.0 - 2.0 * delta * (L + mu) / (L - mu)) * (x_prev - x))
-        check_finite(x_new, rec.trace)
-        x_prev, x = x, x_new
-        g = co.gradient(x)
-        rec.record(k, x, grad=g, state={"delta": delta})
-    return rec.trace
+
+    def start(co):
+        x = np.array(x0, dtype=float)
+
+        def step(s):
+            x, g = s["x"], s["g"]
+            if s["delta"] is None:  # first step: gradient descent with step 2/(L+mu)
+                delta = (L - mu) / (L + mu)
+                x_new = x - (2.0 / (L + mu)) * g
+            else:
+                delta = 1.0 / (2.0 * (L + mu) / (L - mu) - s["delta"])
+                x_new = (x - (4.0 * delta / (L - mu)) * g
+                         + (1.0 - 2.0 * delta * (L + mu) / (L - mu)) * (s["x_prev"] - x))
+            return {"x": x_new, "x_prev": x, "g": co.gradient(x_new), "delta": delta}
+
+        return {"x": x, "g": co.gradient(x), "delta": None}, step
+
+    return drive("chebyshev", oracle, {"mu": mu, "L": L, "N": N}, start,
+                 lambda s: (s["x"], s["g"], {"delta": s["delta"]}), N)
 
 
 def heavy_ball(oracle, x0, N, mu=None, L=None):
@@ -99,23 +100,22 @@ def heavy_ball(oracle, x0, N, mu=None, L=None):
         mu, L = oracle.params.mu, oracle.params.L
     if mu <= 0:
         raise InvalidArgument("heavy_ball requires mu > 0")
-    step = 4.0 / (np.sqrt(L) + np.sqrt(mu)) ** 2
+    step_size = 4.0 / (np.sqrt(L) + np.sqrt(mu)) ** 2
     beta = delta_infty(mu, L) ** 2
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("heavy_ball", oracle, counters,
-                   meta={"mu": mu, "L": L, "N": N, "step": step, "momentum": beta})
-    x_prev = np.array(x0, dtype=float)
-    x = x_prev
-    g = co.gradient(x)
-    rec.record(0, x, grad=g)
-    for k in range(N):
-        x_new = x - step * g + beta * (x - x_prev)
-        check_finite(x_new, rec.trace)
-        x_prev, x = x, x_new
-        g = co.gradient(x)
-        rec.record(k + 1, x, grad=g)
-    return rec.trace
+
+    def start(co):
+        x = np.array(x0, dtype=float)
+
+        def step(s):
+            x = s["x"]
+            x_new = x - step_size * s["g"] + beta * (x - s["x_prev"])
+            return {"x": x_new, "x_prev": x, "g": co.gradient(x_new)}
+
+        return {"x": x, "x_prev": x, "g": co.gradient(x)}, step
+
+    return drive("heavy_ball", oracle,
+                 {"mu": mu, "L": L, "N": N, "step": step_size, "momentum": beta},
+                 start, _x_grad, N)
 
 
 def conjugate_gradient_quadratic(oracle, x0, N):
@@ -126,26 +126,24 @@ def conjugate_gradient_quadratic(oracle, x0, N):
     """
     if not getattr(oracle, "is_quadratic", False):
         raise UnsupportedOracle("conjugate_gradient_quadratic needs a quadratic oracle")
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("cg", oracle, counters, meta={"N": N})
-    x = np.array(x0, dtype=float)
-    g = co.gradient(x)
-    rec.record(0, x, grad=g)
-    r = -g
-    p = r.copy()
-    rs = float(np.dot(r, r))
-    for k in range(N):
-        if rs <= 1e-30:
-            rec.record(k + 1, x, grad=-r)
-            continue
-        Hp = co.gradient(x + p) + r  # gradient is affine, so this equals H p exactly
-        alpha = rs / float(np.dot(p, Hp))
-        x = x + alpha * p
-        r_new = r - alpha * Hp
-        rs_new = float(np.dot(r_new, r_new))
-        p = r_new + (rs_new / rs) * p
-        r, rs = r_new, rs_new
-        g = -r
-        rec.record(k + 1, x, grad=g)
-    return rec.trace
+
+    def start(co):
+        x = np.array(x0, dtype=float)
+        g = co.gradient(x)
+
+        def step(s):
+            x, r, p, rs = s["x"], s["r"], s["p"], s["rs"]
+            if rs <= 1e-30:
+                return dict(s, g=-r)
+            Hp = co.gradient(x + p) + r  # gradient is affine, so this equals H p exactly
+            alpha = rs / float(np.dot(p, Hp))
+            x = x + alpha * p
+            r_new = r - alpha * Hp
+            rs_new = float(np.dot(r_new, r_new))
+            return {"x": x, "r": r_new, "p": r_new + (rs_new / rs) * p, "rs": rs_new,
+                    "g": -r_new}
+
+        r = -g
+        return {"x": x, "g": g, "r": r, "p": r.copy(), "rs": float(np.dot(r, r))}, step
+
+    return drive("cg", oracle, {"N": N}, start, _x_grad, N)

@@ -10,9 +10,10 @@ import numpy as np
 
 from .errors import (ContractViolation, InconsistentCertificate, InnerSolveError,
                      InvalidArgument, UnsupportedOracle)
+from .extrapolation import golden_section
 from .oracles import ClassParams, ProblemOracle
 from .tolerances import tol_for
-from .trace import CountingOracle, Counters, Recorder, check_finite
+from .trace import drive
 
 
 @dataclass
@@ -53,19 +54,18 @@ def ppa(oracle, lambdas, x0, N=None):
     if any(l < 0 for l in lambdas):
         raise InvalidArgument("lambdas must be >= 0")
     mu = oracle.params.mu if oracle.params is not None else 0.0
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("ppa", oracle, counters, meta={"N": N, "lambdas": lambdas[:N], "mu": mu})
-    x = np.array(x0, dtype=float)
-    A = 0.0
-    rec.record(0, x, state={"A": A})
-    for k in range(N):
-        lam = lambdas[k]
-        x = co.prox(x, lam)
-        check_finite(x, rec.trace)
-        A = A * (1.0 + lam * mu) + lam
-        rec.record(k + 1, x, state={"A": A})
-    return rec.trace
+
+    def start(co):
+        def step(s):
+            k = s["k"]
+            lam = lambdas[k]
+            return {"k": k + 1, "x": co.prox(s["x"], lam),
+                    "A": s["A"] * (1.0 + lam * mu) + lam}
+
+        return {"k": 0, "x": np.array(x0, dtype=float), "A": 0.0}, step
+
+    return drive("ppa", oracle, {"N": N, "lambdas": lambdas[:N], "mu": mu}, start,
+                 lambda s: (s["x"], None, {"A": s["A"]}), N)
 
 
 def ppa_bound(R, lambdas, mu=0.0):
@@ -92,6 +92,29 @@ def exact_prox_solver(oracle):
     return solve
 
 
+def _outer_point(x, z, A, lam, mu):
+    """a_k, A_{k+1} and the point y_k at which the accelerated proximal point
+    outer loop takes its next (inexact) prox step."""
+    if mu > 0:
+        a = (lam + 2.0 * A * lam * mu
+             + np.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
+                       + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
+        A1 = A + a
+        tau = (A1 - A) * (A * mu + 1.0) / (A1 + 2.0 * mu * A * A1 - mu * A * A)
+        return a, A1, x + tau * (z - x)
+    a = (lam + np.sqrt(lam * lam + 4.0 * A * lam)) / 2.0
+    A1 = A + a
+    return a, A1, (A * x + a * z) / A1
+
+
+def _z_next(z, x_next, g, a, A, A1, mu):
+    """z_{k+1} from the prox point x_{k+1} and the (sub)gradient g there."""
+    if mu > 0:
+        return (z + mu * (A1 - A) / (1.0 + mu * A1) * (x_next - z)
+                - (A1 - A) / (1.0 + mu * A1) * g)
+    return z - a * g
+
+
 def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
                       enforce_delta=True):
     """Accelerated inexact proximal point method.
@@ -109,46 +132,35 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
         raise InvalidArgument("need one lambda per iteration")
     if enforce_delta and mu == 0 and not (0 <= delta <= 1):
         raise InvalidArgument("delta must lie in [0,1] when mu=0")
-    counters = Counters()
-    rec = Recorder("accel_inexact_ppa", oracle if oracle is not None else _NullOracle(),
-                   counters,
-                   meta={"N": N, "delta": delta, "mu": mu, "lambdas": lambdas[:N]})
-    x = np.array(x0, dtype=float)
-    z = x.copy()
-    A = 0.0
-    rec.record(0, x, grad=None if oracle is not None else np.zeros_like(x),
-               state={"A": A, "z": z.copy()})
-    for k in range(N):
-        lam = lambdas[k]
-        if mu > 0:
-            if enforce_delta and not (0 <= delta <= np.sqrt(1.0 + lam * mu)):
+
+    def start(co):
+        counters = co.counters
+
+        def step(s):
+            k, x, z, A = s["k"], s["x"], s["z"], s["A"]
+            lam = lambdas[k]
+            if mu > 0 and enforce_delta and not (0 <= delta <= np.sqrt(1.0 + lam * mu)):
                 raise InvalidArgument("delta must lie in [0, sqrt(1+lambda*mu)]")
-            a = (lam + 2.0 * A * lam * mu
-                 + np.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
-                           + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
-            A1 = A + a
-            tau = (A1 - A) * (A * mu + 1.0) / (A1 + 2.0 * mu * A * A1 - mu * A * A)
-            y = x + tau * (z - x)
-        else:
-            a = (lam + np.sqrt(lam * lam + 4.0 * A * lam)) / 2.0
-            A1 = A + a
-            y = (A * x + a * z) / A1
-        x_next, g, e = solver(y, lam, counters)
-        counters.inner_iters += 1
-        cert = InexactProxCertificate(e=e, x_next=x_next, y=y, lam=lam, g=g, delta=delta)
-        if not check_relative_error(cert):
-            raise InnerSolveError(f"relative-error criterion failed at step {k}",
-                                  rec.trace)
-        if mu > 0:
-            z = (z + mu * (A1 - A) / (1.0 + mu * A1) * (x_next - z)
-                 - (A1 - A) / (1.0 + mu * A1) * g)
-        else:
-            z = z - a * g
-        x = x_next
-        check_finite(x, rec.trace)
-        A = A1
-        rec.record(k + 1, x, grad=g, state={"A": A, "z": z.copy(), "a": a})
-    return rec.trace
+            a, A1, y = _outer_point(x, z, A, lam, mu)
+            x_next, g, e = solver(y, lam, counters)
+            counters.inner_iters += 1
+            cert = InexactProxCertificate(e=e, x_next=x_next, y=y, lam=lam, g=g, delta=delta)
+            if not check_relative_error(cert):
+                raise InnerSolveError(f"relative-error criterion failed at step {k}")
+            return {"k": k + 1, "x": x_next, "z": _z_next(z, x_next, g, a, A, A1, mu),
+                    "A": A1, "a": a, "g": g}
+
+        x = np.array(x0, dtype=float)
+        return {"k": 0, "x": x, "z": x.copy(), "A": 0.0}, step
+
+    def view(s):
+        if "g" in s:
+            return s["x"], s["g"], {"A": s["A"], "z": s["z"], "a": s["a"]}
+        grad = None if oracle is not None else np.zeros_like(s["x"])
+        return s["x"], grad, {"A": s["A"], "z": s["z"]}
+
+    return drive("accel_inexact_ppa", oracle if oracle is not None else _NullOracle(),
+                 {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas[:N]}, start, view, N)
 
 
 class _NullOracle:
@@ -233,56 +245,41 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     L = oracle.params.L
     burden = catalyst_burden(inner, lam, L)
     cap = 2 * int(np.ceil(burden))
-    counters = Counters()
-    co = CountingOracle(oracle, counters)
-    rec = Recorder("catalyst", oracle, counters,
-                   meta={"inner": inner, "lambda": lam, "mu": mu,
-                         "budget_total": budget_total, "burden": burden})
-    x = np.array(x0, dtype=float)
-    z = x.copy()
-    A = 0.0
-    inner_counts = []
-    rec.record(0, x, state={"A": A, "z": z.copy(), "n_inner": 0})
     total = 0
-    k = 0
     exhausted = False
-    while total < budget_total:
-        if mu > 0:
-            a = (lam + 2.0 * A * lam * mu
-                 + np.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
-                           + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
-            A1 = A + a
-            tau = (A1 - A) * (A * mu + 1.0) / (A1 + 2.0 * mu * A * A1 - mu * A * A)
-            y = x + tau * (z - x)
-        else:
-            a = (lam + np.sqrt(lam * lam + 4.0 * A * lam)) / 2.0
-            A1 = A + a
-            y = (A * x + a * z) / A1
 
-        w, n_inner, stopped = _inner_solve(co, oracle, y, lam, inner,
-                                           budget_total - total, cap)
-        counters.inner_iters += n_inner
-        total += n_inner
-        if not stopped:
-            exhausted = True
-            break
-        g = co.gradient(w)  # subgradient of f at the approximate prox point
-        if mu > 0:
-            z = (z + mu * (A1 - A) / (1.0 + mu * A1) * (w - z)
-                 - (A1 - A) / (1.0 + mu * A1) * g)
-        else:
-            z = z - a * g
-        x = w
-        check_finite(x, rec.trace)
-        A = A1
-        k += 1
-        inner_counts.append(n_inner)
-        rec.record(k, x, grad=g, state={"A": A, "z": z.copy(), "n_inner": n_inner})
-    rec.trace.meta["inner_counts"] = inner_counts
-    rec.trace.meta["n_outer"] = k
-    rec.trace.meta["n_total"] = total
-    rec.trace.meta["n_useless"] = total - sum(inner_counts) if exhausted else 0
-    return rec.trace
+    def start(co):
+        def step(s):
+            nonlocal total, exhausted
+            if total >= budget_total:
+                return None
+            x, z, A = s["x"], s["z"], s["A"]
+            a, A1, y = _outer_point(x, z, A, lam, mu)
+            w, n_inner, stopped = _inner_solve(co, oracle, y, lam, inner,
+                                               budget_total - total, cap)
+            co.counters.inner_iters += n_inner
+            total += n_inner
+            if not stopped:
+                exhausted = True
+                return None
+            g = co.gradient(w)  # subgradient of f at the approximate prox point
+            return {"x": w, "z": _z_next(z, w, g, a, A, A1, mu), "A": A1, "g": g,
+                    "n_inner": n_inner}
+
+        x = np.array(x0, dtype=float)
+        return {"x": x, "z": x.copy(), "A": 0.0, "n_inner": 0}, step
+
+    trace = drive("catalyst", oracle,
+                  {"inner": inner, "lambda": lam, "mu": mu, "budget_total": budget_total,
+                   "burden": burden}, start,
+                  lambda s: (s["x"], s.get("g"), {"A": s["A"], "z": s["z"],
+                                                   "n_inner": s["n_inner"]}))
+    inner_counts = [r.state["n_inner"] for r in trace.records[1:]]
+    trace.meta["inner_counts"] = inner_counts
+    trace.meta["n_outer"] = len(inner_counts)
+    trace.meta["n_total"] = total
+    trace.meta["n_useless"] = total - sum(inner_counts) if exhausted else 0
+    return trace
 
 
 def _inner_solve(co, oracle, y, lam, inner, budget_left, cap):
@@ -335,19 +332,7 @@ def _exact_linesearch(phi, oracle, w, g, lam, L_phi):
     if getattr(oracle, "is_quadratic", False):
         Hg = oracle.hessian_matvec(g) + g / lam  # Hessian of Phi applied to g
         return float(np.dot(g, g) / np.dot(g, Hg))
-    # golden-section fallback on [0, 2/mu_phi] is overkill here; use [0, 2/L..]
-    lo, hi = 0.0, 2.0 / phi.params.mu
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = phi.value(w - c * g), phi.value(w - d * g)
-    for _ in range(40):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = phi.value(w - c * g)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = phi.value(w - d * g)
-    return c if fc < fd else d
+    # t -> Phi(w - t g) is mu_phi ||g||^2-strongly convex with slope -||g||^2
+    # at 0, so its minimiser lies in [0, 1/mu_phi], inside this bracket
+    return golden_section(lambda t: phi.value(w - t * g), 0.0, 2.0 / phi.params.mu,
+                          evals=42)

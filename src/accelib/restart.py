@@ -5,14 +5,14 @@ that adapts to unknown error-bound parameters."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidArgument
 from .momentum import fgm
 from .poly_methods import gradient_descent
-from .trace import Counters, Recorder
+from .trace import TALLIES, Trace, join
 
 SCHED_C = 4.0 * np.exp(2.0 / np.e)  # the constant c in the schedule theory
 
@@ -50,20 +50,13 @@ def fixed_restart(oracle, inner, k, x0, epochs, gamma=None, L=None):
     """Restart `inner` from its own output every k iterations."""
     if k < 1:
         raise InvalidArgument("k must be >= 1")
-    counters = Counters()
-    rec = Recorder(f"restart({inner})", oracle, counters,
-                   meta={"k": k, "epochs": epochs, "inner": inner})
     x = np.array(x0, dtype=float)
-    rec.record(0, x, state={"epoch": 0})
-    it = 0
-    for e in range(epochs):
-        sub = _run_inner(inner, oracle, x, k, gamma=gamma, L=L)
-        counters.grad_calls += sub.records[-1].grad_calls
-        for r in sub.records[1:]:
-            it += 1
-            rec.record(it, r.x, state={"epoch": e + 1})
-        x = sub.records[-1].x
-    return rec.trace
+    runs = []
+    for _ in range(epochs):
+        runs.append(_run_inner(inner, oracle, x, k, gamma=gamma, L=L))
+        x = runs[-1].final.x
+    return join(f"restart({inner})", {"k": k, "epochs": epochs, "inner": inner},
+                runs or [_run_inner(inner, oracle, x, 0, gamma=gamma, L=L)])
 
 
 def schedule_lengths(heb, f0_gap, budget):
@@ -97,24 +90,19 @@ def scheduled_restart(oracle, heb, x0, f0_gap, budget):
     if f0_gap is None or f0_gap <= 0:
         raise InvalidArgument("scheduled_restart needs f0_gap > 0")
     ks, C_star = schedule_lengths(heb, f0_gap, budget)
-    counters = Counters()
-    rec = Recorder("scheduled_restart", oracle, counters,
-                   meta={"budget": budget, "r": heb.r, "tau": heb.tau,
-                         "C_star": C_star, "ks": ks})
     x = np.array(x0, dtype=float)
-    rec.record(0, x, state={"epoch": 0})
+    runs = []
     it = 0
-    for e, k in enumerate(ks):
+    for k in ks:
         k = min(k, budget - it)
         if k <= 0:
             break
-        sub = fgm(oracle, x, k, form="I", mu=0.0, L=heb.L)
-        counters.grad_calls += sub.records[-1].grad_calls
-        for r in sub.records[1:]:
-            it += 1
-            rec.record(it, r.x, state={"epoch": e + 1})
-        x = sub.records[-1].x
-    return rec.trace
+        runs.append(fgm(oracle, x, k, form="I", mu=0.0, L=heb.L))
+        x = runs[-1].final.x
+        it += k
+    return join("scheduled_restart", {"budget": budget, "r": heb.r, "tau": heb.tau,
+                                      "C_star": C_star, "ks": ks},
+                runs or [fgm(oracle, x, 0, form="I", mu=0.0, L=heb.L)])
 
 
 def grid_cells(N):
@@ -132,6 +120,8 @@ def grid_restart(oracle, L, x0, budget):
     x0 = np.array(x0, dtype=float)
     table = []
     best = None
+    first = None
+    spent = dict.fromkeys(TALLIES, 0)
     for p, q in grid_cells(budget):
         C_p = 2.0**p
         tau_q = 0.0 if q == 0 else 2.0 ** (-q)
@@ -142,17 +132,18 @@ def grid_restart(oracle, L, x0, budget):
             k = int(np.ceil(C_p * np.exp(tau_q * i)))
             k = min(k, budget - it)
             sub = fgm(oracle, x, k, form="I", mu=0.0, L=L)
-            x = sub.records[-1].x
+            if first is None:
+                first = sub.records[0]
+            spent = {t: getattr(sub.final, t) + spent[t] for t in TALLIES}
+            x = sub.final.x
             it += k
             i += 1
         f_final = oracle.value(x)
         table.append({"p": p, "q": q, "f_final": f_final, "iterations": it})
         if best is None or f_final < best[0]:
-            best = (f_final, p, q, x)
-    counters = Counters()
-    rec = Recorder("grid_restart", oracle, counters,
-                   meta={"budget": budget, "best_p": best[1], "best_q": best[2],
-                         "table_json": json.dumps(table)})
-    rec.record(0, x0, state={})
-    rec.record(1, best[3], state={"p": best[1], "q": best[2]})
-    return rec.trace
+            best = (f_final, p, q, sub.final)
+    trace = Trace("grid_restart", {"budget": budget, "best_p": best[1], "best_q": best[2],
+                                   "table_json": json.dumps(table)})
+    trace.append(replace(first, state={}))
+    trace.append(replace(best[3], k=1, state={"p": best[1], "q": best[2]}, **spent))
+    return trace

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import DivergedError, InnerSolveError
+
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
+
+# record fields that accumulate over a run
+TALLIES = ("grad_calls", "prox_calls", "inner_iters", "wall_ns")
 
 
 @dataclass
@@ -93,7 +98,8 @@ class CountingOracle:
 
 
 class Recorder:
-    """Builds Trace records for smooth or composite problems.
+    """Builds Trace records for smooth or composite problems. Only `drive`
+    builds one; methods never record directly.
 
     f_gap/dist_opt are reported relative to the known optimum when available,
     NaN otherwise. `oracle` must be the raw (uncounted) oracle; reporting-only
@@ -140,7 +146,55 @@ class Recorder:
 
 
 def check_finite(x, trace):
-    from .errors import DivergedError
-
     if not np.all(np.isfinite(x)):
         raise DivergedError("iterate became non-finite", trace)
+
+
+def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
+          x_star=None, f_star=None):
+    """Run a method written as a stepper and return its Trace.
+
+    `start(co)` receives the counting wrapper of `oracle` (its `counters` are
+    the run's) and returns (state, step). `step(state)` returns the next state
+    dict, or None to stop; N=None runs until it does. After every step
+    `state[check]` must be finite. `view(state)` returns the (x, grad,
+    snapshot) to record; grad=None has the recorder evaluate it uncounted.
+    A DivergedError or InnerSolveError raised on the way carries the partial
+    trace.
+    """
+    counters = Counters()
+    rec = Recorder(method, oracle, counters, meta, objective, x_star, f_star)
+    state, step = start(CountingOracle(oracle, counters))
+    try:
+        x, grad, snap = view(state)
+        rec.record(0, x, grad=grad, state=snap)
+        k = 0
+        while N is None or k < N:
+            state = step(state)
+            if state is None:
+                break
+            check_finite(state[check], rec.trace)
+            k += 1
+            x, grad, snap = view(state)
+            rec.record(k, x, grad=grad, state=snap)
+    except (DivergedError, InnerSolveError) as exc:
+        if exc.trace is None:
+            exc.trace = rec.trace
+        raise
+    return rec.trace
+
+
+def join(method, meta, runs):
+    """One trace from restarted runs, each started at the previous run's final
+    iterate: record 0 of the first run, then records 1.. of each run with k
+    renumbered, counters and wall time offset by the runs before, and state
+    {"epoch": e} for the e-th run (0 for record 0)."""
+    trace = Trace(method, dict(meta))
+    trace.append(replace(runs[0].records[0], state={"epoch": 0}))
+    base = dict.fromkeys(TALLIES, 0)
+    for e, run in enumerate(runs, 1):
+        for r in run.records[1:]:
+            trace.append(replace(r, k=len(trace), state={"epoch": e},
+                                 **{t: getattr(r, t) + base[t] for t in TALLIES}))
+        base = {t: getattr(run.final, t) + base[t] for t in TALLIES}
+    return trace

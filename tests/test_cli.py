@@ -44,9 +44,10 @@ def test_run_deterministic_excluding_wall(tmp_path):
 
 
 def test_bad_problem_spec_exit_2(tmp_path):
-    code = cli.main(["run", "--method", "gd", "--problem", "nope:d=3",
-                     "--out", str(tmp_path / "x.csv")])
-    assert code == 2
+    for spec in ("nope:d=3", "quad:d=5,kappa=0"):
+        code = cli.main(["run", "--method", "gd", "--problem", spec,
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
 
 
 def test_bad_flag_exit_2():
@@ -62,6 +63,17 @@ def test_diverging_run_exit_3_partial_trace(tmp_path):
     assert code == 3
     lines = out.read_text().strip().split("\n")
     assert 2 <= len(lines) < 502  # header + at least the start of the run
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize("argv", [
+    ["compare", "--methods", "gd,fgm"],
+    ["certify", "--method", "gd"],
+])
+def test_diverging_compare_and_certify_exit_3(argv, capsys):
+    code = cli.main(argv + ["--problem", "quad:d=5", "--gamma", "5", "--N", "2000"])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
 
 
 def test_cg_on_nonquadratic_exit_2(tmp_path):

@@ -105,3 +105,29 @@ def test_grid_restart_budget_validation(quad_6):
 def test_fixed_restart_bad_inner(quad_2):
     with pytest.raises(InvalidArgument):
         rs.fixed_restart(quad_2, "cg", 5, np.ones(2), epochs=2, L=10.0)
+
+
+def test_grid_restart_counts_every_cell(quad_6):
+    budget = 16
+    tr = rs.grid_restart(quad_6, 10.0, np.full(6, 2.0), budget)
+    assert tr.final.grad_calls == budget * len(rs.grid_cells(budget))
+
+
+def test_fixed_restart_counts_calls_per_record(quad_2):
+    tr = rs.fixed_restart(quad_2, "fgm", 10, np.array([5.0, -4.0]), epochs=3, L=10.0)
+    assert len(tr) == 31
+    for i, r in enumerate(tr):
+        assert r.grad_calls == i
+
+
+def test_scheduled_restart_counts_calls_per_record():
+    p = oracles.make_heb_power(4, 3)
+    x0 = np.array([3.0, 1.5, -1.5])
+    heb = rs.HebParams(4, 1.0, p.smoothness_on_ball(np.linalg.norm(x0)))
+    f0 = p.value(x0)
+    ks, _ = rs.schedule_lengths(heb, f0, 100)
+    assert ks[0] > 1  # a record mid-epoch would read the epoch's end count
+    tr = rs.scheduled_restart(p, heb, x0, f0, budget=100)
+    assert len(tr) == 101
+    for i, r in enumerate(tr):
+        assert r.grad_calls == i
