@@ -22,6 +22,11 @@ class Margin:
 
 
 def min_slack(margins):
+    """Smallest slack of a list of `Margin`s, or of the pairwise slack matrix
+    from `check_interpolation` (its +inf diagonal carries no condition).
+    Returns 0.0 when there is nothing to check: no margins, or n <= 1 points."""
+    if isinstance(margins, np.ndarray):
+        return float(margins.min()) if margins.size > 1 else 0.0
     return min(m.slack for m in margins) if margins else 0.0
 
 
@@ -32,23 +37,35 @@ def check_interpolation(triplets, mu, L):
     """Pairwise necessary-and-sufficient condition for membership in the
     smooth strongly convex class:
     f_i >= f_j + <g_j; x_i-x_j> + ||g_i-g_j||^2/(2L)
-         + mu/(2(1-mu/L)) ||x_i-x_j-(g_i-g_j)/L||^2 for all i != j."""
+         + mu/(2(1-mu/L)) ||u_i-u_j||^2 for all i != j, with u = x - g/L.
+
+    Returns the (n, n) array of slacks (left minus right side); entry [i, j]
+    holds the condition for the pair (i, j) and the diagonal is +inf. All n^2
+    slacks come from one pass of Gram products. X, G and U are centred on
+    their mean rows first: the differences are unchanged, but the rounding
+    error then scales with the spread of the points, not with ||x||^2."""
     if not (0 <= mu < L):
         raise InvalidArgument("need 0 <= mu < L")
-    q = mu / L
-    pts = [(np.asarray(x, dtype=float), np.asarray(g, dtype=float), float(f))
-           for (x, g, f) in triplets]
-    margins = []
-    for i, (xi, gi, fi) in enumerate(pts):
-        for j, (xj, gj, fj) in enumerate(pts):
-            if i == j:
-                continue
-            dg = gi - gj
-            dx = xi - xj
-            rhs = (fj + np.dot(gj, dx) + np.dot(dg, dg) / (2.0 * L)
-                   + mu / (2.0 * (1.0 - q)) * np.dot(dx - dg / L, dx - dg / L))
-            margins.append(Margin((i, j), float(fi - rhs)))
-    return margins
+    n = len(triplets)
+    if n == 0:
+        return np.empty((0, 0))
+    X = np.array([t[0] for t in triplets], dtype=float).reshape(n, -1)
+    G = np.array([t[1] for t in triplets], dtype=float).reshape(n, -1)
+    F = np.array([t[2] for t in triplets], dtype=float)
+    Xc = X - X.mean(axis=0)
+    Gc = G - G.mean(axis=0)
+    Uc = Xc - Gc / L
+
+    def sqdist(A):
+        K = A @ A.T
+        d = np.diag(K)
+        return d[:, None] + d[None, :] - 2.0 * K
+
+    P = Xc @ G.T  # P[i, j] = <x_i - mean, g_j>
+    slack = (F[:, None] - F[None, :] - (P - np.diag(P)[None, :])
+             - sqdist(Gc) / (2.0 * L) - mu / (2.0 * (1.0 - mu / L)) * sqdist(Uc))
+    np.fill_diagonal(slack, np.inf)
+    return slack
 
 
 def harvest_triplets(trace, oracle):

@@ -13,6 +13,7 @@ Exit codes: 0 ok; 2 config/schema error; 3 divergence (partial trace written);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -220,25 +221,28 @@ def cmd_certify(args):
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CERT
-    scale = certify_mod.potential_scale(trace, target)
-    bad = [m for m in margins if m.slack < -tol_for(scale)]
+    tol = tol_for(certify_mod.potential_scale(trace, target))
+    bad = [str(m.where) for m in margins if m.slack < -tol]
     triplets = certify_mod.harvest_triplets(trace, oracle)
     interp = certify_mod.check_interpolation(triplets, oracle.params.mu,
                                              oracle.params.L)
     iscale = max(abs(t[2]) for t in triplets) + 1.0
-    bad_interp = [m for m in interp if m.slack < -tol_for(iscale)]
+    bad += [str((int(i), int(j)))
+            for i, j in np.argwhere(interp < -tol_for(iscale))]  # row-major
     report = {
         "method": args.method,
         "potential_min_slack": certify_mod.min_slack(margins),
         "interpolation_min_slack": certify_mod.min_slack(interp),
-        "violations": [str(m.where) for m in bad + bad_interp],
-        "pass": not bad and not bad_interp,
+        "violations": bad,
+        "pass": not bad,
     }
     print(json.dumps(report, indent=2, default=str))
     return 0 if report["pass"] else EXIT_CERT_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(prog="accelib",
                                      description="first-order method runner")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -237,6 +237,12 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     warm-started at y_k, stopping as soon as lam ||grad Phi_k(w)|| <= ||w - w0||
     (both sides zero accepts). Stops when budget_total inner iterations have
     been spent; a partially completed inner solve counts as useless work.
+    An inner solve that accepts its warm start without iterating is charged
+    one iteration (its stopping test costs a gradient), so every outer step
+    spends budget and the run ends within budget_total outer steps. The
+    charged count is what `n_inner`, `inner_counts`, `n_total` and the
+    `inner_iters` counter report, so n_total == inner_iters ==
+    sum(inner_counts) + n_useless.
     """
     if inner not in INNER_SOLVERS:
         raise InvalidArgument(f"unknown inner solver {inner!r}")
@@ -257,6 +263,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
             a, A1, y = _outer_point(x, z, A, lam, mu)
             w, n_inner, stopped = _inner_solve(co, oracle, y, lam, inner,
                                                budget_total - total, cap)
+            n_inner = max(n_inner, 1)
             co.counters.inner_iters += n_inner
             total += n_inner
             if not stopped:

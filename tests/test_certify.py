@@ -1,8 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accelib import certify as ct, momentum as mo, oracles, poly_methods as pm, prox_outer as po
 from accelib.errors import InvalidArgument, UnsupportedOracle
+from accelib.tolerances import tol_for
+
+
+def reference_interpolation(triplets, mu, L):
+    """The pairwise interpolation conditions evaluated one pair at a time; the
+    reference that the Gram-matrix form of check_interpolation must match."""
+    q = mu / L
+    pts = [(np.asarray(x, dtype=float), np.asarray(g, dtype=float), float(f))
+           for (x, g, f) in triplets]
+    slack = np.full((len(pts), len(pts)), np.inf)
+    for i, (xi, gi, fi) in enumerate(pts):
+        for j, (xj, gj, fj) in enumerate(pts):
+            if i == j:
+                continue
+            dg = gi - gj
+            dx = xi - xj
+            rhs = (fj + np.dot(gj, dx) + np.dot(dg, dg) / (2.0 * L)
+                   + mu / (2.0 * (1.0 - q)) * np.dot(dx - dg / L, dx - dg / L))
+            slack[i, j] = fi - rhs
+    return slack
+
+
+def assert_matches_reference(triplets, mu, L):
+    got = ct.check_interpolation(triplets, mu, L)
+    want = reference_interpolation(triplets, mu, L)
+    assert got.shape == want.shape == (len(triplets), len(triplets))
+    assert np.all(np.isinf(np.diag(got)))
+    tol = tol_for(max((abs(t[2]) for t in triplets), default=0.0) + 1.0)
+    off = ~np.eye(len(triplets), dtype=bool)
+    assert np.all(np.abs(got[off] - want[off]) <= tol)
+    return got, tol
 
 
 def test_interpolation_accepts_in_class_triplets(quad_6):
@@ -23,6 +55,48 @@ def test_interpolation_rejects_planted_violation():
     ]
     margins = ct.check_interpolation(triplets, 0.0, 1.0)
     assert ct.min_slack(margins) < -1e-6
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(0, 12), d=st.integers(1, 6), L=st.floats(0.1, 100.0),
+       q=st.floats(0.0, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_interpolation_matches_pairwise_reference(n, d, L, q, seed):
+    mu = q * L
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(mu if mu > 0 else 1e-3 * L, L, d)
+    quad = oracles.make_quadratic(eigs, rng.standard_normal(d), seed=seed)
+    triplets = [(x, quad.gradient(x), quad.value(x))
+                for x in rng.standard_normal((n, d)) * 3.0]
+    got, tol = assert_matches_reference(triplets, mu, L)
+    assert ct.min_slack(got) >= -tol
+
+
+def test_interpolation_far_from_origin():
+    # rounding must scale with the spread of the points, not with ||x||^2
+    quad = oracles.make_quadratic(np.linspace(1.0, 10.0, 5),
+                                  np.full(5, 1e4) + np.arange(5.0), seed=3)
+    tr = mo.fgm(quad, quad.x_star + np.ones(5), 60, mu=1.0)
+    triplets = ct.harvest_triplets(tr.records, quad)
+    got, tol = assert_matches_reference(triplets, 1.0, 10.0)
+    assert ct.min_slack(got) >= -tol
+
+
+def test_interpolation_locates_planted_violation():
+    # f = x^2/2 is in the class (mu=0, L=10), where pair (i, j) has slack
+    # 0.45 (x_i - x_j)^2; lowering f_2 by 1 breaks only the pair (2, 1)
+    triplets = [(np.array([x]), np.array([x]), 0.5 * x * x) for x in (0.0, 9.0, 10.0)]
+    triplets[2] = (triplets[2][0], triplets[2][1], triplets[2][2] - 1.0)
+    slack = ct.check_interpolation(triplets, 0.0, 10.0)
+    assert [tuple(p) for p in np.argwhere(slack < -tol_for(51.0))] == [(2, 1)]
+    assert ct.min_slack(slack) == pytest.approx(-0.55)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_interpolation_without_pairs(n):
+    triplets = [(np.ones(3), np.ones(3), 1.0)] * n
+    slack = ct.check_interpolation(triplets, 0.0, 1.0)
+    assert slack.shape == (n, n)
+    assert ct.min_slack(slack) == 0.0
 
 
 def test_interpolation_validates_class():

@@ -103,6 +103,35 @@ def test_certify_pass(capsys):
     assert report["potential_min_slack"] >= -1e-8
 
 
+def test_certify_N_zero_has_no_pairs(capsys):
+    code = cli.main(["certify", "--method", "gd", "--problem", "quad:d=5", "--N", "0"])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["interpolation_min_slack"] == 0.0
+    assert report["pass"] is True
+
+
+def test_certify_lists_interpolation_pairs_after_steps(monkeypatch, capsys):
+    real = cli.certify_mod.check_interpolation
+
+    def planted(triplets, mu, L):
+        slack = real(triplets, mu, L)
+        slack[2, 0] = slack[0, 3] = -1.0
+        return slack
+
+    monkeypatch.setattr(cli.certify_mod, "check_interpolation", planted)
+    code = cli.main(["certify", "--method", "gd", "--problem", "quad:d=5",
+                     "--N", "10", "--gamma", "0.21"])
+    assert code == 5
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations[-2:] == ["(0, 3)", "(2, 0)"]
+    assert violations[:-2] and all(v.isdigit() for v in violations[:-2])
+
+
 def test_certify_no_registered_certificate_exit_4():
     code = cli.main(["certify", "--method", "chebyshev",
                      "--problem", "quad:d=5", "--N", "10"])

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -114,3 +115,26 @@ def test_catalyst_counts_useless_tail(quad_6):
 def test_catalyst_unknown_inner(quad_6):
     with pytest.raises(InvalidArgument):
         po.catalyst(quad_6, "bogus", 1.0, budget_total=50, x0=np.zeros(6))
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that has not returned after 20 s instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("no return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_catalyst_ends_when_inner_solves_take_no_iterations(alarm):
+    # once the iterate has converged the inner solve accepts its warm start;
+    # such a step is charged one iteration, so the budget still runs out
+    tr = po.catalyst(oracles.make_huber(0.1, 1.0, 3), "gd", 1.0, 300, np.ones(3))
+    m = tr.meta
+    assert m["n_outer"] <= 300
+    assert min(m["inner_counts"]) == 1
+    assert m["n_total"] == tr.final.inner_iters == sum(m["inner_counts"]) + m["n_useless"]
