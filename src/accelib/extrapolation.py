@@ -49,70 +49,34 @@ class ExtrapolationResult:
     gram_cond: float
 
 
-def solve_pivot(A, b):
-    """Gaussian elimination with partial pivoting on a small dense system.
-
-    Raises SingularSystemError when a pivot falls below 1e-13 * max |entry|.
-    """
-    A = np.array(A, dtype=float, copy=True)
-    b = np.array(b, dtype=float, copy=True)
-    n = A.shape[0]
-    threshold = SINGULAR_PIVOT_REL * max(np.max(np.abs(A)), 1e-300)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(A[col:, col])))
-        if np.abs(A[piv, col]) < threshold:
-            raise SingularSystemError(f"pivot {A[piv, col]!r} below threshold")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, n):
-            m = A[row, col] / A[col, col]
-            A[row, col:] -= m * A[col, col:]
-            b[row] -= m * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - np.dot(A[row, row + 1:], x[row + 1:])) / A[row, row]
-    return x
-
-
 def lstsq_qr(A, b):
-    """Least-squares min ||A y - b|| via Householder QR (backward stable,
-    unlike the squared normal equations). A is tall or square; a diagonal of R
-    below 1e-13 * max |R| flags rank deficiency."""
-    A = np.array(A, dtype=float, copy=True)
-    b = np.array(b, dtype=float, copy=True)
+    """Least-squares min ||A y - b|| via QR (backward stable, unlike the
+    squared normal equations); b may hold several right-hand sides as columns.
+
+    The module's one singularity rule: raises SingularSystemError when A is
+    wide or the singular values of R (those of A) span more than 1 / 1e-13;
+    the unpivoted R diagonal would miss a zero hidden by a small leading R_ii.
+    """
+    A = np.asarray(A, dtype=float)
     m, n = A.shape
-    for j in range(n):
-        col = A[j:, j]
-        alpha = -np.sign(col[0]) * np.linalg.norm(col) if col[0] != 0 else -np.linalg.norm(col)
-        v = col.copy()
-        v[0] -= alpha
-        vn = np.linalg.norm(v)
-        if vn > 0:
-            v /= vn
-            A[j:, j:] -= 2.0 * np.outer(v, v @ A[j:, j:])
-            b[j:] -= 2.0 * v * (v @ b[j:])
-    diag = np.abs(np.diag(A[:n, :n]))
-    if diag.min() < SINGULAR_PIVOT_REL * max(diag.max(), 1e-300):
-        raise SingularSystemError("rank-deficient least-squares system")
-    y = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        y[row] = (b[row] - np.dot(A[row, row + 1:n], y[row + 1:])) / A[row, row]
-    return y
+    if m < n:
+        raise SingularSystemError(f"wide system: {m} equations, {n} unknowns")
+    Q, R = np.linalg.qr(A)
+    sv = np.linalg.svd(R, compute_uv=False)
+    if sv[-1] < SINGULAR_PIVOT_REL * max(sv[0], 1e-300):
+        raise SingularSystemError("rank-deficient system")
+    return np.linalg.solve(R, Q.T @ np.asarray(b, dtype=float))
 
 
-def spectral_norm(M, iters=100, seed=0):
-    """Deterministic power iteration estimate of ||M||_2 for symmetric PSD M."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = M @ v
-        n = np.linalg.norm(w)
-        if n == 0.0:
-            return 0.0
-        v = w / n
-    return float(v @ M @ v)
+def solve_pivot(A, b):
+    """Solve the square system A x = b by `lstsq_qr`; a singular A raises
+    SingularSystemError by its rule."""
+    return lstsq_qr(A, b)
+
+
+def spectral_norm(M):
+    """||M||_2 of a symmetric PSD M: its largest eigenvalue."""
+    return float(np.linalg.eigvalsh(M)[-1])
 
 
 def _gram_cond(GtG):
@@ -125,11 +89,13 @@ def _gram_cond(GtG):
 def offline_na(buf):
     """Solve (G^T G) z = 1, normalize c = z / (z^T 1), return x_extr = sum c_i x_i.
 
-    When the Gram solve hits the pivot threshold (the buffered gradients are
-    affinely dependent, e.g. k >= d on a quadratic where the exact minimizer is
-    reachable), the same subproblem min ||c @ G|| s.t. sum(c) = 1 is re-solved
-    in difference coordinates c_i (i < k), which stays nonsingular whenever the
-    gradient differences are independent. Truly degenerate buffers still raise.
+    When the Gram solve is singular by `lstsq_qr`'s rule (the buffered
+    gradients are affinely dependent, e.g. k >= d on a quadratic where the
+    exact minimizer is reachable), the same subproblem min ||c @ G|| s.t.
+    sum(c) = 1 is re-solved in difference coordinates c_i (i < k), which stays
+    nonsingular whenever the gradient differences are independent. Truly
+    degenerate buffers, and buffers of more than d + 1 pairs (a wide
+    difference system), still raise.
     """
     if len(buf) < 1:
         raise InvalidArgument("need at least one pair")
@@ -137,7 +103,7 @@ def offline_na(buf):
     GtG = G @ G.T
     k = len(buf)
     try:
-        z = solve_pivot(GtG, np.ones(k))
+        z = lstsq_qr(GtG, np.ones(k))
         c = z / np.sum(z)
     except SingularSystemError:
         if k == 1:
@@ -181,8 +147,7 @@ def rna(buf, h, lam, c_ref=None):
     norm = spectral_norm(GtG)
     Gn = GtG / norm if norm > 0 else GtG
     A = Gn + lam * np.eye(k)
-    w = solve_pivot(A, lam * c_ref)
-    z = solve_pivot(A, np.ones(k))
+    w, z = lstsq_qr(A, np.column_stack([lam * c_ref, np.ones(k)])).T
     c = w + z * (1.0 - np.sum(w)) / np.sum(z)
     x_extr = c @ (buf.X - h * buf.G)
     return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_gram_cond(A))
@@ -219,7 +184,8 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
       - "descent": accept x_extr only if f(x_extr) < min buffered f(x_i),
         else fall back to x_k - h grad f(x_k);
       - "linesearch": golden-section search of the mixing step over [0, 4h].
-    A singular offline solve falls back to the gradient step and flags the
+    The weights c do not depend on the mixing step, so they are solved once
+    per step. A singular solve falls back to the gradient step and flags the
     record state.
     """
     if m < 1:
@@ -230,29 +196,22 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
     def start(co):
         buf = PairBuffer(capacity=m)
 
-        def extr(step):
-            if lam > 0:
-                return rna(buf, step, lam).x_extr
-            return na_mixing(buf, step).x_extr
-
         def step(s):
             x, g = s["x"], s["g"]
             buf.append(x, g)
-            fallback = False
+            X, G = buf.X, buf.G
             try:
+                c = (rna(buf, 0.0, lam) if lam > 0 else offline_na(buf)).c
+                t = h
                 if safeguard == "linesearch":
-                    best_h = golden_section(lambda t: oracle.value(extr(t)), 0.0, 4.0 * h)
-                    x_new = extr(best_h)
-                else:
-                    x_new = extr(h)
-                if safeguard == "descent":
-                    best_buffered = min(oracle.value(xi) for xi in buf.X)
-                    if not oracle.value(x_new) < best_buffered:
-                        x_new = x - h * g
-                        fallback = True
+                    t = golden_section(lambda u: oracle.value(c @ (X - u * G)), 0.0, 4.0 * h)
+                x_new = c @ (X - t * G)
+                fallback = (safeguard == "descent"
+                            and not oracle.value(x_new) < min(oracle.value(xi) for xi in X))
             except SingularSystemError:
-                x_new = x - h * g
                 fallback = True
+            if fallback:
+                x_new = x - h * g
             return {"x": x_new, "g": co.gradient(x_new), "fallback": fallback}
 
         x = np.array(x0, dtype=float)

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +158,13 @@ def test_run_lasso_fista(tmp_path):
     assert code == 0
     side = json.loads((tmp_path / "lasso.csv.json").read_text())
     assert side["prox_calls"] >= 40
+
+
+def test_module_entry_point_imports_cleanly():
+    # `python -m accelib.cli` must not find accelib.cli already imported
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "accelib.cli", "--help"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

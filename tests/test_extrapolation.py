@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accelib import extrapolation as ex, oracles, poly_methods as pm
 from accelib.errors import InvalidArgument, SingularSystemError
@@ -16,6 +17,42 @@ def test_solve_pivot_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystemError):
         ex.solve_pivot(A, np.ones(2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 6), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_solvers_match_numpy_on_full_rank(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n + extra, n))
+    b = rng.standard_normal(n + extra)
+    want = np.linalg.lstsq(A, b, rcond=None)[0]
+    tol = 1e-12 * np.linalg.cond(A) * max(np.linalg.norm(want), 1.0)
+    assert np.allclose(ex.lstsq_qr(A, b), want, rtol=0.0, atol=tol)
+    if extra == 0:
+        assert np.allclose(ex.solve_pivot(A, b), want, rtol=0.0, atol=tol)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(2, 6), rank=st.integers(1, 5), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_solvers_reject_rank_deficient_systems(n, rank, extra, seed):
+    rank = min(rank, n - 1)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n + extra, rank)) @ rng.standard_normal((rank, n))
+    b = rng.standard_normal(n + extra)
+    with pytest.raises(SingularSystemError):
+        ex.lstsq_qr(A, b)
+    if extra == 0:
+        with pytest.raises(SingularSystemError):
+            ex.solve_pivot(A, b)
+
+
+@settings(deadline=None, max_examples=30)
+@given(m=st.integers(1, 5), extra=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_lstsq_qr_rejects_wide_systems(m, extra, seed):
+    rng = np.random.default_rng(seed)
+    with pytest.raises(SingularSystemError):
+        ex.lstsq_qr(rng.standard_normal((m, m + extra)), rng.standard_normal(m))
 
 
 def test_spectral_norm_power_iteration():
@@ -80,6 +117,34 @@ def test_na_mixing_moves_along_gradients(quad_6):
     diff = plain.x_extr - res.x_extr
     assert np.allclose(diff, 0.1 * res.c @ buf.G, atol=1e-10)
     assert np.allclose(plain.x_extr, plain.c @ buf.X, atol=1e-10)
+
+
+def test_mixing_weights_do_not_depend_on_step(quad_6):
+    # online_rna solves c once per step and line-searches h on c @ (X - h G)
+    x0 = np.full(6, 1.5)
+    tr = pm.gradient_descent(quad_6, 1.0 / 10.0, x0, 4)
+    buf = ex.PairBuffer()
+    for rec in tr.records:
+        buf.append(rec.x, quad_6.gradient(rec.x))
+    for weights in (lambda h: ex.rna(buf, h, 1e-6).c, lambda h: ex.na_mixing(buf, h).c):
+        for h in (0.1, 1.0):
+            assert np.array_equal(weights(h), weights(0.0))
+
+
+@pytest.mark.parametrize("driver", ["online_rna", "prox_rna"])
+def test_unregularized_extrapolation_falls_back_past_d_plus_one_pairs(driver):
+    # with lam = 0 and more than d + 1 buffered pairs the difference system is
+    # wide; each such step must take the flagged gradient step, not crash
+    p = oracles.make_quadratic([1.0, 4.0, 9.0], np.array([1.0, -2.0, 0.5]), seed=3)
+    x0 = np.array([2.0, -1.0, 3.0])
+    if driver == "online_rna":
+        tr = ex.online_rna(p, x0, h=1.0 / 9.0, lam=0.0, m=5, N=20)
+    else:
+        comp = oracles.CompositeProblem(p, oracles.make_zero(3))
+        tr = ex.prox_rna(comp, x0, gamma=1.0 / 9.0, lam=0.0, N=20)
+    assert len(tr.records) == 21
+    assert [r.state["fallback"] for r in tr.records[1:]] == [False] * 4 + [True] * 16
+    assert tr.final.f_gap <= 1e-12 * p.value(x0)
 
 
 def test_online_rna_converges(quad_6):
