@@ -69,8 +69,12 @@ def check_interpolation(triplets, mu, L):
 
 
 def harvest_triplets(trace, oracle):
-    """Turn a trace into (x, g, f) triplets for interpolation checking."""
-    return [(r.x, oracle.gradient(r.x), oracle.value(r.x)) for r in trace]
+    """Turn a trace into (x, g, f) triplets for interpolation checking, from
+    one row-batched `gradients` and one `values` call over its iterates."""
+    X = np.array([r.x for r in trace])
+    if not len(X):
+        return []
+    return list(zip(X, oracle.gradients(X), map(float, oracle.values(X))))
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,8 @@ def spectral_norm(M):
     return float(np.linalg.eigvalsh(M)[-1])
 
 
-def _gram_cond(GtG):
-    vals = np.linalg.eigvalsh((GtG + GtG.T) / 2.0)
+def _cond(vals):
+    """Condition number of a symmetric PSD matrix from its eigenvalues."""
     lo = max(float(vals.min()), 0.0)
     hi = float(vals.max())
     return np.inf if lo == 0.0 else hi / lo
@@ -115,7 +115,7 @@ def offline_na(buf):
         y = lstsq_qr((D / norms[:, None]).T, -G[-1]) / norms
         c = np.append(y, 1.0 - np.sum(y))
     x_extr = c @ buf.X
-    return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_gram_cond(GtG))
+    return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_cond(np.linalg.eigvalsh(GtG)))
 
 
 def na_mixing(buf, h):
@@ -144,13 +144,15 @@ def rna(buf, h, lam, c_ref=None):
             raise InvalidArgument("c_ref must sum to 1")
     G = buf.G
     GtG = G @ G.T
-    norm = spectral_norm(GtG)
-    Gn = GtG / norm if norm > 0 else GtG
-    A = Gn + lam * np.eye(k)
+    vals = np.linalg.eigvalsh(GtG)  # vals[-1] = spectral_norm(GtG)
+    norm = float(vals[-1])
+    if norm > 0:
+        GtG, vals = GtG / norm, vals / norm
+    A = GtG + lam * np.eye(k)
     w, z = lstsq_qr(A, np.column_stack([lam * c_ref, np.ones(k)])).T
     c = w + z * (1.0 - np.sum(w)) / np.sum(z)
     x_extr = c @ (buf.X - h * buf.G)
-    return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_gram_cond(A))
+    return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_cond(vals + lam))
 
 
 def golden_section(fun, a, b, evals=20):
@@ -256,5 +258,5 @@ def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
         return {"x": x, "z": x.copy()}, step
 
     return drive("prox_rna", problem.smooth, {"gamma": gamma, "lambda": lam, "N": N},
-                 start, _x_grad_fallback, N, check="z", objective=problem.objective,
+                 start, _x_grad_fallback, N, check="z", objective=problem,
                  x_star=problem.x_star, f_star=problem.F_star)

@@ -39,13 +39,17 @@ class ProblemOracle:
     value/gradient are required; prox is optional (None when unavailable).
     optimum fields (x_star, f_star) are None when unknown. `heb` carries the
     (r, mu_heb) pair of a Holderian error bound when one holds by construction.
+    `values`/`gradients` evaluate a stack of points, one per row; without a
+    vectorised form they loop over value/gradient.
     """
 
     def __init__(self, value, gradient, params=None, prox=None, x_star=None,
                  f_star=None, heb=None, is_quadratic=False, domain_indicator=None,
-                 name="oracle"):
+                 name="oracle", values=None, gradients=None):
         self._value = value
         self._gradient = gradient
+        self._values = values
+        self._gradients = gradients
         self.params = params
         self._prox = prox
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
@@ -60,6 +64,21 @@ class ProblemOracle:
 
     def gradient(self, x):
         return np.asarray(self._gradient(np.asarray(x, dtype=float)), dtype=float)
+
+    def values(self, X):
+        X = np.asarray(X, dtype=float)
+        if self._values is not None:
+            return np.asarray(self._values(X), dtype=float)
+        return np.array([self.value(x) for x in X], dtype=float)
+
+    def gradients(self, X):
+        X = np.asarray(X, dtype=float)
+        if self._gradients is not None:
+            return np.asarray(self._gradients(X), dtype=float)
+        G = np.empty_like(X)
+        for i, x in enumerate(X):
+            G[i] = self.gradient(x)
+        return G
 
     @property
     def has_prox(self):
@@ -88,6 +107,10 @@ class CompositeProblem:
 
     def objective(self, x):
         return self.smooth.value(x) + self.nonsmooth.value(x)
+
+    def values(self, X):
+        """F at each row of X."""
+        return self.smooth.values(X) + self.nonsmooth.values(X)
 
     @property
     def domain_indicator(self):
@@ -135,10 +158,22 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
         w = to_eigen(x - x_star)
         return x_star + from_eigen(w / (1.0 + lam * eigs))
 
+    # row-stacked forms: one matrix-matrix product per call
+    def to_eigen_rows(X):
+        return X - x_star if Q is None else (X - x_star) @ Q
+
+    def values(X):
+        W = to_eigen_rows(X)
+        return 0.5 * np.einsum("ij,ij->i", W, eigs * W) + f_star
+
+    def gradients(X):
+        W = to_eigen_rows(X) * eigs
+        return W if Q is None else W @ Q.T
+
     params = ClassParams(float(eigs.min()), float(eigs.max()))
     oracle = ProblemOracle(value, gradient, params=params, prox=prox,
                            x_star=x_star, f_star=f_star, is_quadratic=True,
-                           name="quadratic")
+                           name="quadratic", values=values, gradients=gradients)
     oracle.eigs = eigs
     oracle.hessian_matvec = lambda v: from_eigen(eigs * to_eigen(np.asarray(v, dtype=float)))
     return oracle

@@ -159,17 +159,8 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
         grad = None if oracle is not None else np.zeros_like(s["x"])
         return s["x"], grad, {"A": s["A"], "z": s["z"]}
 
-    return drive("accel_inexact_ppa", oracle if oracle is not None else _NullOracle(),
+    return drive("accel_inexact_ppa", oracle,
                  {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas[:N]}, start, view, N)
-
-
-class _NullOracle:
-    """Placeholder oracle when the recorder has nothing to evaluate."""
-
-    value = staticmethod(lambda x: float("nan"))
-    gradient = staticmethod(lambda x: np.full_like(np.asarray(x, dtype=float), np.nan))
-    x_star = None
-    f_star = None
 
 
 def ahpe_bound(R, lambdas):

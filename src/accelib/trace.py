@@ -101,17 +101,25 @@ class Recorder:
     """Builds Trace records for smooth or composite problems. Only `drive`
     builds one; methods never record directly.
 
-    f_gap/dist_opt are reported relative to the known optimum when available,
-    NaN otherwise. `oracle` must be the raw (uncounted) oracle; reporting-only
-    evaluations never touch the counters.
+    `record` keeps the iterate, the counters, the wall time and the state
+    snapshot, plus the gradient norm when the caller passes the gradient.
+    The reporting columns (f_gap, dist_opt and the missing gradient norms)
+    are filled when `trace` is read, from one row-batched `gradients` and
+    one `values` call over the records made since the last read, so
+    `wall_ns` is method time only. f_gap/dist_opt are reported relative to
+    the known optimum when available, NaN otherwise. `oracle` must be the raw
+    (uncounted) oracle, and `objective` (default: the oracle) anything with
+    `values(X)`; reporting-only evaluations never touch the counters. With
+    every gradient passed and no optimum known, `oracle` may be None.
     """
 
     def __init__(self, method, oracle, counters, meta=None, objective=None,
                  x_star=None, f_star=None):
-        self.trace = Trace(method, dict(meta or {}))
+        self._trace = Trace(method, dict(meta or {}))
+        self._pending = []  # records whose reporting columns are not filled yet
         self._oracle = oracle
         self._counters = counters
-        self._objective = objective if objective is not None else oracle.value
+        self._objective = objective if objective is not None else oracle
         if x_star is None and getattr(oracle, "x_star", None) is not None:
             x_star = oracle.x_star
             f_star = oracle.f_star
@@ -120,20 +128,12 @@ class Recorder:
         self._t0 = time.perf_counter_ns()
 
     def record(self, k, x, grad=None, potential=None, state=None):
-        if grad is None:
-            grad = self._oracle.gradient(x)
-        if self._f_star is not None:
-            f_gap = float(self._objective(x) - self._f_star)
-            dist = float(np.linalg.norm(x - self._x_star))
-        else:
-            f_gap = float("nan")
-            dist = float("nan")
         rec = TraceRecord(
             k=k,
             x=np.array(x, dtype=float, copy=True),
-            f_gap=f_gap,
-            grad_norm=float(np.linalg.norm(grad)),
-            dist_opt=dist,
+            f_gap=float("nan"),
+            grad_norm=None if grad is None else float(np.linalg.norm(grad)),
+            dist_opt=float("nan"),
             potential=potential,
             grad_calls=self._counters.grad_calls,
             prox_calls=self._counters.prox_calls,
@@ -141,11 +141,31 @@ class Recorder:
             wall_ns=time.perf_counter_ns() - self._t0,
             state=dict(state or {}),
         )
-        self.trace.append(rec)
-        return rec
+        self._trace.append(rec)
+        self._pending.append(rec)
+
+    @property
+    def trace(self):
+        """The trace so far, with every record's reporting columns filled."""
+        recs, self._pending = self._pending, []
+        if not recs:
+            return self._trace
+        X = np.array([r.x for r in recs])
+        blind = [i for i, r in enumerate(recs) if r.grad_norm is None]
+        if blind:
+            norms = np.linalg.norm(self._oracle.gradients(X[blind]), axis=1)
+            for i, n in zip(blind, norms):
+                recs[i].grad_norm = float(n)
+        if self._f_star is not None:
+            gaps = self._objective.values(X) - self._f_star
+            dists = np.linalg.norm(X - self._x_star, axis=1)
+            for r, gap, dist in zip(recs, gaps, dists):
+                r.f_gap = float(gap)
+                r.dist_opt = float(dist)
+        return self._trace
 
 
-def check_finite(x, trace):
+def check_finite(x, trace=None):
     if not np.all(np.isfinite(x)):
         raise DivergedError("iterate became non-finite", trace)
 
@@ -158,9 +178,10 @@ def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
     the run's) and returns (state, step). `step(state)` returns the next state
     dict, or None to stop; N=None runs until it does. After every step
     `state[check]` must be finite. `view(state)` returns the (x, grad,
-    snapshot) to record; grad=None has the recorder evaluate it uncounted.
-    A DivergedError or InnerSolveError raised on the way carries the partial
-    trace.
+    snapshot) to record; grad=None has the recorder evaluate it uncounted,
+    after the run. `objective` (default: the oracle) is what f_gap measures,
+    anything with `values(X)`. A DivergedError or InnerSolveError raised on
+    the way carries the partial trace.
     """
     counters = Counters()
     rec = Recorder(method, oracle, counters, meta, objective, x_star, f_star)
@@ -173,7 +194,7 @@ def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
             state = step(state)
             if state is None:
                 break
-            check_finite(state[check], rec.trace)
+            check_finite(state[check])
             k += 1
             x, grad, snap = view(state)
             rec.record(k, x, grad=grad, state=snap)

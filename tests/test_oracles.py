@@ -130,3 +130,50 @@ def test_composite_problem_objective():
     x = np.array([1.0, -1.0])
     assert cp.objective(x) == pytest.approx(0.5 + 1.0 + 2.0)
     assert cp.smooth is smooth and cp.nonsmooth is nonsmooth
+
+
+def _rotated_quad(d):
+    return oracles.make_quadratic(np.linspace(1.0, 50.0, d), np.linspace(-1.0, 2.0, d),
+                                  f_star=0.5, seed=d)
+
+
+def _diag_quad(d):
+    return oracles.make_quadratic(np.linspace(1.0, 50.0, d), np.linspace(-1.0, 2.0, d))
+
+
+# (factory(d), has a gradient)
+BATCHED = {
+    "rotated_quadratic": (_rotated_quad, True),
+    "diagonal_quadratic": (_diag_quad, True),
+    "huber": (lambda d: oracles.make_huber(0.3, 2.0, d), True),
+    "heb_power": (lambda d: oracles.make_heb_power(3.0, d), True),
+    "l1": (lambda d: oracles.make_l1(0.7, d), False),
+    "simplex": (lambda d: oracles.make_simplex_indicator(d), False),
+    "zero": (oracles.make_zero, True),
+    "composite": (lambda d: oracles.CompositeProblem(_rotated_quad(d),
+                                                     oracles.make_l1(0.7, d)), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCHED))
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 8), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 30.0]))
+def test_batched_evaluations_match_pointwise(kind, n, d, seed, scale):
+    factory, smooth = BATCHED[kind]
+    f = factory(d)
+    X = scale * np.random.default_rng(seed).standard_normal((n, d))
+    if kind == "simplex":  # half the rows on the simplex, where h = 0
+        A = np.abs(X[::2])
+        X[::2] = A / A.sum(axis=1, keepdims=True)
+    pointwise = f.objective if kind == "composite" else f.value
+    values = f.values(X)
+    assert values.shape == (n,)
+    want = np.array([pointwise(x) for x in X], dtype=float)
+    np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+    if smooth:
+        G = f.gradients(X)
+        assert G.shape == (n, d)
+        for g, x in zip(G, X):
+            ref = f.gradient(x)
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -55,3 +55,37 @@ def test_to_csv_rows(quad_2):
     assert len(lines) == 3
     assert lines[1].startswith("0,")
     assert lines[2].startswith("1,")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_diverged_partial_trace_has_reporting_columns(quad_6):
+    from accelib.poly_methods import gradient_descent
+
+    with pytest.raises(DivergedError) as exc:
+        gradient_descent(quad_6, 3.0 / quad_6.params.L, np.ones(6), 5000)
+    records = exc.value.trace.records
+    assert len(records) > 500
+    X = np.array([r.x for r in records])
+    want = {
+        "grad_norm": [np.linalg.norm(quad_6.gradient(x)) for x in X],
+        "f_gap": [quad_6.value(x) - quad_6.f_star for x in X],
+        "dist_opt": [np.linalg.norm(x - quad_6.x_star) for x in X],
+    }
+    for col, ref in want.items():
+        got = np.array([getattr(r, col) for r in records], dtype=float)
+        ref = np.array(ref)
+        # f and ||g|| overflow long before x does; where the direct
+        # evaluation is finite, so is the record
+        assert np.isfinite(ref[:100]).all()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=col)
+
+
+def test_recorder_used_directly_fills_csv(quad_2):
+    rec = tr_mod.Recorder("gd", quad_2, tr_mod.Counters(), meta={})
+    rec.record(0, np.ones(2))
+    rec.record(1, np.array([0.5, 0.0]), grad=np.array([0.5, 0.0]))
+    rows = [line.split(",") for line in rec.trace.to_csv().strip().split("\n")[1:]]
+    # f = (x_1^2 + 10 x_2^2)/2 and grad = (x_1, 10 x_2) on quad_2
+    assert [float(r[1]) for r in rows] == pytest.approx([5.5, 0.125], rel=1e-15)
+    assert [float(r[2]) for r in rows] == pytest.approx([np.sqrt(101.0), 0.5], rel=1e-15)
+    assert [float(r[3]) for r in rows] == pytest.approx([np.sqrt(2.0), 0.5], rel=1e-15)
