@@ -70,11 +70,11 @@ def check_interpolation(triplets, mu, L):
 
 def harvest_triplets(trace, oracle):
     """Turn a trace into (x, g, f) triplets for interpolation checking, from
-    one row-batched `gradients` and one `values` call over its iterates."""
+    one row-stacked `gradient` and one `value` call over its iterates."""
     X = np.array([r.x for r in trace])
     if not len(X):
         return []
-    return list(zip(X, oracle.gradients(X), map(float, oracle.values(X))))
+    return list(zip(X, oracle.gradient(X), map(float, oracle.value(X))))
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode, beta):
                   {"N": N, "mu": mu, "L0": L0, "alpha": alpha, "mode": mode},
                   lambda co: _composite_factory(method, problem, co, x0, mu, L0, alpha,
                                                 mode, beta),
-                  _view, N, objective=problem, x_star=problem.x_star,
+                  _view, N, objective=problem.objective, x_star=problem.x_star,
                   f_star=problem.F_star)
     trace.meta["wasted"] = trace.final.state["wasted"]
     trace.meta["L_final"] = trace.final.state["L"]

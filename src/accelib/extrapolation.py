@@ -258,5 +258,5 @@ def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
         return {"x": x, "z": x.copy()}, step
 
     return drive("prox_rna", problem.smooth, {"gamma": gamma, "lambda": lam, "N": N},
-                 start, _x_grad_fallback, N, check="z", objective=problem,
+                 start, _x_grad_fallback, N, check="z", objective=problem.objective,
                  x_star=problem.x_star, f_star=problem.F_star)

@@ -352,7 +352,7 @@ def bregman_agm(problem, x0, N, dgf="euclidean", L=None):
         L = problem.smooth.params.L
     return drive("bregman_agm", problem.smooth, {"N": N, "L": L, "dgf": dgf},
                  lambda co: _bregman_factory(problem, co, x0, L, dgf), _x_A_z, N,
-                 objective=problem, x_star=problem.x_star,
+                 objective=problem.objective, x_star=problem.x_star,
                  f_star=problem.F_star)
 
 
@@ -426,4 +426,4 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
 
     return drive(f"monotone({method})", smooth, {"N": N, "inner": method, "mu": mu, "L": L},
                  start, lambda s: (s["best"], None, {"A": s["inner"].get("A", 0.0)}), N,
-                 objective=problem, x_star=x_star, f_star=f_star)
+                 objective=objective, x_star=x_star, f_star=f_star)

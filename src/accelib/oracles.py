@@ -39,8 +39,10 @@ class ProblemOracle:
     value/gradient are required; prox is optional (None when unavailable).
     optimum fields (x_star, f_star) are None when unknown. `heb` carries the
     (r, mu_heb) pair of a Holderian error bound when one holds by construction.
-    `values`/`gradients` evaluate a stack of points, one per row; without a
-    vectorised form they loop over value/gradient.
+    value/gradient also take a stack of points, one per row (a 2-D x), and
+    return one value or gradient per row. The optional `values`/`gradients`
+    arguments are row-stacked forms of the two functions; without them the
+    rows are evaluated one at a time.
     """
 
     def __init__(self, value, gradient, params=None, prox=None, x_star=None,
@@ -60,25 +62,23 @@ class ProblemOracle:
         self.name = name
 
     def value(self, x):
-        return float(self._value(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            if self._values is not None:
+                return np.asarray(self._values(x), dtype=float)
+            return np.array([self._value(r) for r in x], dtype=float)
+        return float(self._value(x))
 
     def gradient(self, x):
-        return np.asarray(self._gradient(np.asarray(x, dtype=float)), dtype=float)
-
-    def values(self, X):
-        X = np.asarray(X, dtype=float)
-        if self._values is not None:
-            return np.asarray(self._values(X), dtype=float)
-        return np.array([self.value(x) for x in X], dtype=float)
-
-    def gradients(self, X):
-        X = np.asarray(X, dtype=float)
-        if self._gradients is not None:
-            return np.asarray(self._gradients(X), dtype=float)
-        G = np.empty_like(X)
-        for i, x in enumerate(X):
-            G[i] = self.gradient(x)
-        return G
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            if self._gradients is not None:
+                return np.asarray(self._gradients(x), dtype=float)
+            G = np.empty_like(x)
+            for i, r in enumerate(x):
+                G[i] = self._gradient(r)
+            return G
+        return np.asarray(self._gradient(x), dtype=float)
 
     @property
     def has_prox(self):
@@ -106,11 +106,8 @@ class CompositeProblem:
             raise InvalidArgument("nonsmooth part must expose a prox")
 
     def objective(self, x):
+        """F(x), or F at each row of a 2-D x."""
         return self.smooth.value(x) + self.nonsmooth.value(x)
-
-    def values(self, X):
-        """F at each row of X."""
-        return self.smooth.values(X) + self.nonsmooth.values(X)
 
     @property
     def domain_indicator(self):

@@ -97,6 +97,10 @@ class CountingOracle:
         return self._oracle.prox(x, step)
 
 
+# rows per reporting oracle call; bounds the stacked iterates and their images
+_BATCH = 64
+
+
 class Recorder:
     """Builds Trace records for smooth or composite problems. Only `drive`
     builds one; methods never record directly.
@@ -104,13 +108,17 @@ class Recorder:
     `record` keeps the iterate, the counters, the wall time and the state
     snapshot, plus the gradient norm when the caller passes the gradient.
     The reporting columns (f_gap, dist_opt and the missing gradient norms)
-    are filled when `trace` is read, from one row-batched `gradients` and
-    one `values` call over the records made since the last read, so
-    `wall_ns` is method time only. f_gap/dist_opt are reported relative to
-    the known optimum when available, NaN otherwise. `oracle` must be the raw
-    (uncounted) oracle, and `objective` (default: the oracle) anything with
-    `values(X)`; reporting-only evaluations never touch the counters. With
-    every gradient passed and no optimum known, `oracle` may be None.
+    of the records not filled yet are filled together, by row-stacked
+    `gradient` and `objective` calls of up to _BATCH rows: by the `record`
+    call marked `last`, so reporting stays part of recording, and whenever
+    `trace` is read. So every trace a caller sees is complete, and `wall_ns`
+    is method time only. f_gap/dist_opt are
+    reported relative to the known optimum when available, NaN otherwise.
+    `oracle` must be the raw (uncounted) oracle, and `objective` (default:
+    its value) must take a stack of points, one per row, like
+    `ProblemOracle.value`; reporting-only evaluations never touch the
+    counters. With every gradient passed and no optimum known, `oracle` may
+    be None.
     """
 
     def __init__(self, method, oracle, counters, meta=None, objective=None,
@@ -119,7 +127,9 @@ class Recorder:
         self._pending = []  # records whose reporting columns are not filled yet
         self._oracle = oracle
         self._counters = counters
-        self._objective = objective if objective is not None else oracle
+        if objective is None and oracle is not None:
+            objective = oracle.value
+        self._objective = objective
         if x_star is None and getattr(oracle, "x_star", None) is not None:
             x_star = oracle.x_star
             f_star = oracle.f_star
@@ -127,7 +137,7 @@ class Recorder:
         self._f_star = f_star
         self._t0 = time.perf_counter_ns()
 
-    def record(self, k, x, grad=None, potential=None, state=None):
+    def record(self, k, x, grad=None, potential=None, state=None, last=False):
         rec = TraceRecord(
             k=k,
             x=np.array(x, dtype=float, copy=True),
@@ -143,26 +153,31 @@ class Recorder:
         )
         self._trace.append(rec)
         self._pending.append(rec)
+        if last:
+            self._fill()
 
     @property
     def trace(self):
         """The trace so far, with every record's reporting columns filled."""
-        recs, self._pending = self._pending, []
-        if not recs:
-            return self._trace
-        X = np.array([r.x for r in recs])
-        blind = [i for i, r in enumerate(recs) if r.grad_norm is None]
-        if blind:
-            norms = np.linalg.norm(self._oracle.gradients(X[blind]), axis=1)
-            for i, n in zip(blind, norms):
-                recs[i].grad_norm = float(n)
-        if self._f_star is not None:
-            gaps = self._objective.values(X) - self._f_star
-            dists = np.linalg.norm(X - self._x_star, axis=1)
-            for r, gap, dist in zip(recs, gaps, dists):
-                r.f_gap = float(gap)
-                r.dist_opt = float(dist)
+        self._fill()
         return self._trace
+
+    def _fill(self):
+        recs, self._pending = self._pending, []
+        for lo in range(0, len(recs), _BATCH):
+            block = recs[lo:lo + _BATCH]
+            blind = [r for r in block if r.grad_norm is None]
+            if blind:
+                G = self._oracle.gradient(np.array([r.x for r in blind]))
+                for r, norm in zip(blind, np.linalg.norm(G, axis=1)):
+                    r.grad_norm = float(norm)
+            if self._f_star is not None:
+                X = np.array([r.x for r in block])
+                gaps = self._objective(X) - self._f_star
+                dists = np.linalg.norm(X - self._x_star, axis=1)
+                for r, gap, dist in zip(block, gaps, dists):
+                    r.f_gap = float(gap)
+                    r.dist_opt = float(dist)
 
 
 def check_finite(x, trace=None):
@@ -179,16 +194,17 @@ def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
     dict, or None to stop; N=None runs until it does. After every step
     `state[check]` must be finite. `view(state)` returns the (x, grad,
     snapshot) to record; grad=None has the recorder evaluate it uncounted,
-    after the run. `objective` (default: the oracle) is what f_gap measures,
-    anything with `values(X)`. A DivergedError or InnerSolveError raised on
-    the way carries the partial trace.
+    once the run is over. `objective` (default: the oracle's value) is what
+    f_gap measures, evaluated on a stack of points as `ProblemOracle.value`
+    is. A DivergedError or InnerSolveError raised on the way carries the
+    partial trace.
     """
     counters = Counters()
     rec = Recorder(method, oracle, counters, meta, objective, x_star, f_star)
     state, step = start(CountingOracle(oracle, counters))
     try:
         x, grad, snap = view(state)
-        rec.record(0, x, grad=grad, state=snap)
+        rec.record(0, x, grad=grad, state=snap, last=N == 0)
         k = 0
         while N is None or k < N:
             state = step(state)
@@ -197,7 +213,7 @@ def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
             check_finite(state[check])
             k += 1
             x, grad, snap = view(state)
-            rec.record(k, x, grad=grad, state=snap)
+            rec.record(k, x, grad=grad, state=snap, last=k == N)
     except (DivergedError, InnerSolveError) as exc:
         if exc.trace is None:
             exc.trace = rec.trace

@@ -166,13 +166,13 @@ def test_batched_evaluations_match_pointwise(kind, n, d, seed, scale):
     if kind == "simplex":  # half the rows on the simplex, where h = 0
         A = np.abs(X[::2])
         X[::2] = A / A.sum(axis=1, keepdims=True)
-    pointwise = f.objective if kind == "composite" else f.value
-    values = f.values(X)
+    value = f.objective if kind == "composite" else f.value
+    values = value(X)
     assert values.shape == (n,)
-    want = np.array([pointwise(x) for x in X], dtype=float)
+    want = np.array([value(x) for x in X], dtype=float)
     np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
     if smooth:
-        G = f.gradients(X)
+        G = f.gradient(X)
         assert G.shape == (n, d)
         for g, x in zip(G, X):
             ref = f.gradient(x)
