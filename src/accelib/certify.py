@@ -5,12 +5,14 @@ LMI for gradient descent."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedOracle
-from .momentum import bregman_divergence
 from .tolerances import tol_for
+from .oracles import bregman_divergence
+from .trace import in_blocks
 
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
 
@@ -153,6 +155,11 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0,
 
 # ---------------------------------------------------------------------------
 # potential certificates along traces
+#
+# Each potential is one function of stacked arrays, potential(records, gap,
+# meta, x_star, gap_at) -> (phi, margins), with gap = F(x_k) - F* per record
+# and gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
+# `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
 
 def _opt(problem):
     """(objective, x_star, F_star) for a ProblemOracle or CompositeProblem."""
@@ -161,184 +168,175 @@ def _opt(problem):
     return problem.value, problem.x_star, problem.f_star
 
 
-def check_potential(trace, problem):
-    """Recompute the matching potential from the per-record state and return
-    per-step margins phi_k - phi_{k+1} (>= 0 up to tolerance means certified)."""
-    method = trace.method
+def potential_series(trace, problem):
+    """(phi, margins) of the trace method's potential, recomputed from
+    `problem`, whose objective is evaluated row-stacked (see check_potential)."""
     fun, x_star, f_star = _opt(problem)
     if x_star is None:
         raise InvalidArgument("potential checks need a known optimum")
-    handler = _POTENTIALS.get(method.split("(")[0])
+    handler = _POTENTIALS.get(trace.method.split("(")[0])
     if handler is None:
-        raise InvalidArgument(f"no potential registered for {method!r}")
-    return handler(trace, fun, x_star, f_star)
+        raise InvalidArgument(f"no potential registered for {trace.method!r}")
+
+    def gap_at(Y):
+        return in_blocks(fun, Y) - f_star
+
+    return handler(trace.records, _per_row(trace.records, lambda col: gap_at(col("x"))),
+                   trace.meta, x_star, gap_at)
 
 
-def _dsq(a, b):
-    d = np.asarray(a) - np.asarray(b)
-    return float(np.dot(d, d))
+def check_potential(trace, problem):
+    """Per-step margins of the method's potential (>= 0 up to tolerance means
+    certified). The objective is evaluated once, row-stacked over the records'
+    x (and OGM's y_prev), never read from the trace: an independent re-check."""
+    _, margins = potential_series(trace, problem)
+    return [Margin(k, m) for k, m in enumerate(margins.tolist())]
 
 
-def _margins_from_series(phis):
-    return [Margin(k, float(phis[k] - phis[k + 1])) for k in range(len(phis) - 1)]
+def _col(records, key, lo=0):
+    """Iterates (key "x") or a state entry, stacked from record `lo` on."""
+    if key == "x":
+        return np.array([r.x for r in records[lo:]])
+    try:
+        return np.array([r.state[key] for r in records[lo:]], dtype=float)
+    except KeyError:  # e.g. FGM and constant momentum in form II carry no z
+        raise InvalidArgument(f"the trace's records carry no {key!r} to certify") from None
 
 
-def _pot_gd(trace, fun, x_star, f_star):
+def _per_row(records, fn, lo=0):
+    """One value per record from `lo` on: fn(col) on blocks of at most _BATCH
+    records, col(key) being the block's `_col`, so no column is stacked whole."""
+    return in_blocks(lambda block: fn(lambda key: _col(block, key)), records[lo:])
+
+
+def _sq(X):
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _dist2(records, key, x_star):
+    return _per_row(records, lambda col: _sq(col(key) - x_star))
+
+
+def _estimate(A, gap, c, mu, dist2):
+    """A (F - F*) + (c + mu A)/2 ||. - x*||^2, the form most potentials take."""
+    return A * gap + 0.5 * (c + mu * A) * dist2
+
+
+def _series(phi):
+    return phi, phi[:-1] - phi[1:]
+
+
+def gd_potential(records, gap, meta, x_star, gap_at):
     # the certificate is stated for step 1/L, so the trace's gamma defines the
     # smoothness constant it claims; a too-long step then fails the check
-    L = 1.0 / trace.meta["gamma"]
-    mu = trace.meta.get("mu") or 0.0
-    q = mu / L
-    phis = []
-    A = 0.0
-    for r in trace:
-        phis.append(A * (fun(r.x) - f_star) + 0.5 * (L + mu * A) * _dsq(r.x, x_star))
-        A = (1.0 + A) / (1.0 - q)
-    return _margins_from_series(phis)
+    L, mu = 1.0 / meta["gamma"], meta.get("mu") or 0.0
+    keep = np.float64(1.0 - mu / L)  # gamma = 1/mu gives A = inf, not ZeroDivisionError
+    A = np.fromiter(accumulate(range(len(gap) - 1), lambda A, _: (1.0 + A) / keep,
+                               initial=0.0), float, len(gap))
+    return _series(_estimate(A, gap, L, mu, _dist2(records, "x", x_star)))
 
 
-def _pot_fgm(trace, fun, x_star, f_star):
-    mu, L = trace.meta["mu"], trace.meta["L"]
-    if trace.meta.get("form") == "II":
-        raise InvalidArgument("form II traces carry no z-sequence to certify")
-    phis = [r.state["A"] * (fun(r.x) - f_star)
-            + 0.5 * (L + mu * r.state["A"]) * _dsq(r.state["z"], x_star)
-            for r in trace]
-    return _margins_from_series(phis)
+def fgm_potential(records, gap, meta, x_star, gap_at):
+    return _series(_estimate(_col(records, "A"), gap, meta["L"], meta["mu"],
+                             _dist2(records, "z", x_star)))
 
 
-def _pot_constmom(trace, fun, x_star, f_star):
-    mu, L = trace.meta["mu"], trace.meta["L"]
-    rho = 1.0 - np.sqrt(mu / L)
-    vs = [fun(r.x) - f_star + 0.5 * mu * _dsq(r.state["z"], x_star) for r in trace]
-    return [Margin(k, float(rho * vs[k] - vs[k + 1])) for k in range(len(vs) - 1)]
+def constant_momentum_potential(records, gap, meta, x_star, gap_at):
+    mu, L = meta["mu"], meta["L"]
+    v = gap + 0.5 * mu * _dist2(records, "z", x_star)
+    return v, (1.0 - np.sqrt(mu / L)) * v[:-1] - v[1:]
 
 
-def _pot_ogm(trace, fun, x_star, f_star, grad=None):
-    L = trace.meta["L"]
-    if trace.meta.get("form") != "I":
+def ogm_potential(records, gap, meta, x_star, gap_at):
+    """The final-output term theta_N^2 (f(y_N) - f*) + L/2 ||z_N - theta_N g_N/L
+    - x*||^2 (record N holds x = y_N) enters only the last margin, not the column."""
+    L = meta["L"]
+    if meta.get("form") != "I":
         raise InvalidArgument("only form I carries the (y, z, theta) state")
-    phis = []
-    for r in trace:
-        if r.k == 0:
-            phis.append(0.5 * L * _dsq(r.state["z"], x_star))
-            continue
-        th = r.state["theta_prev"]
-        y, g = r.state["y_prev"], r.state["g_prev"]
-        phis.append(2.0 * th**2 * (fun(y) - f_star - np.dot(g, g) / (2.0 * L))
-                    + 0.5 * L * _dsq(r.state["z"], x_star))
-    last = trace.records[-1]
-    if "theta_final" in last.state:
-        th_f = last.state["theta_final"]
-        y_out = last.state["y_final"]
-        g_out = last.state["g_final"]
-        phis.append(th_f**2 * (fun(y_out) - f_star)
-                    + 0.5 * L * _dsq(last.state["z"] - (th_f / L) * g_out, x_star))
-    return _margins_from_series(phis)
+    phi = 0.5 * L * _dist2(records, "z", x_star)
+    phi[1:] += 2.0 * _col(records, "theta_prev", 1) ** 2 * _per_row(
+        records, lambda col: gap_at(col("y_prev")) - _sq(col("g_prev")) / (2.0 * L), 1)
+    last = records[-1].state
+    if "theta_final" not in last:
+        return _series(phi)
+    th = last["theta_final"]
+    final = th**2 * gap[-1] + 0.5 * L * _sq(
+        (last["z"] - (th / L) * last["g_final"] - x_star)[None])
+    return phi, -np.diff(np.append(phi, final))
 
 
-def _pot_item(trace, fun, x_star, f_star):
-    mu, L = trace.meta["mu"], trace.meta["L"]
-    q = mu / L
-    phis = []
-    for r in trace:
-        A = r.state["A"]
-        zterm = (L + mu * A) / (1.0 - q) * _dsq(r.state["z"], x_star)
-        if r.k == 0:
-            phis.append(zterm)
-            continue
-        y, g = r.state["y"], r.state["g"]
-        inner = (fun(y) - f_star - np.dot(g, g) / (2.0 * L)
-                 - mu / (2.0 * (1.0 - q)) * _dsq(y - g / L, x_star))
-        phis.append(A * inner + zterm)
-    return _margins_from_series(phis)
+def _y_term(col, mu, L, x_star):
+    """-||g||^2/(2L) - mu/(2(1-q)) ||y - g/L - x*||^2 at y = x (ITEM, TMM)."""
+    G = col("g")
+    return -_sq(G) / (2.0 * L) - mu / (2.0 * (1.0 - mu / L)) * _sq(col("x") - G / L - x_star)
 
 
-def _pot_tmm(trace, fun, x_star, f_star):
-    mu, L = trace.meta["mu"], trace.meta["L"]
-    q = mu / L
-    rho2 = (1.0 - np.sqrt(q)) ** 2
-    vs = []
-    for r in trace:
-        y = r.state["y"]
-        g = r.state["g"]
-        v = (fun(y) - f_star - np.dot(g, g) / (2.0 * L)
-             - mu / (2.0 * (1.0 - q)) * _dsq(y - g / L, x_star)
-             + mu / (1.0 - q) * _dsq(r.state["z"], x_star))
-        vs.append(v)
-    return [Margin(k, float(rho2 * vs[k] - vs[k + 1])) for k in range(len(vs) - 1)]
+def item_potential(records, gap, meta, x_star, gap_at):
+    """Record k >= 1 holds x = y_{k-1} with g there and z_k in the state."""
+    mu, L = meta["mu"], meta["L"]
+    A = _col(records, "A")
+    phi = (L + mu * A) / (1.0 - mu / L) * _dist2(records, "z", x_star)
+    phi[1:] += A[1:] * (gap[1:] + _per_row(records, lambda col: _y_term(col, mu, L, x_star), 1))
+    return _series(phi)
 
 
-def _pot_composite(trace, fun, x_star, f_star):
-    mu = trace.meta["mu"]
-    margins = []
-    for k in range(len(trace) - 1):
-        r0, r1 = trace.records[k], trace.records[k + 1]
-        if "A" in r1.state:
-            L1 = r1.state["L"]
-            lhs = (r1.state["A"] * (fun(r1.x) - f_star)
-                   + 0.5 * (L1 + mu * r1.state["A"]) * _dsq(r1.state["z"], x_star))
-            rhs = (r0.state["A"] * (fun(r0.x) - f_star)
-                   + 0.5 * (L1 + mu * r0.state["A"]) * _dsq(r0.state["z"], x_star))
-        else:
-            lhs = (r1.state["B"] * (fun(r1.x) - f_star)
-                   + 0.5 * (1.0 + mu * r1.state["B"]) * _dsq(r1.state["z"], x_star))
-            rhs = (r0.state["B"] * (fun(r0.x) - f_star)
-                   + 0.5 * (1.0 + mu * r0.state["B"]) * _dsq(r0.state["z"], x_star))
-        margins.append(Margin(k, float(rhs - lhs)))
-    return margins
+def tmm_potential(records, gap, meta, x_star, gap_at):
+    """Every record holds x = y with g there and z in the state."""
+    mu, L = meta["mu"], meta["L"]
+    v = gap + _per_row(records, lambda col: _y_term(col, mu, L, x_star)
+                       + mu / (1.0 - mu / L) * _sq(col("z") - x_star))
+    return v, (1.0 - np.sqrt(mu / L)) ** 2 * v[:-1] - v[1:]
 
 
-def _pot_bregman(trace, fun, x_star, f_star):
-    L, dgf = trace.meta["L"], trace.meta["dgf"]
-    phis = [r.state["A"] * (fun(r.x) - f_star)
-            + L * bregman_divergence(dgf, x_star, r.state["z"])
-            for r in trace]
-    return _margins_from_series(phis)
+def composite_potential(records, gap, meta, x_star, gap_at):
+    """A accounting (monotone mode) compares phi_k and phi_{k+1} at the
+    common L_{k+1}; the column holds phi_k at L_k. B accounting has no L."""
+    mu = meta["mu"]
+    dist2 = _dist2(records, "z", x_star)
+    if "A" not in records[0].state:
+        return _series(_estimate(_col(records, "B"), gap, 1.0, mu, dist2))
+    A, Ls = _col(records, "A"), _col(records, "L")
+    phi = _estimate(A, gap, Ls, mu, dist2)
+    return phi, _estimate(A[:-1], gap[:-1], Ls[1:], mu, dist2[:-1]) - phi[1:]
 
 
-def _pot_ppa(trace, fun, x_star, f_star):
-    mu = trace.meta.get("mu", 0.0)
-    phis = [r.state["A"] * (fun(r.x) - f_star)
-            + 0.5 * (1.0 + mu * r.state["A"]) * _dsq(r.x, x_star)
-            for r in trace]
-    return _margins_from_series(phis)
+def bregman_potential(records, gap, meta, x_star, gap_at):
+    return _series(_col(records, "A") * gap + meta["L"] * _per_row(
+        records, lambda col: bregman_divergence(meta["dgf"], x_star, col("z"))))
 
 
-def _pot_accel_ppa(trace, fun, x_star, f_star):
-    mu = trace.meta.get("mu", 0.0)
-    phis = [r.state["A"] * (fun(r.x) - f_star)
-            + 0.5 * (1.0 + mu * r.state["A"]) * _dsq(r.state["z"], x_star)
-            for r in trace]
-    return _margins_from_series(phis)
+def ppa_potential(records, gap, meta, x_star, gap_at):
+    """The exact PPA's z-sequence is its x; the accelerated ones record z."""
+    z = "z" if "z" in records[0].state else "x"
+    return _series(_estimate(_col(records, "A"), gap, 1.0, meta.get("mu", 0.0),
+                             _dist2(records, z, x_star)))
 
 
-def _pot_monotone(trace, fun, x_star, f_star):
-    fs = [fun(r.x) for r in trace]
-    return [Margin(k, float(fs[k] - fs[k + 1])) for k in range(len(fs) - 1)]
+def monotone_potential(records, gap, meta, x_star, gap_at):
+    return _series(gap)
 
 
 _POTENTIALS = {
-    "gd": _pot_gd,
-    "fgm": _pot_fgm,
-    "constant_momentum": _pot_constmom,
-    "ogm": _pot_ogm,
-    "item": _pot_item,
-    "tmm": _pot_tmm,
-    "fista": _pot_composite,
-    "prox_agm": _pot_composite,
-    "bregman_agm": _pot_bregman,
-    "ppa": _pot_ppa,
-    "accel_inexact_ppa": _pot_accel_ppa,
-    "catalyst": _pot_accel_ppa,
-    "monotone": _pot_monotone,
+    "gd": gd_potential,
+    "fgm": fgm_potential,
+    "constant_momentum": constant_momentum_potential,
+    "ogm": ogm_potential,
+    "item": item_potential,
+    "tmm": tmm_potential,
+    "fista": composite_potential,
+    "prox_agm": composite_potential,
+    "bregman_agm": bregman_potential,
+    "ppa": ppa_potential,
+    "accel_inexact_ppa": ppa_potential,
+    "catalyst": ppa_potential,
+    "monotone": monotone_potential,
 }
 
 
 def potential_scale(trace, problem):
     fun, x_star, f_star = _opt(problem)
     r0 = trace.records[0]
-    return abs(fun(r0.x) - f_star) + _dsq(r0.x, x_star) + 1.0
+    return abs(fun(r0.x) - f_star) + float(np.sum((r0.x - x_star) ** 2)) + 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,8 @@ def write_outputs(trace, args, bound, config):
         "prox_calls": trace.final.prox_calls,
         "bound": bound,
         "bound_satisfied": satisfied,
+        "potential_worst_margin": trace.meta.get("potential_worst_margin"),
+        "potential_worst_step": trace.meta.get("potential_worst_step"),
     }
     if out:
         with open(out, "w") as fh:

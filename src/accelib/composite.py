@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import certify
 from .errors import InvalidArgument, RunawayLError
 from .momentum import _tau_delta, next_A
-from .oracles import CompositeProblem
+from .oracles import CompositeProblem, class_params
 from .tolerances import tol_for
 from .trace import CountingOracle, drive
 
@@ -131,14 +132,13 @@ def _view(s):
 def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode, beta):
     if not isinstance(problem, CompositeProblem):
         raise InvalidArgument(f"{method} expects a CompositeProblem")
-    if L0 is None:
-        L0 = problem.smooth.params.L
+    _, L0 = class_params(problem.smooth, mu=mu, L=L0)
     trace = drive(method, problem.smooth,
                   {"N": N, "mu": mu, "L0": L0, "alpha": alpha, "mode": mode},
                   lambda co: _composite_factory(method, problem, co, x0, mu, L0, alpha,
                                                 mode, beta),
                   _view, N, objective=problem.objective, x_star=problem.x_star,
-                  f_star=problem.F_star)
+                  f_star=problem.F_star, potential=certify.composite_potential)
     trace.meta["wasted"] = trace.final.state["wasted"]
     trace.meta["L_final"] = trace.final.state["L"]
     return trace

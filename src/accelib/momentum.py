@@ -8,7 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgument
-from .oracles import CompositeProblem
+from . import certify
+from .oracles import CompositeProblem, class_params
+from .oracles import bregman_divergence  # noqa: F401  (also public here)
 from .trace import CountingOracle, drive
 
 
@@ -67,8 +69,7 @@ def ogm(oracle, x0, N, form="I", L=None):
     """
     if form not in ("I", "II"):
         raise InvalidArgument(f"unknown OGM form {form!r}")
-    if L is None:
-        L = oracle.params.L
+    _, L = class_params(oracle, mu=0.0, L=L)  # OGM needs only L
     meta = {"N": N, "L": L, "form": form}
     x0 = np.array(x0, dtype=float)
     thetas = theta_schedule(N) if N > 0 else None
@@ -110,7 +111,7 @@ def ogm(oracle, x0, N, form="I", L=None):
         snap.update(theta_final=th_f, y_final=y_out, g_final=g_out)
         return y_out, g_out, snap
 
-    return drive("ogm", oracle, meta, start, view, N)
+    return drive("ogm", oracle, meta, start, view, N, potential=certify.ogm_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +165,14 @@ def fgm(oracle, x0, N, form="I", mu=None, L=None):
     A-sequence, with the three equivalent algebraic forms."""
     if form not in ("I", "II", "III"):
         raise InvalidArgument(f"unknown FGM form {form!r}")
-    if mu is None:
-        mu = oracle.params.mu
-    if L is None:
-        L = oracle.params.L
+    mu, L = class_params(oracle, mu, L)
     meta = {"N": N, "mu": mu, "L": L, "form": form}
     if form == "II":
         return drive("fgm", oracle, meta, lambda co: _fgm_momentum_factory(co, x0, mu, L),
                      lambda s: (s["x"], None, {"A": s["A"]}), N)
     return drive("fgm", oracle, meta,
                  lambda co: _fgm_factory(co, x0, mu, L, form_three=(form == "III")),
-                 _x_A_z, N)
+                 _x_A_z, N, potential=certify.fgm_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +197,15 @@ def constant_momentum(oracle, x0, N, form="I", mu=None, L=None):
     """Accelerated method with constant coefficients; requires mu > 0."""
     if form not in ("I", "II"):
         raise InvalidArgument(f"unknown form {form!r}")
-    if mu is None:
-        mu = oracle.params.mu
-    if L is None:
-        L = oracle.params.L
+    mu, L = class_params(oracle, mu, L)
     if mu <= 0:
         raise InvalidArgument("constant_momentum requires mu > 0")
     meta = {"N": N, "mu": mu, "L": L, "form": form}
     if form == "I":
         return drive("constant_momentum", oracle, meta,
                      lambda co: _constant_momentum_factory(co, x0, mu, L),
-                     lambda s: (s["x"], None, {"z": s["z"]}), N)
+                     lambda s: (s["x"], None, {"z": s["z"]}), N,
+                     potential=certify.constant_momentum_potential)
 
     sq = np.sqrt(mu / L)
     beta = (1.0 - sq) / (1.0 + sq)
@@ -237,10 +233,7 @@ def item_next_A(A, q):
 def item(oracle, x0, N, mu=None, L=None):
     """ITEM; record k >= 1 holds y_{k-1} (the point where the gradient was
     taken) with z_k in the state."""
-    if mu is None:
-        mu = oracle.params.mu
-    if L is None:
-        L = oracle.params.L
+    mu, L = class_params(oracle, mu, L)
     if not (0 <= mu < L):
         raise InvalidArgument("item requires 0 <= mu < L")
     q = mu / L
@@ -268,7 +261,8 @@ def item(oracle, x0, N, mu=None, L=None):
             return s["x"], None, {"A": s["A"], "z": s["z"]}
         return s["y"], s["g"], {"A": s["A"], "z": s["z"], "y": s["y"], "g": s["g"]}
 
-    return drive("item", oracle, {"N": N, "mu": mu, "L": L}, start, view, N)
+    return drive("item", oracle, {"N": N, "mu": mu, "L": L}, start, view, N,
+                 potential=certify.item_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +271,7 @@ def item(oracle, x0, N, mu=None, L=None):
 def tmm(oracle, x0, N, mu=None, L=None):
     """Triple momentum; requires mu > 0. Record k >= 1 holds y_{k-1} with
     z_k in the state."""
-    if mu is None:
-        mu = oracle.params.mu
-    if L is None:
-        L = oracle.params.L
+    mu, L = class_params(oracle, mu, L)
     if mu <= 0:
         raise InvalidArgument("tmm requires mu > 0")
     q = mu / L
@@ -300,7 +291,7 @@ def tmm(oracle, x0, N, mu=None, L=None):
 
     return drive("tmm", oracle, {"N": N, "mu": mu, "L": L}, start,
                  lambda s: (s["y"], s["g"], {"z": s["z"], "y": s["y"], "g": s["g"]}),
-                 N, check="y")
+                 N, check="y", potential=certify.tmm_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -348,24 +339,11 @@ def bregman_agm(problem, x0, N, dgf="euclidean", L=None):
             raise InvalidArgument("entropy mode requires the simplex indicator")
         if np.min(x0) <= 0 or abs(np.sum(x0) - 1.0) > 1e-9:
             raise InvalidArgument("entropy mode needs strictly positive x0 on the simplex")
-    if L is None:
-        L = problem.smooth.params.L
+    _, L = class_params(problem.smooth, mu=0.0, L=L)
     return drive("bregman_agm", problem.smooth, {"N": N, "L": L, "dgf": dgf},
                  lambda co: _bregman_factory(problem, co, x0, L, dgf), _x_A_z, N,
                  objective=problem.objective, x_star=problem.x_star,
-                 f_star=problem.F_star)
-
-
-def bregman_divergence(dgf, a, b):
-    """D_w(a; b) for the supported distance-generating functions."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if dgf == "euclidean":
-        return 0.5 * float(np.dot(a - b, a - b))
-    if dgf == "entropy":
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / b[mask])) + np.sum(b - a))
-    raise InvalidArgument(f"unknown dgf {dgf!r}")
+                 f_star=problem.F_star, potential=certify.bregman_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +371,7 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
         objective = problem.value
         smooth = problem
         x_star, f_star = problem.x_star, problem.f_star
-    if mu is None:
-        mu = smooth.params.mu
-    if L is None:
-        L = smooth.params.L
+    mu, L = class_params(smooth, mu, L)
 
     def factory(co):
         if method == "fgm":
@@ -426,4 +401,5 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
 
     return drive(f"monotone({method})", smooth, {"N": N, "inner": method, "mu": mu, "L": L},
                  start, lambda s: (s["best"], None, {"A": s["inner"].get("A", 0.0)}), N,
-                 objective=objective, x_star=x_star, f_star=f_star)
+                 objective=objective, x_star=x_star, f_star=f_star,
+                 potential=certify.monotone_potential)

@@ -33,6 +33,15 @@ class ClassParams:
         return np.inf if self.mu == 0 else self.L / self.mu
 
 
+def class_params(oracle, mu=None, L=None):
+    """(mu, L) for a driver: each as passed, else from `oracle.params`.
+    Raises InvalidArgument when one is missing from both."""
+    params = oracle.params
+    if params is None and (mu is None or L is None):
+        raise InvalidArgument(f"{oracle.name} has no class parameters; pass mu and L")
+    return (params.mu if mu is None else mu), (params.L if L is None else L)
+
+
 class ProblemOracle:
     """First-order oracle for a single function.
 
@@ -189,17 +198,18 @@ def make_huber(tau, L, d):
         raise InvalidArgument("L must be > 0")
     a = L * tau
 
-    def value(x):
+    def value(x):  # also one value per row of a 2-D x
         ax = np.abs(x)
         inner = ax <= tau
-        return float(np.sum(np.where(inner, 0.5 * L * x * x, a * ax - 0.5 * L * tau * tau)))
+        return np.sum(np.where(inner, 0.5 * L * x * x, a * ax - 0.5 * L * tau * tau), axis=-1)
 
-    def gradient(x):
+    def gradient(x):  # coordinatewise, so also row-stacked
         ax = np.abs(x)
         return np.where(ax <= tau, L * x, a * np.sign(x))
 
     oracle = ProblemOracle(value, gradient, params=ClassParams(0.0, float(L)),
-                           x_star=np.zeros(d), f_star=0.0, name="huber")
+                           x_star=np.zeros(d), f_star=0.0, name="huber",
+                           values=value, gradients=gradient)
     oracle.tau = float(tau)
     return oracle
 
@@ -223,10 +233,16 @@ def make_heb_power(r, d):
             return np.zeros_like(x)
         return n ** (r - 2) * x
 
+    def values(X):
+        return np.linalg.norm(X, axis=1) ** r / r
+
+    def gradients(X):  # 0 ** (r - 2) * 0 is 0 for r >= 2, so rows at 0 need no case
+        return np.linalg.norm(X, axis=1, keepdims=True) ** (r - 2) * X
+
     params = ClassParams(1.0, 1.0) if r == 2 else None
     oracle = ProblemOracle(value, gradient, params=params,
                            x_star=np.zeros(d), f_star=0.0, heb=(float(r), 1.0),
-                           name=f"power{r}")
+                           name=f"power{r}", values=values, gradients=gradients)
     oracle.smoothness_on_ball = lambda R: (r - 1) * R ** (r - 2)
     return oracle
 
@@ -256,37 +272,53 @@ def make_l1(weight, d):
     if weight < 0:
         raise InvalidArgument("weight must be >= 0")
 
-    def value(x):
-        return weight * np.sum(np.abs(x))
+    def value(x):  # also one value per row of a 2-D x
+        return weight * np.sum(np.abs(x), axis=-1)
 
     def gradient(x):
         raise UnsupportedOracle("l1 term is nonsmooth")
 
     return ProblemOracle(value, gradient, prox=lambda x, lam: prox_l1(x, lam * weight),
-                         domain_indicator=lambda x: True, name="l1")
+                         domain_indicator=lambda x: True, name="l1", values=value)
 
 
 def make_simplex_indicator(d, tol=1e-9):
     """Indicator of the unit simplex; prox is the Euclidean projection."""
 
-    def member(x):
-        return abs(float(np.sum(x)) - 1.0) <= tol and float(np.min(x)) >= -tol
+    def members(X):  # one flag per row of a 2-D X, or one for a point
+        return (np.abs(np.sum(X, axis=-1) - 1.0) <= tol) & (np.min(X, axis=-1) >= -tol)
 
-    def value(x):
-        return 0.0 if member(x) else np.inf
+    def member(x):
+        return bool(members(x))
 
     def gradient(x):
         raise UnsupportedOracle("indicator is nonsmooth")
 
-    return ProblemOracle(value, gradient, prox=lambda x, lam: project_simplex(x),
-                         domain_indicator=member, name="simplex")
+    return ProblemOracle(lambda x: 0.0 if member(x) else np.inf, gradient,
+                         prox=lambda x, lam: project_simplex(x), domain_indicator=member,
+                         name="simplex", values=lambda X: np.where(members(X), 0.0, np.inf))
 
 
 def make_zero(d):
     """h identically zero (prox = identity); turns composite drivers smooth."""
     return ProblemOracle(lambda x: 0.0, lambda x: np.zeros(d),
                          prox=lambda x, lam: x, domain_indicator=lambda x: True,
-                         name="zero")
+                         name="zero", values=lambda X: np.zeros(len(X)),
+                         gradients=np.zeros_like)
+
+
+def bregman_divergence(dgf, a, b):
+    """D_w(a; b) for the supported distance-generating functions, or
+    D_w(a; b_i) for each row b_i of a 2-D b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if dgf == "euclidean":
+        return 0.5 * np.sum((a - b) ** 2, axis=-1)
+    if dgf == "entropy":
+        mask = a > 0
+        return (np.sum(a[mask] * np.log(a[mask] / b[..., mask]), axis=-1)
+                + np.sum(b - a, axis=-1))
+    raise InvalidArgument(f"unknown dgf {dgf!r}")
 
 
 def finite_diff_gradient(oracle, x, h):

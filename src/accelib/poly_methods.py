@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import certify
 from .errors import InvalidArgument, UnsupportedOracle
+from .oracles import class_params
 from .trace import drive
 
 
@@ -34,7 +36,8 @@ def gradient_descent(oracle, gamma, x0, N, mu=0.0):
 
         return {"x": x, "g": co.gradient(x)}, step
 
-    return drive("gd", oracle, {"gamma": gamma, "N": N, "mu": mu}, start, _x_grad, N)
+    return drive("gd", oracle, {"gamma": gamma, "N": N, "mu": mu}, start, _x_grad, N,
+                 potential=certify.gd_potential)
 
 
 def delta_sequence(mu, L, N):
@@ -65,8 +68,7 @@ def chebyshev(oracle, x0, N, mu=None, L=None):
     x_k = x_{k-1} - (4 delta_k/(L-mu)) grad f(x_{k-1})
               + (1 - 2 delta_k (L+mu)/(L-mu)) (x_{k-2} - x_{k-1}).
     """
-    if mu is None:
-        mu, L = oracle.params.mu, oracle.params.L
+    mu, L = class_params(oracle, mu, L)
     if mu <= 0:
         raise InvalidArgument("chebyshev requires mu > 0")
 
@@ -96,8 +98,7 @@ def heavy_ball(oracle, x0, N, mu=None, L=None):
     x_{k+1} = x_k - 4/(sqrt(L)+sqrt(mu))^2 grad f(x_k)
                   + delta_inf^2 (x_k - x_{k-1}).
     """
-    if mu is None:
-        mu, L = oracle.params.mu, oracle.params.L
+    mu, L = class_params(oracle, mu, L)
     if mu <= 0:
         raise InvalidArgument("heavy_ball requires mu > 0")
     step_size = 4.0 / (np.sqrt(L) + np.sqrt(mu)) ** 2

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import certify
 from .errors import (ContractViolation, InconsistentCertificate, InnerSolveError,
                      InvalidArgument, UnsupportedOracle)
 from .extrapolation import golden_section
-from .oracles import ClassParams, ProblemOracle
+from .oracles import ClassParams, ProblemOracle, class_params
 from .tolerances import tol_for
 from .trace import drive
 
@@ -65,7 +66,8 @@ def ppa(oracle, lambdas, x0, N=None):
         return {"k": 0, "x": np.array(x0, dtype=float), "A": 0.0}, step
 
     return drive("ppa", oracle, {"N": N, "lambdas": lambdas[:N], "mu": mu}, start,
-                 lambda s: (s["x"], None, {"A": s["A"]}), N)
+                 lambda s: (s["x"], None, {"A": s["A"]}), N,
+                 potential=certify.ppa_potential)
 
 
 def ppa_bound(R, lambdas, mu=0.0):
@@ -160,7 +162,8 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
         return s["x"], grad, {"A": s["A"], "z": s["z"]}
 
     return drive("accel_inexact_ppa", oracle,
-                 {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas[:N]}, start, view, N)
+                 {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas[:N]}, start, view, N,
+                 potential=certify.ppa_potential)
 
 
 def ahpe_bound(R, lambdas):
@@ -239,7 +242,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
         raise InvalidArgument(f"unknown inner solver {inner!r}")
     if lam <= 0:
         raise InvalidArgument("lambda must be > 0")
-    L = oracle.params.L
+    _, L = class_params(oracle, mu=mu)
     burden = catalyst_burden(inner, lam, L)
     cap = 2 * int(np.ceil(burden))
     total = 0
@@ -271,7 +274,8 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                   {"inner": inner, "lambda": lam, "mu": mu, "budget_total": budget_total,
                    "burden": burden}, start,
                   lambda s: (s["x"], s.get("g"), {"A": s["A"], "z": s["z"],
-                                                   "n_inner": s["n_inner"]}))
+                                                   "n_inner": s["n_inner"]}),
+                  potential=certify.ppa_potential)
     inner_counts = [r.state["n_inner"] for r in trace.records[1:]]
     trace.meta["inner_counts"] = inner_counts
     trace.meta["n_outer"] = len(inner_counts)

@@ -144,6 +144,7 @@ def grid_restart(oracle, L, x0, budget):
             best = (f_final, p, q, sub.final)
     trace = Trace("grid_restart", {"budget": budget, "best_p": best[1], "best_q": best[2],
                                    "table_json": json.dumps(table)})
-    trace.append(replace(first, state={}))
-    trace.append(replace(best[3], k=1, state={"p": best[1], "q": best[2]}, **spent))
+    trace.append(replace(first, potential=None, state={}))  # grid_restart has no potential
+    trace.append(replace(best[3], k=1, potential=None, state={"p": best[1], "q": best[2]},
+                         **spent))
     return trace

@@ -119,10 +119,16 @@ class Recorder:
     `ProblemOracle.value`; reporting-only evaluations never touch the
     counters. With every gradient passed and no optimum known, `oracle` may
     be None.
+
+    `potential`, when given and the optimum is known, is one of the
+    `certify` potentials; the same fill then sets the `potential` column
+    from it and puts the worst certificate margin and its step in the meta
+    (`potential_worst_margin`, `potential_worst_step`). Otherwise the
+    column stays empty.
     """
 
     def __init__(self, method, oracle, counters, meta=None, objective=None,
-                 x_star=None, f_star=None):
+                 x_star=None, f_star=None, potential=None):
         self._trace = Trace(method, dict(meta or {}))
         self._pending = []  # records whose reporting columns are not filled yet
         self._oracle = oracle
@@ -135,16 +141,17 @@ class Recorder:
             f_star = oracle.f_star
         self._x_star = x_star
         self._f_star = f_star
+        self._potential = potential
         self._t0 = time.perf_counter_ns()
 
-    def record(self, k, x, grad=None, potential=None, state=None, last=False):
+    def record(self, k, x, grad=None, state=None, last=False):
         rec = TraceRecord(
             k=k,
             x=np.array(x, dtype=float, copy=True),
             f_gap=float("nan"),
             grad_norm=None if grad is None else float(np.linalg.norm(grad)),
             dist_opt=float("nan"),
-            potential=potential,
+            potential=None,
             grad_calls=self._counters.grad_calls,
             prox_calls=self._counters.prox_calls,
             inner_iters=self._counters.inner_iters,
@@ -164,6 +171,8 @@ class Recorder:
 
     def _fill(self):
         recs, self._pending = self._pending, []
+        if not recs:
+            return
         for lo in range(0, len(recs), _BATCH):
             block = recs[lo:lo + _BATCH]
             blind = [r for r in block if r.grad_norm is None]
@@ -178,6 +187,36 @@ class Recorder:
                 for r, gap, dist in zip(block, gaps, dists):
                     r.f_gap = float(gap)
                     r.dist_opt = float(dist)
+        if self._potential is not None and self._f_star is not None:
+            self._fill_potential()
+
+    def _fill_potential(self):
+        """The potential column of every record, and the worst margin with
+        its step in the meta, from the f_gap column already filled: only
+        potentials that need the objective at other points (OGM's y_prev)
+        evaluate it again. A diverged run's column may hold inf/nan."""
+        trace = self._trace
+        gap = np.array([r.f_gap for r in trace])
+        with np.errstate(all="ignore"):
+            phi, margins = self._potential(
+                trace.records, gap, trace.meta, self._x_star,
+                lambda Y: in_blocks(self._objective, Y) - self._f_star)
+        for r, p in zip(trace, phi.tolist()):
+            r.potential = p
+        if len(margins):
+            k = int(margins.argmin())
+            trace.meta.update(potential_worst_margin=float(margins[k]),
+                              potential_worst_step=k)
+
+
+def in_blocks(fun, X):
+    """fun over the rows of X (a stack of points, or a list of records) in
+    blocks of at most _BATCH rows; fun returns one value per row."""
+    if not len(X):
+        return np.empty(0)
+    if len(X) <= _BATCH:
+        return fun(X)
+    return np.concatenate([fun(X[lo:lo + _BATCH]) for lo in range(0, len(X), _BATCH)])
 
 
 def check_finite(x, trace=None):
@@ -186,7 +225,7 @@ def check_finite(x, trace=None):
 
 
 def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
-          x_star=None, f_star=None):
+          x_star=None, f_star=None, potential=None):
     """Run a method written as a stepper and return its Trace.
 
     `start(co)` receives the counting wrapper of `oracle` (its `counters` are
@@ -196,11 +235,12 @@ def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
     snapshot) to record; grad=None has the recorder evaluate it uncounted,
     once the run is over. `objective` (default: the oracle's value) is what
     f_gap measures, evaluated on a stack of points as `ProblemOracle.value`
-    is. A DivergedError or InnerSolveError raised on the way carries the
-    partial trace.
+    is. `potential` is the method's `certify` potential, if it has one; the
+    recorder fills the `potential` column from it. A DivergedError or
+    InnerSolveError raised on the way carries the partial trace.
     """
     counters = Counters()
-    rec = Recorder(method, oracle, counters, meta, objective, x_star, f_star)
+    rec = Recorder(method, oracle, counters, meta, objective, x_star, f_star, potential)
     state, step = start(CountingOracle(oracle, counters))
     try:
         x, grad, snap = view(state)
@@ -225,13 +265,14 @@ def join(method, meta, runs):
     """One trace from restarted runs, each started at the previous run's final
     iterate: record 0 of the first run, then records 1.. of each run with k
     renumbered, counters and wall time offset by the runs before, and state
-    {"epoch": e} for the e-th run (0 for record 0)."""
+    {"epoch": e} for the e-th run (0 for record 0). The joined method has no
+    potential, so its `potential` column is empty."""
     trace = Trace(method, dict(meta))
-    trace.append(replace(runs[0].records[0], state={"epoch": 0}))
+    trace.append(replace(runs[0].records[0], potential=None, state={"epoch": 0}))
     base = dict.fromkeys(TALLIES, 0)
     for e, run in enumerate(runs, 1):
         for r in run.records[1:]:
-            trace.append(replace(r, k=len(trace), state={"epoch": e},
+            trace.append(replace(r, k=len(trace), potential=None, state={"epoch": e},
                                  **{t: getattr(r, t) + base[t] for t in TALLIES}))
         base = {t: getattr(run.final, t) + base[t] for t in TALLIES}
     return trace

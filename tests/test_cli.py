@@ -168,3 +168,54 @@ def test_module_entry_point_imports_cleanly():
                            "accelib.cli", "--help"], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+CERTIFIED = ("gd", "fgm", "ogm", "item", "tmm", "constant_momentum", "fista", "prox_agm",
+             "ppa", "catalyst")
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+@pytest.mark.parametrize("method", CERTIFIED)
+def test_certify_small_N(method, N, capsys):
+    code = cli.main(["certify", "--method", method, "--problem", "quad:d=5",
+                     "--N", str(N), "--seed", "2"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+
+
+@pytest.mark.parametrize("method", ["fgm", "constant_momentum", "ogm"])
+def test_certify_form_without_state_exit_4(method, capsys):
+    # constant momentum in form II used to end in a KeyError traceback
+    code = cli.main(["certify", "--method", method, "--form", "II",
+                     "--problem", "quad:d=5", "--N", "10"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_sidecar_reports_worst_potential_margin(tmp_path):
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--method", "gd", "--problem", "quad:d=5", "--N", "30",
+                     "--gamma", "0.3", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.csv.json").read_text())
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    phi = [float(r[4]) for r in rows]
+    margins = [a - b for a, b in zip(phi, phi[1:])]
+    # gd with a step above 2/L claims L = 1/gamma and breaks its certificate
+    assert side["potential_worst_margin"] == pytest.approx(min(margins), rel=1e-12)
+    assert side["potential_worst_step"] == margins.index(min(margins))
+    assert side["potential_worst_margin"] < 0
+    assert cli.main(["run", "--method", "cg", "--problem", "quad:d=5", "--N", "3",
+                     "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.csv.json").read_text())
+    assert side["potential_worst_margin"] is None and side["potential_worst_step"] is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # A_k = inf is the point
+def test_gd_step_one_over_mu(tmp_path, capsys):
+    # the gd potential divides by 1 - mu gamma; at gamma = 1/mu (here 1/1,
+    # far above 2/L) certify used to end in a ZeroDivisionError traceback
+    argv = ["--method", "gd", "--problem", "quad:d=5", "--N", "20", "--gamma", "1.0"]
+    assert cli.main(["run", *argv, "--out", str(tmp_path / "t.csv")]) == 0
+    assert cli.main(["certify", *argv]) == 5
+    assert json.loads(capsys.readouterr().out)["violations"][0] == "0"

@@ -177,3 +177,64 @@ def test_batched_evaluations_match_pointwise(kind, n, d, seed, scale):
         for g, x in zip(G, X):
             ref = f.gradient(x)
             assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind", ["huber", "heb_power", "l1", "simplex", "zero"])
+def test_stacked_forms_do_not_loop_over_rows(kind):
+    factory, smooth = BATCHED[kind]
+    f = factory(4)
+    X = np.random.default_rng(1).standard_normal((6, 4))
+    X[::2] = np.abs(X[::2]) / np.abs(X[::2]).sum(axis=1, keepdims=True)  # on the simplex
+    X[1] = 0.0
+    want_values = [f.value(x) for x in X]
+    want_grads = [f.gradient(x) for x in X] if smooth else None
+
+    def pointwise(x):
+        raise AssertionError("a stacked call evaluated one row at a time")
+
+    f._value = f._gradient = pointwise
+    np.testing.assert_allclose(f.value(X), want_values, rtol=1e-14, atol=0)
+    if smooth:
+        np.testing.assert_allclose(f.gradient(X), want_grads, rtol=1e-14, atol=0)
+
+
+def test_simplex_stacked_form_keeps_the_membership_tolerance():
+    h = oracles.make_simplex_indicator(3, tol=1e-6)
+    X = np.array([[0.5, 0.5 + 5e-7, 0.0], [0.5, 0.5 + 2e-6, 0.0], [1.0, 0.0, -5e-7],
+                  [1.0, 0.0, -2e-6]])
+    assert h.value(X).tolist() == [0.0, np.inf, 0.0, np.inf]
+    assert [h.value(x) for x in X] == [0.0, np.inf, 0.0, np.inf]
+
+
+def _no_params():
+    return oracles.make_heb_power(4, 12)
+
+
+@pytest.mark.parametrize("run", [
+    lambda mo, pm, cp, po: mo.fgm(_no_params(), np.ones(12), 30, L=3.0),
+    lambda mo, pm, cp, po: mo.item(_no_params(), np.ones(12), 30, L=3.0),
+    lambda mo, pm, cp, po: mo.tmm(_no_params(), np.ones(12), 30, L=3.0),
+    lambda mo, pm, cp, po: mo.constant_momentum(_no_params(), np.ones(12), 30, L=3.0),
+    lambda mo, pm, cp, po: mo.fgm(_no_params(), np.ones(12), 30, mu=0.0),
+    lambda mo, pm, cp, po: mo.ogm(_no_params(), np.ones(12), 30),
+    lambda mo, pm, cp, po: mo.monotone_wrap("fgm", _no_params(), np.ones(12), 30, L=3.0),
+    lambda mo, pm, cp, po: mo.bregman_agm(
+        oracles.CompositeProblem(_no_params(), oracles.make_zero(12)), np.ones(12), 30),
+    lambda mo, pm, cp, po: cp.fista(
+        oracles.CompositeProblem(_no_params(), oracles.make_zero(12)), np.ones(12), 30),
+    lambda mo, pm, cp, po: pm.chebyshev(_no_params(), np.ones(12), 30, L=3.0),
+    lambda mo, pm, cp, po: pm.heavy_ball(_no_params(), np.ones(12), 30, L=3.0),
+    lambda mo, pm, cp, po: po.catalyst(_no_params(), "gd", 0.5, 30, np.ones(12)),
+])
+def test_drivers_without_class_params_raise_invalid_argument(run):
+    from accelib import composite, momentum, poly_methods, prox_outer
+
+    with pytest.raises(InvalidArgument, match="no class parameters"):
+        run(momentum, poly_methods, composite, prox_outer)
+
+
+def test_class_params_prefers_arguments():
+    quad = oracles.make_quadratic([1.0, 10.0], np.zeros(2))
+    assert oracles.class_params(quad) == (1.0, 10.0)
+    assert oracles.class_params(quad, mu=0.0, L=20.0) == (0.0, 20.0)
+    assert oracles.class_params(_no_params(), mu=0.5, L=3.0) == (0.5, 3.0)

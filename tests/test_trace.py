@@ -89,3 +89,68 @@ def test_recorder_used_directly_fills_csv(quad_2):
     assert [float(r[1]) for r in rows] == pytest.approx([5.5, 0.125], rel=1e-15)
     assert [float(r[2]) for r in rows] == pytest.approx([np.sqrt(101.0), 0.5], rel=1e-15)
     assert [float(r[3]) for r in rows] == pytest.approx([np.sqrt(2.0), 0.5], rel=1e-15)
+
+
+def _column_runs():
+    from accelib import composite, momentum as mo, oracles, poly_methods as pm
+    from accelib import prox_outer as po
+
+    rng = np.random.default_rng(5)
+    quad = oracles.make_quadratic(np.linspace(0.1, 10.0, 5), rng.standard_normal(5), seed=5)
+    comp = oracles.CompositeProblem(quad, oracles.make_l1(0.0, 5),
+                                    x_star=quad.x_star, F_star=quad.f_star)
+    x0 = rng.standard_normal(5)
+    N = 70  # more than one block of reporting rows
+    return [
+        (pm.gradient_descent(quad, 0.1, x0, N, mu=0.1), quad),
+        (mo.fgm(quad, x0, N), quad),
+        (mo.ogm(quad, x0, N), quad),
+        (mo.constant_momentum(quad, x0, N), quad),
+        (mo.item(quad, x0, N), quad),
+        (mo.tmm(quad, x0, N), quad),
+        (composite.fista(comp, x0, N, L0=1.0, mode="monotone"), comp),
+        (composite.prox_agm(comp, x0, N, L0=1.0, mode="reset"), comp),
+        (mo.bregman_agm(comp, x0, N), comp),
+        (mo.monotone_wrap("fgm", comp, x0, N), comp),
+        (po.ppa(quad, [0.5] * N, x0), quad),
+        (po.accel_inexact_ppa(po.exact_prox_solver(quad), [0.5] * N, 0.0, x0,
+                              oracle=quad), quad),
+        (po.catalyst(quad, "gd", 0.5, 200, x0), quad),
+    ]
+
+
+def test_potential_column_is_the_certified_series():
+    from accelib import certify as ct
+
+    for trace, problem in _column_runs():
+        phi, margins = ct.potential_series(trace, problem)
+        column = np.array([r.potential for r in trace], dtype=float)
+        np.testing.assert_array_equal(column, phi, err_msg=trace.method)
+        slacks = [m.slack for m in ct.check_potential(trace, problem)]
+        k = int(np.argmin(slacks))
+        assert trace.meta["potential_worst_step"] == k, trace.method
+        assert trace.meta["potential_worst_margin"] == slacks[k], trace.method
+        csv_column = [row.split(",")[4] for row in trace.to_csv().split("\n")[1:-1]]
+        assert [float(v) for v in csv_column] == column.tolist()
+
+
+def test_potential_column_empty_without_a_potential(quad_6):
+    from accelib import extrapolation, poly_methods as pm, restart
+
+    x0 = np.ones(6)
+    traces = [
+        pm.chebyshev(quad_6, x0, 5),
+        pm.heavy_ball(quad_6, x0, 5),
+        pm.conjugate_gradient_quadratic(quad_6, x0, 5),
+        extrapolation.online_rna(quad_6, x0, 1.0 / quad_6.params.L, 1e-8, 3, 5),
+        restart.fixed_restart(quad_6, "fgm", 3, x0, 2, L=quad_6.params.L),
+        restart.grid_restart(quad_6, quad_6.params.L, x0, 8),
+    ]
+    rec = tr_mod.Recorder("gd", quad_6, tr_mod.Counters(), meta={})
+    rec.record(0, x0)
+    rec.record(1, x0 / 2)
+    traces.append(rec.trace)
+    for trace in traces:
+        assert all(r.potential is None for r in trace), trace.method
+        assert "potential_worst_margin" not in trace.meta
+        assert all(row.split(",")[4] == "" for row in trace.to_csv().split("\n")[1:-1])
