@@ -16,23 +16,21 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import certify as certify_mod
 from . import composite, momentum, poly_methods, prox_outer
 from .errors import DivergedError, InvalidArgument, UnsupportedOracle
-from .oracles import CompositeProblem, make_huber, make_l1, make_quadratic
+from .oracles import CompositeProblem, make_huber, make_l1, make_quadratic, make_zero
 from .tolerances import tol_for
 
 EXIT_SCHEMA = 2
 EXIT_DIVERGED = 3
 EXIT_NO_CERT = 4
 EXIT_CERT_FAIL = 5
-
-METHODS = ("gd", "chebyshev", "heavy_ball", "cg", "ogm", "fgm",
-           "constant_momentum", "item", "tmm", "fista", "prox_agm", "ppa",
-           "catalyst")
 
 
 class ConfigError(Exception):
@@ -73,83 +71,108 @@ def parse_problem(spec, seed, mu, L):
         raise ConfigError(str(exc)) from exc
 
 
-def run_method(args, oracle, problem, x0):
-    name = args.method
-    N = args.N
-    if name == "gd":
-        gamma = args.gamma if args.gamma else 1.0 / oracle.params.L
-        return poly_methods.gradient_descent(oracle, gamma, x0, N,
-                                             mu=oracle.params.mu)
-    if name == "chebyshev":
-        return poly_methods.chebyshev(oracle, x0, N)
-    if name == "heavy_ball":
-        return poly_methods.heavy_ball(oracle, x0, N)
-    if name == "cg":
-        return poly_methods.conjugate_gradient_quadratic(oracle, x0, N)
-    if name == "ogm":
-        return momentum.ogm(oracle, x0, N, form=args.form or "I")
-    if name == "fgm":
-        return momentum.fgm(oracle, x0, N, form=args.form or "I",
-                            mu=args.mu if args.mu is not None else oracle.params.mu)
-    if name == "constant_momentum":
-        return momentum.constant_momentum(oracle, x0, N, form=args.form or "I")
-    if name == "item":
-        return momentum.item(oracle, x0, N)
-    if name == "tmm":
-        return momentum.tmm(oracle, x0, N)
-    if name == "ppa":
-        lam = args.lam if args.lam else 1.0
-        return prox_outer.ppa(oracle, [lam] * N, x0)
-    if name == "catalyst":
-        lam = args.lam if args.lam else 1.0 / oracle.params.L
-        return prox_outer.catalyst(oracle, "gd", lam, N, x0)
-    if name in ("fista", "prox_agm"):
-        if problem is None:
-            from .oracles import make_zero
+@dataclass(frozen=True)
+class Method:
+    """One CLI method. `run(args, problem, x0)` calls the driver, looked up on
+    its module at call time; `bound(args, oracle, x0, R)` is the worst-case
+    bound on the trace's `column` (None: no bound for these flags).
+    `composite` methods run on, and are certified against, the composite
+    problem: a smooth spec gets a zero nonsmooth term."""
 
-            problem = CompositeProblem(oracle, make_zero(x0.size),
-                                       x_star=oracle.x_star, F_star=oracle.f_star)
-        fn = composite.fista if name == "fista" else composite.prox_agm
-        return fn(problem, x0, N, mu=args.mu or 0.0, alpha=2.0,
-                  mode=args.mode or "monotone")
-    raise ConfigError(f"unknown method {name!r}")
+    run: Callable
+    bound: Callable | None = None
+    composite: bool = False
+    column: str = "f_gap"
 
 
-def bound_for(args, oracle, x0):
-    R = float(np.linalg.norm(np.asarray(x0) - oracle.x_star)) if oracle.x_star is not None else None
-    if R is None:
-        return None
+def _gd_bound(args, oracle, x0, R):
+    L = oracle.params.L  # the bound holds for the default step 1/L only
+    return L * R * R / (2.0 * args.N) if not args.gamma or args.gamma == 1.0 / L else None
+
+
+def _constant_momentum_bound(args, oracle, x0, R):
     p = oracle.params
-    N = args.N
-    if N == 0:
-        return None
-    if args.method == "ogm":
-        return momentum.ogm_bound(p.L, R, N)
-    if args.method in ("fgm", "fista", "prox_agm"):
-        return momentum.fgm_bound(p.L, R, N, mu=p.mu if args.method == "fgm" else 0.0)
-    if args.method == "gd" and (not args.gamma or args.gamma == 1.0 / p.L):
-        return p.L * R * R / (2.0 * N)
-    if args.method == "chebyshev":
-        return poly_methods.chebyshev_bound(p.mu, p.L, N) * R
-    if args.method == "constant_momentum":
-        f0 = oracle.value(np.asarray(x0, dtype=float)) - oracle.f_star
-        return (1.0 - np.sqrt(p.mu / p.L)) ** N * (f0 + 0.5 * p.mu * R * R)
-    return None
+    f0 = oracle.value(x0) - oracle.f_star
+    return (1.0 - np.sqrt(p.mu / p.L)) ** args.N * (f0 + 0.5 * p.mu * R * R)
+
+
+def _accelerated_prox(name):
+    return Method(lambda a, p, x0: getattr(composite, name)(
+                      p, x0, a.N, mu=a.mu or 0.0, alpha=2.0, mode=a.mode or "monotone"),
+                  lambda a, o, x0, R: momentum.fgm_bound(o.params.L, R, a.N),
+                  composite=True)
+
+
+METHODS = {
+    "gd": Method(lambda a, o, x0: poly_methods.gradient_descent(
+                     o, a.gamma or 1.0 / o.params.L, x0, a.N, mu=o.params.mu),
+                 _gd_bound),
+    "chebyshev": Method(lambda a, o, x0: poly_methods.chebyshev(o, x0, a.N),
+                        lambda a, o, x0, R: poly_methods.chebyshev_bound(
+                            o.params.mu, o.params.L, a.N) * R,
+                        column="dist_opt"),
+    "heavy_ball": Method(lambda a, o, x0: poly_methods.heavy_ball(o, x0, a.N)),
+    "cg": Method(lambda a, o, x0: poly_methods.conjugate_gradient_quadratic(o, x0, a.N)),
+    "ogm": Method(lambda a, o, x0: momentum.ogm(o, x0, a.N, form=a.form or "I"),
+                  lambda a, o, x0, R: momentum.ogm_bound(o.params.L, R, a.N)),
+    "fgm": Method(lambda a, o, x0: momentum.fgm(
+                      o, x0, a.N, form=a.form or "I",
+                      mu=o.params.mu if a.mu is None else a.mu),
+                  lambda a, o, x0, R: momentum.fgm_bound(o.params.L, R, a.N, mu=o.params.mu)),
+    "constant_momentum": Method(lambda a, o, x0: momentum.constant_momentum(
+                                    o, x0, a.N, form=a.form or "I"),
+                                _constant_momentum_bound),
+    "item": Method(lambda a, o, x0: momentum.item(o, x0, a.N)),
+    "tmm": Method(lambda a, o, x0: momentum.tmm(o, x0, a.N)),
+    "fista": _accelerated_prox("fista"),
+    "prox_agm": _accelerated_prox("prox_agm"),
+    "ppa": Method(lambda a, o, x0: prox_outer.ppa(o, [a.lam or 1.0] * a.N, x0)),
+    "catalyst": Method(lambda a, o, x0: prox_outer.catalyst(
+                           o, "gd", a.lam or 1.0 / o.params.L, a.N, x0)),
+}
+
+
+def _setup(args):
+    """(smooth oracle, composite problem, x0) shared by every command."""
+    oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
+    x0 = np.random.default_rng(args.seed + 1).standard_normal(oracle.x_star.shape[0])
+    if args.N < 0:
+        raise ConfigError("--N must be >= 0")
+    if problem is None:
+        problem = CompositeProblem(oracle, make_zero(x0.size), x_star=oracle.x_star,
+                                   F_star=oracle.f_star)
+    return oracle, problem, x0
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
+def _dumps(obj):
+    """Strict JSON: a non-finite float is written as the CSV writes it, "inf",
+    "-inf" or "nan", which float() reads back."""
+    return json.dumps(_finite(obj), indent=2, default=str, allow_nan=False)
+
+
+def _write(path, text):
+    """Write text to `path`, or to stdout with a final newline."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        print(text)
 
 
 def write_outputs(trace, args, bound, config):
-    out = args.out
-    csv_text = trace.to_csv()
-    final_gap = trace.final.f_gap
-    if bound is not None and args.method == "chebyshev":
-        satisfied = bool(trace.final.dist_opt <= bound + tol_for(bound))
-    elif bound is not None:
-        satisfied = bool(final_gap <= bound + tol_for(bound))
-    else:
-        satisfied = None
+    value = getattr(trace.final, METHODS[args.method].column)
+    satisfied = None if bound is None else bool(value <= bound + tol_for(bound))
     summary = {
         "config": config,
-        "final_gap": final_gap,
+        "final_gap": trace.final.f_gap,
         "grad_calls": trace.final.grad_calls,
         "prox_calls": trace.final.prox_calls,
         "bound": bound,
@@ -157,67 +180,48 @@ def write_outputs(trace, args, bound, config):
         "potential_worst_margin": trace.meta.get("potential_worst_margin"),
         "potential_worst_step": trace.meta.get("potential_worst_step"),
     }
-    if out:
-        with open(out, "w") as fh:
-            fh.write(csv_text)
-        with open(out + ".json", "w") as fh:
-            json.dump(summary, fh, indent=2, default=str)
+    csv_text, text = trace.to_csv(), _dumps(summary)
+    if args.out:
+        _write(args.out, csv_text)
+        _write(args.out + ".json", text)
     else:
-        sys.stdout.write(csv_text)
-        json.dump(summary, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        _write(None, csv_text + text)
     return summary
 
 
-def _resolved_config(args):
-    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-
-
 def cmd_run(args):
-    oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
-    rng = np.random.default_rng(args.seed + 1)
-    d = oracle.x_star.shape[0]
-    x0 = rng.standard_normal(d)
-    if args.N < 0:
-        raise ConfigError("--N must be >= 0")
-    trace = run_method(args, oracle, problem, x0)
-    bound = bound_for(args, oracle, x0)
-    write_outputs(trace, args, bound, _resolved_config(args))
+    method, (oracle, problem, x0) = METHODS[args.method], _setup(args)
+    trace = method.run(args, problem if method.composite else oracle, x0)
+    bound = None
+    if method.bound is not None and args.N > 0:
+        bound = method.bound(args, oracle, x0, float(np.linalg.norm(x0 - oracle.x_star)))
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    write_outputs(trace, args, bound, config)
     return 0
 
 
 def cmd_compare(args):
-    methods = args.methods.split(",")
-    if len(methods) < 2:
+    names = args.methods.split(",")
+    if len(names) < 2:
         raise ConfigError("compare needs at least two methods")
-    oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
-    rng = np.random.default_rng(args.seed + 1)
-    x0 = rng.standard_normal(oracle.x_star.shape[0])
+    if set(names) - set(METHODS):
+        raise ConfigError(f"unknown method in {args.methods!r}")
+    oracle, problem, x0 = _setup(args)
     columns = {}
-    for m in methods:
-        sub = argparse.Namespace(**vars(args))
-        sub.method = m
-        trace = run_method(sub, oracle, problem, x0)
-        columns[m] = [(r.grad_calls, r.f_gap) for r in trace]
-    report = {"problem": args.problem,
-              "final_gaps": {m: columns[m][-1][1] for m in methods},
-              "columns": columns}
-    text = json.dumps(report, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    for name in names:
+        method = METHODS[name]
+        trace = method.run(args, problem if method.composite else oracle, x0)
+        columns[name] = [(r.grad_calls, r.f_gap) for r in trace]
+    _write(args.out, _dumps({"problem": args.problem,
+                             "final_gaps": {m: columns[m][-1][1] for m in names},
+                             "columns": columns}))
     return 0
 
 
 def cmd_certify(args):
-    oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
-    rng = np.random.default_rng(args.seed + 1)
-    x0 = rng.standard_normal(oracle.x_star.shape[0])
-    trace = run_method(args, oracle, problem, x0)
-    target = problem if problem is not None and args.method in ("fista", "prox_agm") \
-        else oracle
+    method, (oracle, problem, x0) = METHODS[args.method], _setup(args)
+    target = problem if method.composite else oracle
+    trace = method.run(args, target, x0)
     try:
         margins = certify_mod.check_potential(trace, target)
     except InvalidArgument as exc:
@@ -226,20 +230,15 @@ def cmd_certify(args):
     tol = tol_for(certify_mod.potential_scale(trace, target))
     bad = [str(m.where) for m in margins if m.slack < -tol]
     triplets = certify_mod.harvest_triplets(trace, oracle)
-    interp = certify_mod.check_interpolation(triplets, oracle.params.mu,
-                                             oracle.params.L)
+    interp = certify_mod.check_interpolation(triplets, oracle.params.mu, oracle.params.L)
     iscale = max(abs(t[2]) for t in triplets) + 1.0
     bad += [str((int(i), int(j)))
             for i, j in np.argwhere(interp < -tol_for(iscale))]  # row-major
-    report = {
-        "method": args.method,
-        "potential_min_slack": certify_mod.min_slack(margins),
-        "interpolation_min_slack": certify_mod.min_slack(interp),
-        "violations": bad,
-        "pass": not bad,
-    }
-    print(json.dumps(report, indent=2, default=str))
-    return 0 if report["pass"] else EXIT_CERT_FAIL
+    _write(None, _dumps({"method": args.method,
+                         "potential_min_slack": certify_mod.min_slack(margins),
+                         "interpolation_min_slack": certify_mod.min_slack(interp),
+                         "violations": bad, "pass": not bad}))
+    return EXIT_CERT_FAIL if bad else 0
 
 
 @functools.cache
@@ -249,7 +248,9 @@ def build_parser():
                                      description="first-order method runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, require_method=True):
+    def command(name, func, help, require_method=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--method", required=require_method, choices=METHODS)
         p.add_argument("--problem", required=True)
         p.add_argument("--N", type=int, default=50)
@@ -258,25 +259,16 @@ def build_parser():
         p.add_argument("--mu", type=float, default=None)
         p.add_argument("--L", type=float, default=None)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
         p.add_argument("--form", default=None, choices=("I", "II", "III"))
         p.add_argument("--mode", default=None, choices=composite.MODES)
         p.add_argument("--gamma", type=float, default=None)
+        return p
 
-    p_run = sub.add_parser("run", help="run one method, write trace + summary")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="run several methods on one problem")
-    common(p_cmp, require_method=False)
-    p_cmp.add_argument("--methods", required=True,
-                       help="comma-separated method list")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_cert = sub.add_parser("certify", help="check potential + interpolation")
-    common(p_cert)
-    p_cert.set_defaults(func=cmd_certify)
-
+    command("run", cmd_run, "run one method, write trace + summary")
+    command("compare", cmd_compare, "run several methods on one problem",
+            require_method=False).add_argument("--methods", required=True,
+                                               help="comma-separated method list")
+    command("certify", cmd_certify, "check potential + interpolation")
     return parser
 
 
@@ -294,8 +286,7 @@ def main(argv=None):
         return EXIT_SCHEMA
     except DivergedError as exc:
         if args.command == "run" and args.out and exc.trace is not None:
-            with open(args.out, "w") as fh:  # the partial trace
-                fh.write(exc.trace.to_csv())
+            _write(args.out, exc.trace.to_csv())  # the partial trace
         print(f"error: diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

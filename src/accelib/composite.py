@@ -79,7 +79,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
             L1 = L0
         else:
             L1 = max(beta * s["L"], L0)
-        wasted = s["wasted"]
+        wasted, tau_y = s["wasted"], None
         for attempt in range(MAX_BACKTRACKS + 1):
             q1 = mu / L1
             if monotone:
@@ -91,8 +91,10 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
                 B1 = _next_B(B, L1, mu)
                 tau, _ = _tau_delta(B, B1, mu)
                 delta = L1 * (B1 - B) / (1.0 + mu * B1)
-            y = x + tau * (z - x)
-            g = co_f.gradient(y)
+            if tau != tau_y:  # y is the same for every L1 in monotone mode with mu = 0
+                tau_y = tau
+                y = x + tau * (z - x)
+                g, f_y = co_f.gradient(y), f_val(y)
             if method == "fista":
                 x1 = co_h.prox(y - g / L1, 1.0 / L1)
                 z1 = (1.0 - q1 * delta) * z + q1 * delta * y + delta * (x1 - y)
@@ -102,7 +104,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
                 ratio = A / A1 if monotone else B / B1
                 x1 = ratio * x + (1.0 - ratio) * z1
             lhs = f_val(x1)
-            rhs = f_val(y) + np.dot(g, x1 - y) + 0.5 * L1 * np.dot(x1 - y, x1 - y)
+            rhs = f_y + np.dot(g, x1 - y) + 0.5 * L1 * np.dot(x1 - y, x1 - y)
             if lhs <= rhs + tol_for(abs(rhs)):
                 break
             wasted += 1

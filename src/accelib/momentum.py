@@ -269,11 +269,11 @@ def item(oracle, x0, N, mu=None, L=None):
 # triple momentum method (TMM)
 
 def tmm(oracle, x0, N, mu=None, L=None):
-    """Triple momentum; requires mu > 0. Record k >= 1 holds y_{k-1} with
+    """Triple momentum; requires 0 < mu < L. Record k >= 1 holds y_{k-1} with
     z_k in the state."""
     mu, L = class_params(oracle, mu, L)
-    if mu <= 0:
-        raise InvalidArgument("tmm requires mu > 0")
+    if not 0 < mu < L:
+        raise InvalidArgument("tmm requires 0 < mu < L")
     q = mu / L
     sq = np.sqrt(q)
     beta = (1.0 - sq) / (1.0 + sq)

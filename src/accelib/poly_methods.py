@@ -62,15 +62,15 @@ def chebyshev_bound(mu, L, N):
 
 
 def chebyshev(oracle, x0, N, mu=None, L=None):
-    """Chebyshev's method; requires mu > 0.
+    """Chebyshev's method; requires 0 < mu < L.
 
     First step is plain gradient descent with step 2/(L+mu); afterwards
     x_k = x_{k-1} - (4 delta_k/(L-mu)) grad f(x_{k-1})
               + (1 - 2 delta_k (L+mu)/(L-mu)) (x_{k-2} - x_{k-1}).
     """
     mu, L = class_params(oracle, mu, L)
-    if mu <= 0:
-        raise InvalidArgument("chebyshev requires mu > 0")
+    if not 0 < mu < L:
+        raise InvalidArgument("chebyshev requires 0 < mu < L")
 
     def start(co):
         x = np.array(x0, dtype=float)

@@ -12,6 +12,7 @@ from . import certify
 from .errors import (ContractViolation, InconsistentCertificate, InnerSolveError,
                      InvalidArgument, UnsupportedOracle)
 from .extrapolation import golden_section
+from .momentum import _constant_momentum_factory
 from .oracles import ClassParams, ProblemOracle, class_params
 from .tolerances import tol_for
 from .trace import drive
@@ -194,7 +195,8 @@ def catalyst_burden(inner, lam, L):
     """Worst-case inner iterations per outer step before the stopping rule
     fires: B = log(C_M (lam L + 2)) / log(1/(1-tau_M)) + 1."""
     C, tau = inner_constants(inner, lam, L)
-    return np.log(C * (lam * L + 2.0)) / np.log(1.0 / (1.0 - tau)) + 1.0
+    with np.errstate(divide="ignore"):  # lam L below rounding gives tau = 1 and B = 1
+        return np.log(C * (lam * L + 2.0)) / np.log(np.divide(1.0, 1.0 - tau)) + 1.0
 
 
 def lambda_gd_tuning(mu, L):
@@ -289,45 +291,34 @@ def _inner_solve(co, oracle, y, lam, inner, budget_left, cap):
     lam ||grad Phi(w)|| <= ||w - w0||. Returns (w, iterations, stopped)."""
     phi = _regularized(co, y, lam)
     L_phi = phi.params.L
-    mu_phi = phi.params.mu
-    w0 = y.copy()
-    w = y.copy()
-
-    def criterion(w):
-        return lam * np.linalg.norm(phi.gradient(w)) - np.linalg.norm(w - w0) \
-            <= tol_for(np.linalg.norm(w - w0))
-
-    # note: criterion() costs a gradient of f through co; that is the honest
-    # oracle accounting for evaluating the stopping rule
-    if criterion(w):
-        return w, 0, True
-
     if inner == "const_momentum":
-        q = mu_phi / L_phi
-        sq = np.sqrt(q)
-        x_in, z_in = w.copy(), w.copy()
-        for i in range(min(budget_left, cap)):
-            y_in = x_in + (sq / (1.0 + sq)) * (z_in - x_in)
-            g_in = phi.gradient(y_in)
-            x_in = y_in - g_in / L_phi
-            z_in = (1.0 - sq) * z_in + sq * (y_in - g_in / mu_phi)
-            if criterion(x_in):
-                return x_in, i + 1, True
-        w = x_in
-    else:
-        for i in range(min(budget_left, cap)):
-            g = phi.gradient(w)
+        s, step = _constant_momentum_factory(phi, y, phi.params.mu, L_phi)
+    else:  # a gd step reuses the gradient of the stopping test
+        s = {"x": y}
+
+        def step(s):
+            w, g = s["x"], s["g"]
             if inner == "gd":
-                step = 1.0 / L_phi
+                t = 1.0 / L_phi
             else:  # exact line search on the regularized subproblem
-                step = _exact_linesearch(phi, oracle, w, g, lam, L_phi)
-            w = w - step * g
-            if criterion(w):
-                return w, i + 1, True
-    if min(budget_left, cap) == cap and budget_left > cap:
+                t = _exact_linesearch(phi, oracle, w, g, lam, L_phi)
+            return {"x": w - t * g}
+
+    n = min(budget_left, cap)
+    for i in range(n + 1):
+        # the stopping test costs a gradient of f through co; that is the
+        # honest oracle accounting for evaluating it
+        w = s["x"]
+        s["g"] = phi.gradient(w)
+        dist = np.linalg.norm(w - y)
+        if lam * np.linalg.norm(s["g"]) - dist <= tol_for(dist):
+            return w, i, True
+        if i < n:
+            s = step(s)
+    if n == cap and budget_left > cap:
         raise ContractViolation(
             "inner solver exceeded twice its advertised burden")
-    return w, min(budget_left, cap), False
+    return w, n, False
 
 
 def _exact_linesearch(phi, oracle, w, g, lam, L_phi):

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -6,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from accelib import cli
+from accelib import cli, composite
 
 
 def strip_wall(text):
@@ -219,3 +223,82 @@ def test_gd_step_one_over_mu(tmp_path, capsys):
     assert cli.main(["run", *argv, "--out", str(tmp_path / "t.csv")]) == 0
     assert cli.main(["certify", *argv]) == 5
     assert json.loads(capsys.readouterr().out)["violations"][0] == "0"
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("N", ["-1", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--method", "gd"],
+    ["compare", "--methods", "gd,fgm"],
+    ["certify", "--method", "fgm"],
+    ["certify", "--method", "ogm"],
+])
+def test_negative_N_exit_2(argv, N, capsys):
+    # certify used to exit 0 (fgm) or end in a TypeError traceback (ogm)
+    assert cli.main(argv + ["--problem", "quad:d=3", "--N", N]) == 2
+    assert capsys.readouterr().err == "error: --N must be >= 0\n"
+
+
+def test_delta_flag_is_gone():
+    assert cli.main(["run", "--method", "gd", "--problem", "quad:d=3", "--delta", "0.5"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # A_k = inf is the point
+def test_non_finite_values_are_json_strings(tmp_path, capsys):
+    argv = ["--method", "gd", "--problem", "quad:d=5", "--N", "20", "--gamma", "1.0"]
+    assert cli.main(["certify", *argv]) == 5
+    assert strict_json(capsys.readouterr().out)["potential_min_slack"] == "-inf"
+    assert cli.main(["run", *argv, "--out", str(tmp_path / "t.csv")]) == 0
+    side = strict_json((tmp_path / "t.csv.json").read_text())
+    assert side["potential_worst_margin"] == "nan"
+    assert math.isnan(float(side["potential_worst_margin"]))
+
+
+def test_compare_unknown_method_exit_2(capsys):
+    code = cli.main(["compare", "--methods", "gd,bogus", "--problem", "quad:d=3"])
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+@st.composite
+def cli_argv(draw):
+    """A command over methods from the table, on a small random spec."""
+    names = sorted(cli.METHODS)
+    command = draw(st.sampled_from(["run", "compare", "certify"]))
+    if command == "compare":
+        argv = [command, "--methods",
+                ",".join(draw(st.lists(st.sampled_from(names), min_size=2, max_size=3)))]
+    else:
+        argv = [command, "--method", draw(st.sampled_from(names))]
+    spec = f"{draw(st.sampled_from(['quad', 'huber', 'lasso']))}:d={draw(st.integers(1, 5))}"
+    argv += ["--problem", spec, "--N", str(draw(st.integers(-1, 20))),
+             "--seed", str(draw(st.integers(0, 3)))]
+    # not subnormal: such an L or mu still breaks catalyst and gd (CHANGES.md FOUND)
+    positive = st.just(0.0) | st.floats(1e-12, 20.0)
+    for flag, values in (("--mu", positive), ("--L", positive), ("--lambda", positive),
+                         ("--gamma", positive), ("--form", st.sampled_from(["I", "II", "III"])),
+                         ("--mode", st.sampled_from(composite.MODES))):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverging draws exit 3
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+@example(["run", "--method", "chebyshev", "--problem", "quad:d=1"])  # ZeroDivisionError
+@example(["run", "--method", "tmm", "--problem", "quad:d=1"])  # ZeroDivisionError
+@example(["certify", "--method", "ogm", "--problem", "quad:d=3", "--N", "-1"])  # TypeError
+def test_cli_exit_codes_over_the_method_table(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if argv[0] != "run" and code in (0, 5):
+        strict_json(out.getvalue())

@@ -54,6 +54,19 @@ def test_fista_monotone_wasted_counter():
     assert tr.meta["wasted"] <= math.ceil(math.log(L / L0, alpha))
 
 
+@pytest.mark.parametrize("method, f_gap", [(cp.fista, 6.738739255364864e-4),
+                                           (cp.prox_agm, 6.738739255364702e-4)])
+def test_monotone_backtracking_takes_one_gradient_per_step(method, f_gap):
+    # with mu = 0 the point y_k does not depend on the trial L, so a
+    # backtrack re-evaluates neither grad f(y_k) nor f(y_k)
+    p = oracles.make_quadratic(np.linspace(1.0, 10.0, 5), np.ones(5), seed=3)
+    comp = oracles.CompositeProblem(p, oracles.make_zero(5), x_star=p.x_star, F_star=p.f_star)
+    tr = method(comp, np.zeros(5), 20, L0=0.1)
+    assert tr.meta["wasted"] == 7
+    assert tr.final.grad_calls == 20  # was 27, one more per backtrack
+    assert tr.final.f_gap == pytest.approx(f_gap, rel=1e-12)  # the same iterates
+
+
 def test_fista_zero_nonsmooth_matches_fgm():
     rng = np.random.default_rng(6)
     p = oracles.make_quadratic([1.0, 4.0, 9.0], rng.standard_normal(3), seed=6)

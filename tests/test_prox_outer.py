@@ -112,6 +112,22 @@ def test_catalyst_counts_useless_tail(quad_6):
     assert tr.meta["n_total"] - tr.meta["n_useless"] == sum(tr.meta["inner_counts"])
 
 
+@pytest.mark.parametrize("inner", ["gd", "gd_linesearch"])
+def test_catalyst_gd_step_reuses_the_stopping_test_gradient(inner):
+    # per outer step: one gradient per stopping test (one more than the inner
+    # iterations) and one at the prox point; gd used to take two per iteration
+    f = oracles.make_quadratic(np.linspace(1.0, 10.0, 6), np.ones(6), seed=5)
+    tr = po.catalyst(f, inner, 1.0, 200, np.full(6, 2.0))
+    assert tr.final.grad_calls <= tr.final.inner_iters + 2 * (tr.meta["n_outer"] + 1)
+
+
+def test_catalyst_lambda_below_rounding():
+    # lam L below eps makes tau_M = 1; the burden used to divide by 1 - tau_M = 0
+    assert po.catalyst_burden("gd", 1e-17, 1.0) == 1.0
+    f = oracles.make_quadratic(np.linspace(1.0, 10.0, 3), np.ones(3), seed=5)
+    assert po.catalyst(f, "gd", 1e-17, 5, np.zeros(3)).meta["n_outer"] >= 1
+
+
 def test_catalyst_unknown_inner(quad_6):
     with pytest.raises(InvalidArgument):
         po.catalyst(quad_6, "bogus", 1.0, budget_total=50, x0=np.zeros(6))
