@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidArgument, UnsupportedOracle
 from .tolerances import tol_for
-from .oracles import bregman_divergence
+from .oracles import bregman_divergence, optimum
 from .trace import in_blocks
 
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
@@ -161,17 +161,10 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0,
 # and gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
 # `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
 
-def _opt(problem):
-    """(objective, x_star, F_star) for a ProblemOracle or CompositeProblem."""
-    if hasattr(problem, "objective"):
-        return problem.objective, problem.x_star, problem.F_star
-    return problem.value, problem.x_star, problem.f_star
-
-
 def potential_series(trace, problem):
     """(phi, margins) of the trace method's potential, recomputed from
     `problem`, whose objective is evaluated row-stacked (see check_potential)."""
-    fun, x_star, f_star = _opt(problem)
+    fun, x_star, f_star = optimum(problem)
     if x_star is None:
         raise InvalidArgument("potential checks need a known optimum")
     handler = _POTENTIALS.get(trace.method.split("(")[0])
@@ -334,7 +327,7 @@ _POTENTIALS = {
 
 
 def potential_scale(trace, problem):
-    fun, x_star, f_star = _opt(problem)
+    fun, x_star, f_star = optimum(problem)
     r0 = trace.records[0]
     return abs(fun(r0.x) - f_star) + float(np.sum((r0.x - x_star) ** 2)) + 1.0
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import certify as certify_mod
 from . import composite, momentum, poly_methods, prox_outer
-from .errors import DivergedError, InvalidArgument, UnsupportedOracle
+from .errors import (ContractViolation, DivergedError, InvalidArgument, RunawayLError,
+                     UnsupportedOracle)
 from .oracles import CompositeProblem, make_huber, make_l1, make_quadratic, make_zero
 from .tolerances import tol_for
 
@@ -134,6 +135,10 @@ METHODS = {
 
 def _setup(args):
     """(smooth oracle, composite problem, x0) shared by every command."""
+    for name in ("mu", "L", "lam", "gamma"):  # e.g. a subnormal --L, whose 1/L overflows
+        value = getattr(args, name)
+        if value and not np.isfinite(1.0 / value):
+            raise ConfigError(f"{name}={value!r} has no finite reciprocal")
     oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
     x0 = np.random.default_rng(args.seed + 1).standard_normal(oracle.x_star.shape[0])
     if args.N < 0:
@@ -234,10 +239,10 @@ def cmd_certify(args):
     iscale = max(abs(t[2]) for t in triplets) + 1.0
     bad += [str((int(i), int(j)))
             for i, j in np.argwhere(interp < -tol_for(iscale))]  # row-major
-    _write(None, _dumps({"method": args.method,
-                         "potential_min_slack": certify_mod.min_slack(margins),
-                         "interpolation_min_slack": certify_mod.min_slack(interp),
-                         "violations": bad, "pass": not bad}))
+    _write(args.out, _dumps({"method": args.method,
+                             "potential_min_slack": certify_mod.min_slack(margins),
+                             "interpolation_min_slack": certify_mod.min_slack(interp),
+                             "violations": bad, "pass": not bad}))
     return EXIT_CERT_FAIL if bad else 0
 
 
@@ -281,7 +286,8 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, InvalidArgument, UnsupportedOracle) as exc:
+    except (ConfigError, InvalidArgument, UnsupportedOracle, ContractViolation,
+            RunawayLError) as exc:  # the last two: flags past what the method can take
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except DivergedError as exc:

@@ -8,6 +8,10 @@ iterate inside dom h. Backtracking modes:
   - "reset":     L_{k+1} starts back at L_0 each iteration (B_k accounting);
   - "decrease":  L_{k+1} starts at max(beta * L_k, L_0), default beta = 1/alpha.
 
+Both accountings step the one A-recurrence of the fast gradient method
+(`momentum.next_A`, `momentum._tau_delta`) at q = mu/L_{k+1}. B_k accounting is
+that recurrence at A = L_{k+1} B_k, storing B_{k+1} = A_{k+1}/L_{k+1}.
+
 An accepted step always satisfies the descent condition
 f(x_{k+1}) <= f(y_k) + <grad f(y_k); x_{k+1}-y_k> + (L_{k+1}/2)||x_{k+1}-y_k||^2.
 """
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import certify
 from .errors import InvalidArgument, RunawayLError
-from .momentum import _tau_delta, next_A
+from .momentum import _tau_delta, fgm_bound, next_A
 from .oracles import CompositeProblem, class_params
 from .tolerances import tol_for
 from .trace import CountingOracle, drive
@@ -35,16 +39,7 @@ def ell_constant(L, L0, alpha):
 
 def fista_bound(L, L0, alpha, R, N, mu=0.0):
     ell = ell_constant(L, L0, alpha)
-    if N == 0:
-        return ell * R * R
-    if mu == 0:
-        return 2.0 / N**2 * ell * R * R
-    return min(2.0 / N**2, (1.0 - np.sqrt(mu / ell)) ** N) * ell * R * R
-
-
-def _next_B(B, L1, mu):
-    return (2.0 * L1 * B + 1.0 + np.sqrt(4.0 * L1 * B + 4.0 * mu * L1 * B * B + 1.0)) / (
-        2.0 * (L1 - mu))
+    return ell * R * R if N == 0 else fgm_bound(ell, R, N, mu)
 
 
 def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None):
@@ -64,12 +59,9 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
     f_val = problem.smooth.value  # objective evaluations are not oracle calls
 
     monotone = mode == "monotone"
+    key = "A" if monotone else "B"
     state = {"x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float),
-             "L": float(L0), "wasted": 0}
-    if monotone:
-        state["A"] = 0.0
-    else:
-        state["B"] = 0.0
+             "L": float(L0), "wasted": 0, key: 0.0}
 
     def step(s):
         x, z = s["x"], s["z"]
@@ -82,15 +74,9 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
         wasted, tau_y = s["wasted"], None
         for attempt in range(MAX_BACKTRACKS + 1):
             q1 = mu / L1
-            if monotone:
-                A = s["A"]
-                A1 = next_A(A, q1)
-                tau, delta = _tau_delta(A, A1, q1)
-            else:
-                B = s["B"]
-                B1 = _next_B(B, L1, mu)
-                tau, _ = _tau_delta(B, B1, mu)
-                delta = L1 * (B1 - B) / (1.0 + mu * B1)
+            A = s["A"] if monotone else L1 * s["B"]
+            A1 = next_A(A, q1)
+            tau, delta = _tau_delta(A, A1, q1)
             if tau != tau_y:  # y is the same for every L1 in monotone mode with mu = 0
                 tau_y = tau
                 y = x + tau * (z - x)
@@ -101,8 +87,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
             else:  # prox_agm: prox on the z-sequence
                 z1 = co_h.prox((1.0 - q1 * delta) * z + q1 * delta * y - (delta / L1) * g,
                                delta / L1)
-                ratio = A / A1 if monotone else B / B1
-                x1 = ratio * x + (1.0 - ratio) * z1
+                x1 = (A / A1) * x + (1.0 - A / A1) * z1
             lhs = f_val(x1)
             rhs = f_y + np.dot(g, x1 - y) + 0.5 * L1 * np.dot(x1 - y, x1 - y)
             if lhs <= rhs + tol_for(abs(rhs)):
@@ -112,23 +97,14 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
         else:
             raise RunawayLError("backtracking exceeded 200 increases; "
                                 "is f really smooth, or is alpha too small?")
-        out = {"x": x1, "z": z1, "L": L1, "y": y, "wasted": wasted}
-        if monotone:
-            out["A"] = A1
-        else:
-            out["B"] = B1
-        return out
+        return {"x": x1, "z": z1, "L": L1, "y": y, "wasted": wasted,
+                key: A1 if monotone else A1 / L1}
 
     return state, step
 
 
 def _view(s):
-    snap = {"z": s["z"], "L": s["L"], "wasted": s["wasted"]}
-    if "A" in s:
-        snap["A"] = s["A"]
-    else:
-        snap["B"] = s["B"]
-    return s["x"], None, snap
+    return s["x"], None, {k: s[k] for k in ("z", "L", "wasted", "A", "B") if k in s}
 
 
 def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode, beta):

@@ -9,8 +9,9 @@ import numpy as np
 
 from .errors import InvalidArgument
 from . import certify
-from .oracles import CompositeProblem, class_params
+from .oracles import CompositeProblem, class_params, optimum
 from .oracles import bregman_divergence  # noqa: F401  (also public here)
+from .poly_methods import delta_infty
 from .trace import CountingOracle, drive
 
 
@@ -207,8 +208,7 @@ def constant_momentum(oracle, x0, N, form="I", mu=None, L=None):
                      lambda s: (s["x"], None, {"z": s["z"]}), N,
                      potential=certify.constant_momentum_potential)
 
-    sq = np.sqrt(mu / L)
-    beta = (1.0 - sq) / (1.0 + sq)
+    beta = delta_infty(mu, L)
 
     def start(co):
         def step(s):
@@ -274,9 +274,8 @@ def tmm(oracle, x0, N, mu=None, L=None):
     mu, L = class_params(oracle, mu, L)
     if not 0 < mu < L:
         raise InvalidArgument("tmm requires 0 < mu < L")
-    q = mu / L
-    sq = np.sqrt(q)
-    beta = (1.0 - sq) / (1.0 + sq)
+    sq = np.sqrt(mu / L)
+    beta = delta_infty(mu, L)
 
     def start(co):
         def step(s):
@@ -303,8 +302,8 @@ def _bregman_factory(problem, co_f, x0, L, dgf):
 
     def step(s):
         A = s["A"]
-        a = (1.0 + np.sqrt(4.0 * A + 1.0)) / 2.0
-        A1 = A + a
+        A1 = next_A(A, 0.0)
+        a = A1 - A
         y = (A / A1) * s["x"] + (1.0 - A / A1) * s["z"]
         g = co_f.gradient(y)
         if dgf == "euclidean":
@@ -363,14 +362,8 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
         raise InvalidArgument(f"monotone_wrap does not support {method!r}")
     x0 = np.array(x0, dtype=float)
 
-    if isinstance(problem, CompositeProblem):
-        objective = problem.objective
-        smooth = problem.smooth
-        x_star, f_star = problem.x_star, problem.F_star
-    else:
-        objective = problem.value
-        smooth = problem
-        x_star, f_star = problem.x_star, problem.f_star
+    objective, x_star, f_star = optimum(problem)
+    smooth = getattr(problem, "smooth", problem)
     mu, L = class_params(smooth, mu, L)
 
     def factory(co):

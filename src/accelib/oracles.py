@@ -123,6 +123,13 @@ class CompositeProblem:
         return self.nonsmooth.domain_indicator
 
 
+def optimum(problem):
+    """(objective, x_star, f_star) of a ProblemOracle or a CompositeProblem."""
+    if isinstance(problem, CompositeProblem):
+        return problem.objective, problem.x_star, problem.F_star
+    return problem.value, problem.x_star, problem.f_star
+
+
 def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     """f(x) = 1/2 <x - x_star; H (x - x_star)> + f_star.
 

@@ -72,21 +72,23 @@ def chebyshev(oracle, x0, N, mu=None, L=None):
     if not 0 < mu < L:
         raise InvalidArgument("chebyshev requires 0 < mu < L")
 
+    deltas = delta_sequence(mu, L, N)
+
     def start(co):
         x = np.array(x0, dtype=float)
 
         def step(s):
-            x, g = s["x"], s["g"]
-            if s["delta"] is None:  # first step: gradient descent with step 2/(L+mu)
-                delta = (L - mu) / (L + mu)
+            k, x, g = s["k"], s["x"], s["g"]
+            delta = deltas[k]
+            if k == 0:  # first step: gradient descent with step 2/(L+mu)
                 x_new = x - (2.0 / (L + mu)) * g
             else:
-                delta = 1.0 / (2.0 * (L + mu) / (L - mu) - s["delta"])
                 x_new = (x - (4.0 * delta / (L - mu)) * g
                          + (1.0 - 2.0 * delta * (L + mu) / (L - mu)) * (s["x_prev"] - x))
-            return {"x": x_new, "x_prev": x, "g": co.gradient(x_new), "delta": delta}
+            return {"k": k + 1, "x": x_new, "x_prev": x, "g": co.gradient(x_new),
+                    "delta": delta}
 
-        return {"x": x, "g": co.gradient(x), "delta": None}, step
+        return {"k": 0, "x": x, "g": co.gradient(x), "delta": None}, step
 
     return drive("chebyshev", oracle, {"mu": mu, "L": L, "N": N}, start,
                  lambda s: (s["x"], s["g"], {"delta": s["delta"]}), N)

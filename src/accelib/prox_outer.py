@@ -12,7 +12,7 @@ from . import certify
 from .errors import (ContractViolation, InconsistentCertificate, InnerSolveError,
                      InvalidArgument, UnsupportedOracle)
 from .extrapolation import golden_section
-from .momentum import _constant_momentum_factory
+from .momentum import _constant_momentum_factory, _tau_delta
 from .oracles import ClassParams, ProblemOracle, class_params
 from .tolerances import tol_for
 from .trace import drive
@@ -96,26 +96,20 @@ def exact_prox_solver(oracle):
 
 
 def _outer_point(x, z, A, lam, mu):
-    """a_k, A_{k+1} and the point y_k at which the accelerated proximal point
-    outer loop takes its next (inexact) prox step."""
-    if mu > 0:
-        a = (lam + 2.0 * A * lam * mu
-             + np.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
-                       + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
-        A1 = A + a
-        tau = (A1 - A) * (A * mu + 1.0) / (A1 + 2.0 * mu * A * A1 - mu * A * A)
-        return a, A1, x + tau * (z - x)
-    a = (lam + np.sqrt(lam * lam + 4.0 * A * lam)) / 2.0
-    A1 = A + a
-    return a, A1, (A * x + a * z) / A1
+    """a_k, A_{k+1} = A_k + a_k, delta_k and the point y_k at which the
+    accelerated proximal point outer loop takes its next (inexact) prox step.
+    A is in lambda-units (it grows like the sum of the lambda_k), so the fast
+    gradient method's tau and delta apply with q = mu."""
+    a = (lam + 2.0 * A * lam * mu
+         + np.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
+                   + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
+    tau, delta = _tau_delta(A, A + a, mu)
+    return a, A + a, delta, x + tau * (z - x)
 
 
-def _z_next(z, x_next, g, a, A, A1, mu):
+def _z_next(z, x_next, g, delta, mu):
     """z_{k+1} from the prox point x_{k+1} and the (sub)gradient g there."""
-    if mu > 0:
-        return (z + mu * (A1 - A) / (1.0 + mu * A1) * (x_next - z)
-                - (A1 - A) / (1.0 + mu * A1) * g)
-    return z - a * g
+    return z + mu * delta * (x_next - z) - delta * g
 
 
 def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
@@ -144,13 +138,13 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
             lam = lambdas[k]
             if mu > 0 and enforce_delta and not (0 <= delta <= np.sqrt(1.0 + lam * mu)):
                 raise InvalidArgument("delta must lie in [0, sqrt(1+lambda*mu)]")
-            a, A1, y = _outer_point(x, z, A, lam, mu)
+            a, A1, delta_k, y = _outer_point(x, z, A, lam, mu)
             x_next, g, e = solver(y, lam, counters)
             counters.inner_iters += 1
             cert = InexactProxCertificate(e=e, x_next=x_next, y=y, lam=lam, g=g, delta=delta)
             if not check_relative_error(cert):
                 raise InnerSolveError(f"relative-error criterion failed at step {k}")
-            return {"k": k + 1, "x": x_next, "z": _z_next(z, x_next, g, a, A, A1, mu),
+            return {"k": k + 1, "x": x_next, "z": _z_next(z, x_next, g, delta_k, mu),
                     "A": A1, "a": a, "g": g}
 
         x = np.array(x0, dtype=float)
@@ -246,6 +240,8 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
         raise InvalidArgument("lambda must be > 0")
     _, L = class_params(oracle, mu=mu)
     burden = catalyst_burden(inner, lam, L)
+    if not np.isfinite(burden):  # lam L past 1/eps rounds 1 - tau_M to 1
+        raise InvalidArgument("lambda * L too large for a finite inner-solver burden")
     cap = 2 * int(np.ceil(burden))
     total = 0
     exhausted = False
@@ -256,7 +252,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
             if total >= budget_total:
                 return None
             x, z, A = s["x"], s["z"], s["A"]
-            a, A1, y = _outer_point(x, z, A, lam, mu)
+            _, A1, delta, y = _outer_point(x, z, A, lam, mu)
             w, n_inner, stopped = _inner_solve(co, oracle, y, lam, inner,
                                                budget_total - total, cap)
             n_inner = max(n_inner, 1)
@@ -266,7 +262,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                 exhausted = True
                 return None
             g = co.gradient(w)  # subgradient of f at the approximate prox point
-            return {"x": w, "z": _z_next(z, w, g, a, A, A1, mu), "A": A1, "g": g,
+            return {"x": w, "z": _z_next(z, w, g, delta, mu), "A": A1, "g": g,
                     "n_inner": n_inner}
 
         x = np.array(x0, dtype=float)

@@ -260,6 +260,14 @@ def test_non_finite_values_are_json_strings(tmp_path, capsys):
     assert math.isnan(float(side["potential_worst_margin"]))
 
 
+def test_certify_out_writes_the_report(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--method", "fgm", "--problem", "quad:d=3", "--N", "5",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert strict_json(out.read_text())["pass"] is True
+
+
 def test_compare_unknown_method_exit_2(capsys):
     code = cli.main(["compare", "--methods", "gd,bogus", "--problem", "quad:d=3"])
     assert code == 2
@@ -279,8 +287,8 @@ def cli_argv(draw):
     spec = f"{draw(st.sampled_from(['quad', 'huber', 'lasso']))}:d={draw(st.integers(1, 5))}"
     argv += ["--problem", spec, "--N", str(draw(st.integers(-1, 20))),
              "--seed", str(draw(st.integers(0, 3)))]
-    # not subnormal: such an L or mu still breaks catalyst and gd (CHANGES.md FOUND)
-    positive = st.just(0.0) | st.floats(1e-12, 20.0)
+    positive = st.just(0.0) | st.floats(0.0, exclude_min=True, allow_infinity=False,
+                                        allow_subnormal=True)
     for flag, values in (("--mu", positive), ("--L", positive), ("--lambda", positive),
                          ("--gamma", positive), ("--form", st.sampled_from(["I", "II", "III"])),
                          ("--mode", st.sampled_from(composite.MODES))):
@@ -295,6 +303,16 @@ def cli_argv(draw):
 @example(["run", "--method", "chebyshev", "--problem", "quad:d=1"])  # ZeroDivisionError
 @example(["run", "--method", "tmm", "--problem", "quad:d=1"])  # ZeroDivisionError
 @example(["certify", "--method", "ogm", "--problem", "quad:d=3", "--N", "-1"])  # TypeError
+@example(["run", "--method", "gd", "--problem", "quad:d=1", "--mu", "5e-324",
+          "--L", "17.2"])  # ZeroDivisionError
+@example(["run", "--method", "catalyst", "--problem", "huber:d=4", "--N", "8",
+          "--L", "5e-324"])  # OverflowError
+@example(["certify", "--method", "catalyst", "--problem", "huber:d=4", "--N", "8",
+          "--seed", "2", "--L", "4.1e-282"])  # ContractViolation
+@example(["certify", "--method", "catalyst", "--problem", "quad:d=5", "--N", "4",
+          "--lambda", "8.36e159", "--L", "0.133"])  # OverflowError: infinite burden
+@example(["run", "--method", "prox_agm", "--problem", "quad:d=3", "--N", "9", "--seed", "2",
+          "--L", "1.7478693632368791e+308"])  # RunawayLError: f overflows
 def test_cli_exit_codes_over_the_method_table(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

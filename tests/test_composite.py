@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from accelib import composite as cp, momentum as mo, oracles
 from accelib.errors import InvalidArgument
@@ -18,6 +19,32 @@ def ref_optimum(problem, gamma, iters=30000):
     for _ in range(iters):
         x = problem.nonsmooth.prox(x - gamma * problem.smooth.gradient(x), gamma)
     return problem.objective(x)
+
+
+def next_B_reference(B, L, mu):
+    """The closed form the reset/decrease modes once stepped B_k with:
+    the larger root of L (B' - B)^2 = (1 + mu B') B'."""
+    return (2.0 * L * B + 1.0 + math.sqrt(4.0 * L * B + 4.0 * mu * L * B * B + 1.0)) / (
+        2.0 * (L - mu))
+
+
+@settings(max_examples=200, deadline=None)
+@given(B=st.just(0.0) | st.floats(1e-8, 1e4), L=st.floats(1e-3, 1e3),
+       q=st.floats(0.0, 1.0, exclude_max=True))
+def test_B_accounting_is_the_A_recurrence_at_A_equal_LB(B, L, q):
+    mu = q * L
+    assume(mu < L)
+    A = L * B
+    A1 = mo.next_A(A, mu / L)
+    B1 = next_B_reference(B, L, mu)
+    # L - mu and L (1 - mu/L) round differently, by about eps / (1 - mu/L)
+    assert A1 / L == pytest.approx(B1, rel=1e-14 / (1.0 - mu / L))
+    tau, delta = mo._tau_delta(A, A1, mu / L)
+    tau_ref, _ = mo._tau_delta(B, B1, mu)
+    delta_ref = L * (B1 - B) / (1.0 + mu * B1)
+    # A1 - A cancels at large A: up to about 1e-12 at A = 1e7
+    assert tau == pytest.approx(tau_ref, rel=1e-11)
+    assert delta == pytest.approx(delta_ref, rel=1e-11)
 
 
 def test_ell_constant():

@@ -15,6 +15,12 @@ def test_delta_sequence_frozen():
     assert d[1] == pytest.approx(99.0 / 161.0, abs=1e-15)
 
 
+def test_chebyshev_steps_delta_sequence(quad_2):
+    tr = pm.chebyshev(quad_2, np.array([3.0, -2.0]), 12)
+    deltas = [r.state["delta"] for r in tr.records[1:]]
+    assert deltas == pm.delta_sequence(quad_2.params.mu, quad_2.params.L, 12)  # bit for bit
+
+
 def test_delta_infty_frozen():
     want = (math.sqrt(10) - 1) / (math.sqrt(10) + 1)
     assert pm.delta_infty(1.0, 10.0) == pytest.approx(want, rel=1e-14)
