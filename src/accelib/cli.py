@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -285,7 +286,12 @@ def main(argv=None):
         # argparse exits 2 on bad flags, which matches the schema-error code
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away (e.g. `| head -1`): not an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, InvalidArgument, UnsupportedOracle, ContractViolation,
             RunawayLError) as exc:  # the last two: flags past what the method can take
         print(f"error: {exc}", file=sys.stderr)

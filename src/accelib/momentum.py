@@ -112,14 +112,22 @@ def ogm(oracle, x0, N, form="I", L=None):
         snap.update(theta_final=th_f, y_final=y_out, g_final=g_out)
         return y_out, g_out, snap
 
-    return drive("ogm", oracle, meta, start, view, N, potential=certify.ogm_potential)
+    return drive("ogm", oracle, meta, start, view, N,
+                 potential=certify.ogm_potential if form == "I" else None)
 
 
 # ---------------------------------------------------------------------------
 # fast gradient methods (forms I/II/III, mu >= 0 in one A-parameterization)
 
+def _fgm_q(mu, L):
+    """q = mu/L of an FGM run; the A-recurrence divides by 1 - q."""
+    if not 0 <= mu < L:
+        raise InvalidArgument("fgm requires 0 <= mu < L")
+    return mu / L
+
+
 def _fgm_factory(co, x0, mu, L, form_three=False):
-    q = mu / L
+    q = _fgm_q(mu, L)
     state = {"A": 0.0, "x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
 
     def step(s):
@@ -141,7 +149,7 @@ def _fgm_factory(co, x0, mu, L, form_three=False):
 def _fgm_momentum_factory(co, x0, mu, L):
     """Form II: momentum coefficient beta_k = tau_{k+1} (delta_k - 1), derived
     from the same A-sequence."""
-    q = mu / L
+    q = _fgm_q(mu, L)
     x0 = np.array(x0, dtype=float)
 
     def step(s):

@@ -134,8 +134,13 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     """f(x) = 1/2 <x - x_star; H (x - x_star)> + f_star.
 
     H is diagonal with the given eigenvalues; pass a seed to conjugate it by a
-    random orthogonal matrix so methods cannot exploit axis alignment. The
-    prox is exact: prox_{lam f}(x) = (I + lam H)^{-1} (x + lam H x_star).
+    random orthogonal matrix Q so methods cannot exploit axis alignment. The
+    rotated oracle stores Q and H = B B^T, with B = Q diag(sqrt(eigs)), formed
+    once (a QR and one `syrk`; H is exactly symmetric). value, gradient and
+    `hessian_matvec` cost one d x d product, their row-stacked forms one
+    matrix-matrix product. The prox is exact and uses the factored form,
+    prox_{lam f}(x) = x_star + Q (I + lam diag(eigs))^{-1} Q^T (x - x_star):
+    two d x d products. Raises InvalidArgument when H is not finite.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
@@ -147,48 +152,42 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     if x_star.shape != (d,):
         raise InvalidArgument("x_star dimension must match eigs")
 
-    if seed is None:
-        Q = None
-    else:
+    Q = H = None
+    if seed is not None:
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        B = Q * np.sqrt(eigs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = B @ B.T
+        if not np.all(np.isfinite(H)):
+            raise InvalidArgument("the rotated Hessian overflows; eigenvalues too large")
 
-    def to_eigen(v):
-        return v if Q is None else Q.T @ v
-
-    def from_eigen(v):
-        return v if Q is None else Q @ v
+    def hess(V):  # H v, or H v_i for each row v_i of a 2-D V (H is symmetric)
+        return eigs * V if H is None else V @ H
 
     def value(x):
-        w = to_eigen(x - x_star)
-        return 0.5 * np.dot(w, eigs * w) + f_star
+        w = x - x_star
+        return 0.5 * np.dot(w, hess(w)) + f_star
 
     def gradient(x):
-        w = to_eigen(x - x_star)
-        return from_eigen(eigs * w)
+        return hess(x - x_star)
 
     def prox(x, lam):
-        w = to_eigen(x - x_star)
-        return x_star + from_eigen(w / (1.0 + lam * eigs))
-
-    # row-stacked forms: one matrix-matrix product per call
-    def to_eigen_rows(X):
-        return X - x_star if Q is None else (X - x_star) @ Q
+        w = x - x_star
+        if Q is None:
+            return x_star + w / (1.0 + lam * eigs)
+        return x_star + Q @ ((Q.T @ w) / (1.0 + lam * eigs))
 
     def values(X):
-        W = to_eigen_rows(X)
-        return 0.5 * np.einsum("ij,ij->i", W, eigs * W) + f_star
-
-    def gradients(X):
-        W = to_eigen_rows(X) * eigs
-        return W if Q is None else W @ Q.T
+        W = X - x_star
+        return 0.5 * np.einsum("ij,ij->i", W, hess(W)) + f_star
 
     params = ClassParams(float(eigs.min()), float(eigs.max()))
     oracle = ProblemOracle(value, gradient, params=params, prox=prox,
                            x_star=x_star, f_star=f_star, is_quadratic=True,
-                           name="quadratic", values=values, gradients=gradients)
+                           name="quadratic", values=values, gradients=gradient)
     oracle.eigs = eigs
-    oracle.hessian_matvec = lambda v: from_eigen(eigs * to_eigen(np.asarray(v, dtype=float)))
+    oracle.hessian_matvec = lambda v: hess(np.asarray(v, dtype=float))
     return oracle
 
 

@@ -231,7 +231,9 @@ def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
     `start(co)` receives the counting wrapper of `oracle` (its `counters` are
     the run's) and returns (state, step). `step(state)` returns the next state
     dict, or None to stop; N=None runs until it does. After every step
-    `state[check]` must be finite. `view(state)` returns the (x, grad,
+    `state[check]` must be finite, and so must every recorded gradient norm
+    once the trace is filled (f_gap need not be: an entropy or simplex
+    iterate may leave its domain by rounding). `view(state)` returns the (x, grad,
     snapshot) to record; grad=None has the recorder evaluate it uncounted,
     once the run is over. `objective` (default: the oracle's value) is what
     f_gap measures, evaluated on a stack of points as `ProblemOracle.value`
@@ -258,7 +260,10 @@ def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
         if exc.trace is None:
             exc.trace = rec.trace
         raise
-    return rec.trace
+    trace = rec.trace
+    if not np.all(np.isfinite([r.grad_norm for r in trace])):
+        raise DivergedError("gradient became non-finite", trace)
+    return trace
 
 
 def join(method, meta, runs):

@@ -174,6 +174,33 @@ def test_module_entry_point_imports_cleanly():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # the reader closes the pipe after one line, as `accelib run ... | head -1` does
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "accelib.cli", "run", "--method", "gd",
+                                 "--problem", "quad:d=2", "--N", "5000"],
+                                env=env, stdout=subprocess.PIPE, stderr=err)
+        proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        stderr = err.read()
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
+    assert code in (0, 2, 3, 4, 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gradient overflows
+def test_gradient_overflow_exits_3_with_partial_trace(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = cli.main(["run", "--method", "fgm", "--problem", "quad:d=2", "--N", "3",
+                     "--L", "4.49423283715579e+307", "--out", str(out)])
+    assert code == 3
+    assert "gradient became non-finite" in capsys.readouterr().err
+    assert len(out.read_text().strip().split("\n")) == 5  # header + N+1 records
+
+
 CERTIFIED = ("gd", "fgm", "ogm", "item", "tmm", "constant_momentum", "fista", "prox_agm",
              "ppa", "catalyst")
 

@@ -1,11 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from accelib import momentum as mo, oracles
-from accelib.errors import InvalidArgument
+from accelib.errors import DivergedError, InvalidArgument
 
 from conftest import seeded_quadratics
 
@@ -164,3 +165,41 @@ def test_monotone_wrap_rejects_unknown():
     comp = oracles.CompositeProblem(p, oracles.make_zero(2))
     with pytest.raises(InvalidArgument):
         mo.monotone_wrap("item", comp, np.ones(2), 5, mu=1.0, L=1.0)
+
+
+def _trace_or_partial(run):
+    """(trace, None) from run(), or (partial trace, error) if it diverges."""
+    try:
+        return run(), None
+    except DivergedError as exc:
+        return exc.trace, exc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # see the divergence note below
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), L=st.floats(0.5, 100.0),
+       kappa=st.floats(1.0, 1e3), N=st.integers(0, 40))
+@example(d=1, seed=0, L=1.0, kappa=1.0, N=5)
+@example(d=3, seed=0, L=1.0, kappa=1.000001, N=40)  # the A-sequence overflows at step 26
+def test_form_equivalences_over_random_rotated_quadratics(d, seed, L, kappa, N):
+    rng = np.random.default_rng(seed)
+    eigs = np.concatenate([[L, L / kappa], rng.uniform(L / kappa, L, 6)])[:d]
+    p = oracles.make_quadratic(eigs, rng.standard_normal(d), seed=seed)
+    x0 = 2.0 * rng.standard_normal(d)
+    mu_f = p.params.mu
+    groups = [[lambda f=f, mu=mu: mo.fgm(p, x0, N, form=f, mu=mu) for f in ("I", "II", "III")]
+              for mu in {0.0, mu_f} if mu < L]
+    groups += [[lambda f=f, m=m: m(p, x0, N, form=f) for f in ("I", "II")]
+               for m in (mo.ogm, mo.constant_momentum)]
+    if mu_f == L:  # d = 1 or kappa = 1: outside FGM's class
+        for run in (mo.fgm, functools.partial(mo.monotone_wrap, "fgm")):
+            with pytest.raises(InvalidArgument, match="mu < L"):
+                run(p, x0, N, mu=mu_f)
+    for group in groups:
+        runs = [_trace_or_partial(run) for run in group]
+        # Close to mu = L the A-sequence overflows within N steps (A_k grows like
+        # (1 - sqrt(mu/L))^-k); the forms share it, so they diverge together and
+        # agree up to the last record they all have.
+        assert len({err is None for _, err in runs}) == 1
+        for trace, _ in runs[1:]:
+            assert _max_rel_dev(runs[0][0], trace) <= 1e-9

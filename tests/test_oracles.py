@@ -238,3 +238,51 @@ def test_class_params_prefers_arguments():
     assert oracles.class_params(quad) == (1.0, 10.0)
     assert oracles.class_params(quad, mu=0.0, L=20.0) == (0.0, 20.0)
     assert oracles.class_params(_no_params(), mu=0.5, L=3.0) == (0.5, 3.0)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("d", [1, 5, 200])
+def test_rotated_quadratic_keeps_an_exactly_symmetric_hessian(d):
+    Q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))  # the oracle's draw
+    eigs = np.linspace(1.0, 50.0, d)
+    rng = np.random.default_rng(d + 1)
+    x_star = rng.standard_normal(d)
+    p = oracles.make_quadratic(eigs, x_star, f_star=0.5, seed=d)
+    H = p.hessian_matvec(np.eye(d))  # each row is H e_i = H's i-th row, exactly
+    assert np.array_equal(H, H.T)
+    H_ref = (Q * eigs) @ Q.T
+    X = rng.standard_normal((7, d))
+    for x in X:
+        g = p.gradient(x)
+        assert _rel(g, H_ref @ (x - x_star)) <= 1e-12
+        assert _rel(p.hessian_matvec(x), H_ref @ x) <= 1e-12
+        assert p.value(x) == pytest.approx(0.5 + 0.5 * np.dot(x - x_star, g), rel=1e-12)
+        for lam in (1e-3, 1.0, 1e3):
+            prox = p.prox(x, lam)
+            step = lam * p.gradient(prox)
+            assert np.linalg.norm(x - prox - step) <= 1e-10 * max(
+                np.linalg.norm(x - prox), np.linalg.norm(step))
+    assert _rel(p.gradient(X), (X - x_star) @ H_ref) <= 1e-12
+
+
+def test_rotated_quadratic_with_an_overflowing_hessian_is_refused():
+    # each diagonal entry of H is a convex combination of the eigenvalues, so at
+    # the largest double the rounding of the sum overflows for this draw
+    with pytest.raises(InvalidArgument, match="overflows"):
+        oracles.make_quadratic(np.full(5, np.finfo(float).max), np.zeros(5), seed=0)
+
+
+def test_fgm_on_a_rotated_quadratic_is_interpolable_in_high_dimension():
+    from accelib import certify, momentum
+    from accelib.tolerances import tol_for
+
+    d = 200
+    p = oracles.make_quadratic(np.linspace(1.0, 50.0, d),
+                               np.random.default_rng(5).standard_normal(d), seed=4)
+    trace = momentum.fgm(p, np.zeros(d), 60)
+    triplets = certify.harvest_triplets(trace, p)
+    slack = certify.check_interpolation(triplets, p.params.mu, p.params.L)
+    assert certify.min_slack(slack) >= -tol_for(max(abs(t[2]) for t in triplets) + 1.0)
