@@ -72,11 +72,12 @@ def check_interpolation(triplets, mu, L):
 
 def harvest_triplets(trace, oracle):
     """Turn a trace into (x, g, f) triplets for interpolation checking, from
-    one row-stacked `gradient` and one `value` call over its iterates."""
+    one row-stacked `value_and_gradient` call over its iterates."""
     X = np.array([r.x for r in trace])
     if not len(X):
         return []
-    return list(zip(X, oracle.gradient(X), map(float, oracle.value(X))))
+    F, G = oracle.value_and_gradient(X)
+    return list(zip(X, G, F.tolist()))
 
 
 # ---------------------------------------------------------------------------

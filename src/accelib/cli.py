@@ -181,6 +181,7 @@ def write_outputs(trace, args, bound, config):
         "final_gap": trace.final.f_gap,
         "grad_calls": trace.final.grad_calls,
         "prox_calls": trace.final.prox_calls,
+        "value_calls": trace.final.value_calls,
         "bound": bound,
         "bound_satisfied": satisfied,
         "potential_worst_margin": trace.meta.get("potential_worst_margin"),
@@ -286,7 +287,9 @@ def main(argv=None):
         # argparse exits 2 on bad flags, which matches the schema-error code
         return int(exc.code) if exc.code else 0
     try:
-        code = args.func(args)
+        # an overflowing run ends in one `error:` line, not numpy warnings first
+        with np.errstate(all="ignore"):
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader went away (e.g. `| head -1`): not an error

@@ -56,7 +56,6 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
     if not (0 < beta < 1):
         raise InvalidArgument("beta must be in (0,1)")
     co_h = CountingOracle(problem.nonsmooth, co_f.counters)
-    f_val = problem.smooth.value  # objective evaluations are not oracle calls
 
     monotone = mode == "monotone"
     key = "A" if monotone else "B"
@@ -80,7 +79,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
             if tau != tau_y:  # y is the same for every L1 in monotone mode with mu = 0
                 tau_y = tau
                 y = x + tau * (z - x)
-                g, f_y = co_f.gradient(y), f_val(y)
+                f_y, g = co_f.value_and_gradient(y)
             if method == "fista":
                 x1 = co_h.prox(y - g / L1, 1.0 / L1)
                 z1 = (1.0 - q1 * delta) * z + q1 * delta * y + delta * (x1 - y)
@@ -88,7 +87,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
                 z1 = co_h.prox((1.0 - q1 * delta) * z + q1 * delta * y - (delta / L1) * g,
                                delta / L1)
                 x1 = (A / A1) * x + (1.0 - A / A1) * z1
-            lhs = f_val(x1)
+            lhs = co_f.value(x1)
             rhs = f_y + np.dot(g, x1 - y) + 0.5 * L1 * np.dot(x1 - y, x1 - y)
             if lhs <= rhs + tol_for(abs(rhs)):
                 break
@@ -111,12 +110,11 @@ def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode, beta):
     if not isinstance(problem, CompositeProblem):
         raise InvalidArgument(f"{method} expects a CompositeProblem")
     _, L0 = class_params(problem.smooth, mu=mu, L=L0)
-    trace = drive(method, problem.smooth,
+    trace = drive(method, problem,
                   {"N": N, "mu": mu, "L0": L0, "alpha": alpha, "mode": mode},
                   lambda co: _composite_factory(method, problem, co, x0, mu, L0, alpha,
                                                 mode, beta),
-                  _view, N, objective=problem.objective, x_star=problem.x_star,
-                  f_star=problem.F_star, potential=certify.composite_potential)
+                  _view, N, potential=certify.composite_potential)
     trace.meta["wasted"] = trace.final.state["wasted"]
     trace.meta["L_final"] = trace.final.state["L"]
     return trace

@@ -3,6 +3,7 @@ regularized, and proximal variants with safeguards."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,36 +189,55 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
       - "linesearch": golden-section search of the mixing step over [0, 4h].
     The weights c do not depend on the mixing step, so they are solved once
     per step. A singular solve falls back to the gradient step and flags the
-    record state.
+    record state. With "descent", f(x_i) is kept beside each buffered pair,
+    taken with the gradient at x_i (or from the test itself at an accepted
+    x_extr), so no point is evaluated twice.
     """
     if m < 1:
         raise InvalidArgument("memory m must be >= 1")
     if safeguard not in ("none", "descent", "linesearch"):
         raise InvalidArgument(f"unknown safeguard {safeguard!r}")
 
+    descent = safeguard == "descent"
+
     def start(co):
         buf = PairBuffer(capacity=m)
+        fs = deque(maxlen=m)  # f(x_i) of the buffered pairs, for "descent"
+
+        def at(x, f=None):
+            """The state at x: its gradient, and with "descent" f(x) (given,
+            or taken with the gradient)."""
+            if not descent:
+                return {"x": x, "g": co.gradient(x)}
+            if f is None:
+                f, g = co.value_and_gradient(x)
+            else:
+                g = co.gradient(x)
+            return {"x": x, "g": g, "f": f}
 
         def step(s):
             x, g = s["x"], s["g"]
             buf.append(x, g)
+            if descent:
+                fs.append(s["f"])
             X, G = buf.X, buf.G
+            f_new = None
             try:
                 c = (rna(buf, 0.0, lam) if lam > 0 else offline_na(buf)).c
                 t = h
                 if safeguard == "linesearch":
-                    t = golden_section(lambda u: oracle.value(c @ (X - u * G)), 0.0, 4.0 * h)
+                    t = golden_section(lambda u: co.value(c @ (X - u * G)), 0.0, 4.0 * h)
                 x_new = c @ (X - t * G)
-                fallback = (safeguard == "descent"
-                            and not oracle.value(x_new) < min(oracle.value(xi) for xi in X))
+                if descent:
+                    f_new = co.value(x_new)
+                fallback = descent and not f_new < min(fs)
             except SingularSystemError:
                 fallback = True
             if fallback:
-                x_new = x - h * g
-            return {"x": x_new, "g": co.gradient(x_new), "fallback": fallback}
+                x_new, f_new = x - h * g, None
+            return dict(at(x_new, f_new), fallback=fallback)
 
-        x = np.array(x0, dtype=float)
-        return {"x": x, "g": co.gradient(x)}, step
+        return at(np.array(x0, dtype=float)), step
 
     return drive("online_rna", oracle,
                  {"h": h, "lambda": lam, "m": m, "N": N, "safeguard": safeguard},
@@ -257,6 +277,5 @@ def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
         # x0 is taken in dom h, so prox_{gamma h}(z0) = x0
         return {"x": x, "z": x.copy()}, step
 
-    return drive("prox_rna", problem.smooth, {"gamma": gamma, "lambda": lam, "N": N},
-                 start, _x_grad_fallback, N, check="z", objective=problem.objective,
-                 x_star=problem.x_star, f_star=problem.F_star)
+    return drive("prox_rna", problem, {"gamma": gamma, "lambda": lam, "N": N},
+                 start, _x_grad_fallback, N, check="z")

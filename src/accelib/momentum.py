@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from . import certify
-from .oracles import CompositeProblem, class_params, optimum
+from .oracles import CompositeProblem, class_params
 from .oracles import bregman_divergence  # noqa: F401  (also public here)
 from .poly_methods import delta_infty
 from .trace import CountingOracle, drive
@@ -287,14 +287,13 @@ def tmm(oracle, x0, N, mu=None, L=None):
 
     def start(co):
         def step(s):
-            y_prev, z = s["y"], s["z"]
-            g_prev = co.gradient(y_prev)
+            y_prev, z, g_prev = s["y"], s["z"], s["g"]
             y = beta * (y_prev - g_prev / L) + (1.0 - beta) * z
             g = co.gradient(y)
             return {"y": y, "z": sq * (y - g / mu) + (1.0 - sq) * z, "g": g}
 
         x = np.array(x0, dtype=float)
-        return {"y": x.copy(), "z": x.copy(), "g": oracle.gradient(x)}, step
+        return {"y": x.copy(), "z": x.copy(), "g": co.gradient(x)}, step
 
     return drive("tmm", oracle, {"N": N, "mu": mu, "L": L}, start,
                  lambda s: (s["y"], s["g"], {"z": s["z"], "y": s["y"], "g": s["g"]}),
@@ -347,10 +346,9 @@ def bregman_agm(problem, x0, N, dgf="euclidean", L=None):
         if np.min(x0) <= 0 or abs(np.sum(x0) - 1.0) > 1e-9:
             raise InvalidArgument("entropy mode needs strictly positive x0 on the simplex")
     _, L = class_params(problem.smooth, mu=0.0, L=L)
-    return drive("bregman_agm", problem.smooth, {"N": N, "L": L, "dgf": dgf},
+    return drive("bregman_agm", problem, {"N": N, "L": L, "dgf": dgf},
                  lambda co: _bregman_factory(problem, co, x0, L, dgf), _x_A_z, N,
-                 objective=problem.objective, x_star=problem.x_star,
-                 f_star=problem.F_star, potential=certify.bregman_potential)
+                 potential=certify.bregman_potential)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +368,8 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
         raise InvalidArgument(f"monotone_wrap does not support {method!r}")
     x0 = np.array(x0, dtype=float)
 
-    objective, x_star, f_star = optimum(problem)
     smooth = getattr(problem, "smooth", problem)
+    h = getattr(problem, "nonsmooth", None)
     mu, L = class_params(smooth, mu, L)
 
     def factory(co):
@@ -390,6 +388,10 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
     def start(co):
         inner, inner_step = factory(co)
 
+        def objective(x):  # F = f + h, f counted as a value call
+            f = co.value(x)
+            return f if h is None else f + h.value(x)
+
         def step(s):
             inner = inner_step(dict(s["inner"], x=s["best"]))
             x = inner["x"]
@@ -400,7 +402,6 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
 
         return {"inner": inner, "x": x0, "best": x0, "f_best": objective(x0)}, step
 
-    return drive(f"monotone({method})", smooth, {"N": N, "inner": method, "mu": mu, "L": L},
+    return drive(f"monotone({method})", problem, {"N": N, "inner": method, "mu": mu, "L": L},
                  start, lambda s: (s["best"], None, {"A": s["inner"].get("A", 0.0)}), N,
-                 objective=objective, x_star=x_star, f_star=f_star,
                  potential=certify.monotone_potential)

@@ -51,16 +51,19 @@ class ProblemOracle:
     value/gradient also take a stack of points, one per row (a 2-D x), and
     return one value or gradient per row. The optional `values`/`gradients`
     arguments are row-stacked forms of the two functions; without them the
-    rows are evaluated one at a time.
+    rows are evaluated one at a time. The optional `value_from_gradient(x, g)`
+    gives f(x) from x and the gradient g at x, for one point or row-stacked,
+    with the arithmetic of `value`; `value_and_gradient` uses it.
     """
 
     def __init__(self, value, gradient, params=None, prox=None, x_star=None,
                  f_star=None, heb=None, is_quadratic=False, domain_indicator=None,
-                 name="oracle", values=None, gradients=None):
+                 name="oracle", values=None, gradients=None, value_from_gradient=None):
         self._value = value
         self._gradient = gradient
         self._values = values
         self._gradients = gradients
+        self._value_from_gradient = value_from_gradient
         self.params = params
         self._prox = prox
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
@@ -88,6 +91,18 @@ class ProblemOracle:
                 G[i] = self._gradient(r)
             return G
         return np.asarray(self._gradient(x), dtype=float)
+
+    def value_and_gradient(self, x):
+        """(value(x), gradient(x)), for one point or a stack of rows, from one
+        `gradient` call: the value comes from the gradient when the oracle has
+        a value-from-gradient form (the quadratic's saves its Hessian product),
+        and from `value` otherwise. Either way it equals `value(x)` exactly."""
+        x = np.asarray(x, dtype=float)
+        g = self.gradient(x)
+        if self._value_from_gradient is None:
+            return self.value(x), g
+        f = self._value_from_gradient(x, g)
+        return (np.asarray(f, dtype=float) if x.ndim == 2 else float(f)), g
 
     @property
     def has_prox(self):
@@ -138,7 +153,9 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     rotated oracle stores Q and H = B B^T, with B = Q diag(sqrt(eigs)), formed
     once (a QR and one `syrk`; H is exactly symmetric). value, gradient and
     `hessian_matvec` cost one d x d product, their row-stacked forms one
-    matrix-matrix product. The prox is exact and uses the factored form,
+    matrix-matrix product; `value_and_gradient` costs one too, taking
+    f = 1/2 <x - x_star, grad f(x)> + f_star from the gradient. The prox is
+    exact and uses the factored form,
     prox_{lam f}(x) = x_star + Q (I + lam diag(eigs))^{-1} Q^T (x - x_star):
     two d x d products. Raises InvalidArgument when H is not finite.
     """
@@ -165,12 +182,17 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     def hess(V):  # H v, or H v_i for each row v_i of a 2-D V (H is symmetric)
         return eigs * V if H is None else V @ H
 
-    def value(x):
-        w = x - x_star
-        return 0.5 * np.dot(w, hess(w)) + f_star
-
-    def gradient(x):
+    def gradient(x):  # also one gradient per row of a 2-D x
         return hess(x - x_star)
+
+    def value_from_gradient(x, g):  # f from g = H (x - x_star), per row of a 2-D x
+        w = x - x_star
+        if w.ndim == 2:
+            return 0.5 * np.einsum("ij,ij->i", w, g) + f_star
+        return 0.5 * np.dot(w, g) + f_star
+
+    def value(x):
+        return value_from_gradient(x, gradient(x))
 
     def prox(x, lam):
         w = x - x_star
@@ -178,14 +200,11 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
             return x_star + w / (1.0 + lam * eigs)
         return x_star + Q @ ((Q.T @ w) / (1.0 + lam * eigs))
 
-    def values(X):
-        W = X - x_star
-        return 0.5 * np.einsum("ij,ij->i", W, hess(W)) + f_star
-
     params = ClassParams(float(eigs.min()), float(eigs.max()))
     oracle = ProblemOracle(value, gradient, params=params, prox=prox,
                            x_star=x_star, f_star=f_star, is_quadratic=True,
-                           name="quadratic", values=values, gradients=gradient)
+                           name="quadratic", values=value, gradients=gradient,
+                           value_from_gradient=value_from_gradient)
     oracle.eigs = eigs
     oracle.hessian_matvec = lambda v: hess(np.asarray(v, dtype=float))
     return oracle

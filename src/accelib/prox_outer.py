@@ -225,8 +225,12 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
 
     Each outer step approximately minimizes Phi_k = f + ||.-y_k||^2/(2 lam),
     warm-started at y_k, stopping as soon as lam ||grad Phi_k(w)|| <= ||w - w0||
-    (both sides zero accepts). Stops when budget_total inner iterations have
-    been spent; a partially completed inner solve counts as useless work.
+    (both sides zero accepts). The outer update uses grad f at the accepted w,
+    which that last stopping test has just taken: the outer step takes no
+    gradient of its own, so with a gd or gd_linesearch inner solver the
+    run's gradient calls are exactly its stopping tests. Stops when
+    budget_total inner iterations have been spent; a partially completed
+    inner solve counts as useless work.
     An inner solve that accepts its warm start without iterating is charged
     one iteration (its stopping test costs a gradient), so every outer step
     spends budget and the run ends within budget_total outer steps. The
@@ -253,15 +257,14 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                 return None
             x, z, A = s["x"], s["z"], s["A"]
             _, A1, delta, y = _outer_point(x, z, A, lam, mu)
-            w, n_inner, stopped = _inner_solve(co, oracle, y, lam, inner,
-                                               budget_total - total, cap)
+            w, g, n_inner, stopped = _inner_solve(co, oracle, y, lam, inner,
+                                                  budget_total - total, cap)
             n_inner = max(n_inner, 1)
             co.counters.inner_iters += n_inner
             total += n_inner
             if not stopped:
                 exhausted = True
                 return None
-            g = co.gradient(w)  # subgradient of f at the approximate prox point
             return {"x": w, "z": _z_next(z, w, g, delta, mu), "A": A1, "g": g,
                     "n_inner": n_inner}
 
@@ -284,7 +287,8 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
 
 def _inner_solve(co, oracle, y, lam, inner, budget_left, cap):
     """Run the inner method on Phi = f + ||.-y||^2/(2 lam) from w0 = y until
-    lam ||grad Phi(w)|| <= ||w - w0||. Returns (w, iterations, stopped)."""
+    lam ||grad Phi(w)|| <= ||w - w0||. Returns (w, grad f(w), iterations,
+    stopped): the gradient is the one the last stopping test took."""
     phi = _regularized(co, y, lam)
     L_phi = phi.params.L
     if inner == "const_momentum":
@@ -305,16 +309,17 @@ def _inner_solve(co, oracle, y, lam, inner, budget_left, cap):
         # the stopping test costs a gradient of f through co; that is the
         # honest oracle accounting for evaluating it
         w = s["x"]
-        s["g"] = phi.gradient(w)
+        g = co.gradient(w)
+        s["g"] = g + (w - y) / lam  # grad Phi(w), as phi.gradient forms it
         dist = np.linalg.norm(w - y)
         if lam * np.linalg.norm(s["g"]) - dist <= tol_for(dist):
-            return w, i, True
+            return w, g, i, True
         if i < n:
             s = step(s)
     if n == cap and budget_left > cap:
         raise ContractViolation(
             "inner solver exceeded twice its advertised burden")
-    return w, n, False
+    return w, g, n, False
 
 
 def _exact_linesearch(phi, oracle, w, g, lam, L_phi):

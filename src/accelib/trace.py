@@ -8,11 +8,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DivergedError, InnerSolveError
+from .oracles import optimum
 
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
 
-# record fields that accumulate over a run
-TALLIES = ("grad_calls", "prox_calls", "inner_iters", "wall_ns")
+# record fields that accumulate over a run (value_calls is not a CSV column)
+TALLIES = ("grad_calls", "prox_calls", "inner_iters", "wall_ns", "value_calls")
 
 
 @dataclass
@@ -28,6 +29,7 @@ class TraceRecord:
     inner_iters: int
     wall_ns: int
     state: dict = field(default_factory=dict)
+    value_calls: int = 0
 
     def csv_row(self):
         pot = "" if self.potential is None else repr(self.potential)
@@ -73,10 +75,12 @@ class Counters:
         self.grad_calls = 0
         self.prox_calls = 0
         self.inner_iters = 0
+        self.value_calls = 0
 
 
 class CountingOracle:
-    """Wraps an oracle, counting gradient and prox evaluations."""
+    """Wraps an oracle, counting value, gradient and prox evaluations;
+    `value_and_gradient` counts one value and one gradient."""
 
     def __init__(self, oracle, counters=None):
         self._oracle = oracle
@@ -86,11 +90,17 @@ class CountingOracle:
         return getattr(self._oracle, name)
 
     def value(self, x):
+        self.counters.value_calls += 1
         return self._oracle.value(x)
 
     def gradient(self, x):
         self.counters.grad_calls += 1
         return self._oracle.gradient(x)
+
+    def value_and_gradient(self, x):
+        self.counters.value_calls += 1
+        self.counters.grad_calls += 1
+        return self._oracle.value_and_gradient(x)
 
     def prox(self, x, step):
         self.counters.prox_calls += 1
@@ -108,17 +118,18 @@ class Recorder:
     `record` keeps the iterate, the counters, the wall time and the state
     snapshot, plus the gradient norm when the caller passes the gradient.
     The reporting columns (f_gap, dist_opt and the missing gradient norms)
-    of the records not filled yet are filled together, by row-stacked
-    `gradient` and `objective` calls of up to _BATCH rows: by the `record`
-    call marked `last`, so reporting stays part of recording, and whenever
-    `trace` is read. So every trace a caller sees is complete, and `wall_ns`
-    is method time only. f_gap/dist_opt are
-    reported relative to the known optimum when available, NaN otherwise.
-    `oracle` must be the raw (uncounted) oracle, and `objective` (default:
-    its value) must take a stack of points, one per row, like
-    `ProblemOracle.value`; reporting-only evaluations never touch the
-    counters. With every gradient passed and no optimum known, `oracle` may
-    be None.
+    of the records not filled yet are filled together, in blocks of up to
+    _BATCH rows: by the `record` call marked `last`, so reporting stays part
+    of recording, and whenever `trace` is read. So every trace a caller sees
+    is complete, and `wall_ns` is method time only. A block with a record
+    missing its gradient norm takes the objective and the gradients from one
+    row-stacked `value_and_gradient` call; any other block calls the
+    objective alone. `problem` is a `ProblemOracle` or a `CompositeProblem`,
+    passed raw: reporting-only evaluations never touch the counters. The
+    objective is the smooth value, plus h for a composite problem, and f_gap
+    and dist_opt are measured from the problem's optimum (a composite problem
+    without one: the smooth part's), NaN when none is known. With every
+    gradient passed and no optimum known, `problem` may be None.
 
     `potential`, when given and the optimum is known, is one of the
     `certify` potentials; the same fill then sets the `potential` column
@@ -127,20 +138,17 @@ class Recorder:
     column stays empty.
     """
 
-    def __init__(self, method, oracle, counters, meta=None, objective=None,
-                 x_star=None, f_star=None, potential=None):
+    def __init__(self, method, problem, counters, meta=None, potential=None):
         self._trace = Trace(method, dict(meta or {}))
         self._pending = []  # records whose reporting columns are not filled yet
-        self._oracle = oracle
         self._counters = counters
-        if objective is None and oracle is not None:
-            objective = oracle.value
-        self._objective = objective
-        if x_star is None and getattr(oracle, "x_star", None) is not None:
-            x_star = oracle.x_star
-            f_star = oracle.f_star
-        self._x_star = x_star
-        self._f_star = f_star
+        self._smooth = getattr(problem, "smooth", problem)
+        self._h = getattr(problem, "nonsmooth", None)
+        self._objective = self._x_star = self._f_star = None
+        if problem is not None:
+            self._objective, self._x_star, self._f_star = optimum(problem)
+            if self._x_star is None:
+                self._x_star, self._f_star = self._smooth.x_star, self._smooth.f_star
         self._potential = potential
         self._t0 = time.perf_counter_ns()
 
@@ -157,6 +165,7 @@ class Recorder:
             inner_iters=self._counters.inner_iters,
             wall_ns=time.perf_counter_ns() - self._t0,
             state=dict(state or {}),
+            value_calls=self._counters.value_calls,
         )
         self._trace.append(rec)
         self._pending.append(rec)
@@ -169,24 +178,33 @@ class Recorder:
         self._fill()
         return self._trace
 
+    def _value_and_gradient(self, X):
+        F, G = self._smooth.value_and_gradient(X)
+        return (F if self._h is None else F + self._h.value(X)), G
+
     def _fill(self):
         recs, self._pending = self._pending, []
         if not recs:
             return
         for lo in range(0, len(recs), _BATCH):
             block = recs[lo:lo + _BATCH]
-            blind = [r for r in block if r.grad_norm is None]
-            if blind:
-                G = self._oracle.gradient(np.array([r.x for r in blind]))
-                for r, norm in zip(blind, np.linalg.norm(G, axis=1)):
-                    r.grad_norm = float(norm)
+            X = np.array([r.x for r in block])
+            blind = [i for i, r in enumerate(block) if r.grad_norm is None]
             if self._f_star is not None:
-                X = np.array([r.x for r in block])
-                gaps = self._objective(X) - self._f_star
+                if blind:
+                    F, G = self._value_and_gradient(X)
+                    G = G[blind]
+                else:
+                    F = self._objective(X)
                 dists = np.linalg.norm(X - self._x_star, axis=1)
-                for r, gap, dist in zip(block, gaps, dists):
-                    r.f_gap = float(gap)
-                    r.dist_opt = float(dist)
+                for r, gap, dist in zip(block, (F - self._f_star).tolist(), dists.tolist()):
+                    r.f_gap = gap
+                    r.dist_opt = dist
+            elif blind:
+                G = self._smooth.gradient(X[blind])
+            if blind:
+                for i, norm in zip(blind, np.linalg.norm(G, axis=1).tolist()):
+                    block[i].grad_norm = norm
         if self._potential is not None and self._f_star is not None:
             self._fill_potential()
 
@@ -224,26 +242,25 @@ def check_finite(x, trace=None):
         raise DivergedError("iterate became non-finite", trace)
 
 
-def drive(method, oracle, meta, start, view, N=None, check="x", objective=None,
-          x_star=None, f_star=None, potential=None):
+def drive(method, problem, meta, start, view, N=None, check="x", potential=None):
     """Run a method written as a stepper and return its Trace.
 
-    `start(co)` receives the counting wrapper of `oracle` (its `counters` are
-    the run's) and returns (state, step). `step(state)` returns the next state
-    dict, or None to stop; N=None runs until it does. After every step
-    `state[check]` must be finite, and so must every recorded gradient norm
-    once the trace is filled (f_gap need not be: an entropy or simplex
-    iterate may leave its domain by rounding). `view(state)` returns the (x, grad,
-    snapshot) to record; grad=None has the recorder evaluate it uncounted,
-    once the run is over. `objective` (default: the oracle's value) is what
-    f_gap measures, evaluated on a stack of points as `ProblemOracle.value`
-    is. `potential` is the method's `certify` potential, if it has one; the
-    recorder fills the `potential` column from it. A DivergedError or
-    InnerSolveError raised on the way carries the partial trace.
+    `problem` is a `ProblemOracle` or a `CompositeProblem` (see `Recorder`).
+    `start(co)` receives the counting wrapper of the smooth oracle (its
+    `counters` are the run's) and returns (state, step). `step(state)`
+    returns the next state dict, or None to stop; N=None runs until it does.
+    After every step `state[check]` must be finite, and so must every
+    recorded gradient norm once the trace is filled (f_gap need not be: an
+    entropy or simplex iterate may leave its domain by rounding).
+    `view(state)` returns the (x, grad, snapshot) to record; grad=None has
+    the recorder evaluate it uncounted, once the run is over. `potential` is
+    the method's `certify` potential, if it has one; the recorder fills the
+    `potential` column from it. A DivergedError or InnerSolveError raised on
+    the way carries the partial trace.
     """
     counters = Counters()
-    rec = Recorder(method, oracle, counters, meta, objective, x_star, f_star, potential)
-    state, step = start(CountingOracle(oracle, counters))
+    rec = Recorder(method, problem, counters, meta, potential)
+    state, step = start(CountingOracle(getattr(problem, "smooth", problem), counters))
     try:
         x, grad, snap = view(state)
         rec.record(0, x, grad=grad, state=snap, last=N == 0)

@@ -347,3 +347,30 @@ def test_cli_exit_codes_over_the_method_table(argv):
     assert code in (0, 2, 3, 4, 5)
     if argv[0] != "run" and code in (0, 5):
         strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--N", "3", "--L", "4.49423283715579e+307"], "gradient became non-finite"),
+    (["--N", "1000"], "iterate became non-finite"),  # the A-sequence overflows
+])
+def test_overflowing_run_prints_one_error_line(flags, message):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONWARNINGS", None)  # numpy's default: print each warning
+    proc = subprocess.run([sys.executable, "-m", "accelib.cli", "run", "--method", "fgm",
+                           "--problem", "quad:d=2", *flags], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: diverged: {message}\n"
+
+
+@pytest.mark.parametrize("method, problem", [("fista", "lasso:d=6"), ("gd", "quad:d=6")])
+def test_run_sidecar_reports_value_calls(tmp_path, method, problem):
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--method", method, "--problem", problem, "--N", "20",
+                     "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.csv.json").read_text())
+    if method == "gd":  # a gradient step evaluates no f; reporting is not counted
+        assert side["value_calls"] == 0
+    else:  # f(y_k) and one f(x_{k+1}) per trial of the line search
+        assert side["value_calls"] >= side["grad_calls"] + 20

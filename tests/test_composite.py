@@ -143,3 +143,14 @@ def test_backtracking_restores_descent_condition():
     ref = ref_optimum(problem, 1.0 / 8.0, iters=5000)
     for mode, v in vals.items():
         assert v - ref <= 1e-6, mode
+
+
+@pytest.mark.parametrize("mode", cp.MODES)
+@pytest.mark.parametrize("method", [cp.fista, cp.prox_agm])
+def test_backtracking_counts_each_value_once(method, mode):
+    # f(y_k) comes with grad f(y_k) from one call, and each trial costs f(x_{k+1})
+    p = oracles.make_quadratic(np.linspace(1.0, 10.0, 5), np.ones(5), seed=3)
+    comp = oracles.CompositeProblem(p, oracles.make_zero(5), x_star=p.x_star, F_star=p.f_star)
+    tr = method(comp, np.zeros(5), 20, mu=0.5, L0=0.6, mode=mode)
+    assert tr.meta["wasted"] > 0
+    assert tr.final.value_calls == tr.final.grad_calls + 20 + tr.meta["wasted"]

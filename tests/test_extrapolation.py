@@ -199,3 +199,28 @@ def test_prox_rna_lasso_converges():
     x = tr.final.x
     mapped = comp.nonsmooth.prox(x - 0.1 * p.gradient(x), 0.1)
     assert np.linalg.norm(mapped - x) <= 1e-3
+
+
+@pytest.mark.parametrize("lam", [1e-8, 0.0])
+def test_online_rna_descent_evaluates_no_point_twice(lam):
+    # f(x_i) is kept beside each buffered pair instead of being evaluated
+    # again at every step
+    rng = np.random.default_rng(11)
+    p = oracles.make_quadratic(np.linspace(1.0, 50.0, 8), rng.standard_normal(8), seed=11)
+    seen = {"value": [], "gradient": []}
+    for name, kind in (("value", "value"), ("value_and_gradient", "value"),
+                       ("gradient", "gradient")):
+        fn = getattr(p, name)
+
+        def spy(x, fn=fn, kind=kind):
+            if np.ndim(x) == 1:  # the run's calls; the fill's are row-stacked
+                seen[kind].append(np.asarray(x).tobytes())
+            return fn(x)
+
+        setattr(p, name, spy)
+    tr = ex.online_rna(p, rng.standard_normal(8), 1.0 / 50.0, lam, 4, 30, safeguard="descent")
+    fallbacks = [r.state["fallback"] for r in tr.records[1:]]
+    assert any(fallbacks) and not all(fallbacks)  # both outcomes of the test
+    values, grads = seen["value"], seen["gradient"]
+    assert len(values) == len(set(values)) and len(grads) == len(set(grads))
+    assert (tr.final.value_calls, tr.final.grad_calls) == (len(values), len(grads))

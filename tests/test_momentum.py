@@ -203,3 +203,18 @@ def test_form_equivalences_over_random_rotated_quadratics(d, seed, L, kappa, N):
         assert len({err is None for _, err in runs}) == 1
         for trace, _ in runs[1:]:
             assert _max_rel_dev(runs[0][0], trace) <= 1e-9
+
+
+@pytest.mark.parametrize("N", [0, 1, 25])
+def test_tmm_takes_one_gradient_per_step(N):
+    # the step reuses the gradient at y_{k-1} that the previous step took
+    p, x0 = seeded_quadratics(1, d=6)[0]
+    points = []
+    grad = p.gradient
+    p.gradient = lambda x: points.append(np.array(x)) or grad(x)
+    tr = mo.tmm(p, x0, N)
+    assert [r.grad_calls for r in tr] == list(range(1, N + 2))
+    assert len(points) == N + 1  # the counter is the calls made, start included
+    for r, y in zip(tr, points):  # each at the recorded y, with its g
+        np.testing.assert_array_equal(r.x, y)
+        np.testing.assert_array_equal(r.state["g"], grad(y))

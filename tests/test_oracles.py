@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from accelib import oracles
-from accelib.errors import InvalidArgument
+from accelib.errors import InvalidArgument, UnsupportedOracle
 
 
 def test_quadratic_frozen_values():
@@ -286,3 +286,74 @@ def test_fgm_on_a_rotated_quadratic_is_interpolable_in_high_dimension():
     triplets = certify.harvest_triplets(trace, p)
     slack = certify.check_interpolation(triplets, p.params.mu, p.params.L)
     assert certify.min_slack(slack) >= -tol_for(max(abs(t[2]) for t in triplets) + 1.0)
+
+
+def _spied(oracle):
+    """The oracle with its `value` and `gradient` calls counted."""
+    calls = {"value": 0, "gradient": 0}
+    for name in calls:
+        fn = getattr(oracle, name)
+
+        def spy(x, fn=fn, name=name):
+            calls[name] += 1
+            return fn(x)
+
+        setattr(oracle, name, spy)
+    return oracle, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 40), seed=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+       rows=st.integers(0, 70), f_star=st.floats(-10.0, 10.0), data=st.data())
+def test_value_and_gradient_equals_value_and_gradient_bit_for_bit(d, seed, rows, f_star,
+                                                                   data):
+    # rows = 0 is one point; otherwise a stack of that many rows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="draws"))
+    eigs = rng.uniform(0.01, 100.0, d)
+    p, calls = _spied(oracles.make_quadratic(eigs, rng.standard_normal(d), f_star=f_star,
+                                             seed=seed))
+    x = rng.standard_normal((rows, d) if rows else d) * rng.uniform(0.1, 10.0)
+    f, g = p.value_and_gradient(x)
+    assert calls == {"value": 0, "gradient": 1}  # one Hessian product
+    want_f, want_g = p.value(x), p.gradient(x)
+    np.testing.assert_array_equal(g, want_g)
+    # and both are f = 1/2 <w, H w> + f* with w = x - x*, summed as before
+    w = x - p.x_star
+    Hw = p.hessian_matvec(w)
+    if rows:
+        assert f.shape == (rows,) and f.dtype == float
+        np.testing.assert_array_equal(f, want_f)
+        np.testing.assert_array_equal(f, 0.5 * np.einsum("ij,ij->i", w, Hw) + f_star)
+    else:
+        assert type(f) is float and f == want_f == 0.5 * np.dot(w, Hw) + f_star
+
+
+def _fallback_oracles():
+    d = 6
+    quad = oracles.make_quadratic(np.linspace(1.0, 5.0, d), np.ones(d), seed=2)
+    from accelib.prox_outer import _regularized
+
+    return [oracles.make_huber(0.3, 2.0, d), oracles.make_heb_power(3, d),
+            oracles.make_heb_power(2, d), oracles.make_zero(d),
+            _regularized(quad, np.full(d, 0.5), 0.7)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 9])
+@pytest.mark.parametrize("index", range(5))
+def test_value_and_gradient_falls_back_to_the_two_calls(index, rows):
+    # huber, power3, power2, zero and catalyst's subproblem have no
+    # value-from-gradient form: one value call and one gradient call each
+    p, calls = _spied(_fallback_oracles()[index])
+    rng = np.random.default_rng(index)
+    x = rng.standard_normal((rows, 6) if rows else 6)
+    f, g = p.value_and_gradient(x)
+    assert calls == {"value": 1, "gradient": 1}
+    np.testing.assert_array_equal(g, p.gradient(x))
+    np.testing.assert_array_equal(f, p.value(x))
+
+
+def test_value_and_gradient_of_a_nonsmooth_term_raises_like_gradient():
+    l1, calls = _spied(oracles.make_l1(0.5, 3))
+    with pytest.raises(UnsupportedOracle):
+        l1.value_and_gradient(np.ones(3))
+    assert calls == {"value": 0, "gradient": 1}

@@ -154,3 +154,24 @@ def test_catalyst_ends_when_inner_solves_take_no_iterations(alarm):
     assert m["n_outer"] <= 300
     assert min(m["inner_counts"]) == 1
     assert m["n_total"] == tr.final.inner_iters == sum(m["inner_counts"]) + m["n_useless"]
+
+
+@pytest.mark.parametrize("inner", ["gd", "gd_linesearch"])
+@pytest.mark.parametrize("budget", [1, 7, 60])
+def test_catalyst_gradient_calls_are_its_stopping_tests(monkeypatch, inner, budget):
+    # the outer step reuses grad f(w) from the stopping test that accepted w,
+    # and a gd step the one from the test before it
+    tests = []
+    tol_for = po.tol_for
+    monkeypatch.setattr(po, "tol_for", lambda scale: tests.append(scale) or tol_for(scale))
+    rng = np.random.default_rng(4)
+    p = oracles.make_quadratic(np.linspace(0.5, 20.0, 7), rng.standard_normal(7), seed=4)
+    calls = []
+    grad = p.gradient
+    p.gradient = lambda x: (np.ndim(x) == 1 and calls.append(1)) or grad(x)
+    tr = po.catalyst(p, inner, 0.2, budget, rng.standard_normal(7))
+    assert len(calls) == len(tests)  # 1-D calls: the run's, not the fill's
+    # a final inner solve cut by the budget made n_useless + 1 tests after
+    # the last record
+    useless = tr.meta["n_useless"]
+    assert tr.final.grad_calls == len(tests) - (useless + 1 if useless else 0)

@@ -154,3 +154,48 @@ def test_potential_column_empty_without_a_potential(quad_6):
         assert all(r.potential is None for r in trace), trace.method
         assert "potential_worst_margin" not in trace.meta
         assert all(row.split(",")[4] == "" for row in trace.to_csv().split("\n")[1:-1])
+
+
+def test_counting_oracle_counts_values(quad_2):
+    counters = tr_mod.Counters()
+    co = tr_mod.CountingOracle(quad_2, counters)
+    co.value(np.ones(2))
+    f, g = co.value_and_gradient(np.ones(2))
+    assert (counters.value_calls, counters.grad_calls) == (2, 1)
+    assert f == quad_2.value(np.ones(2)) and np.array_equal(g, quad_2.gradient(np.ones(2)))
+
+
+def test_value_calls_are_a_tally_but_not_a_csv_column():
+    from accelib import composite, oracles
+
+    p = oracles.make_quadratic(np.linspace(1.0, 10.0, 4), np.ones(4), seed=1)
+    comp = oracles.CompositeProblem(p, oracles.make_l1(0.1, 4))
+    runs = [composite.fista(comp, np.zeros(4), 6, L0=1.0),
+            composite.fista(comp, np.ones(4), 4, L0=1.0)]
+    assert all(r.final.value_calls > 0 for r in runs)
+    joined = tr_mod.join("restart(fista)", {}, runs)
+    assert joined.final.value_calls == runs[0].final.value_calls + runs[1].final.value_calls
+    assert "value_calls" in tr_mod.TALLIES and "value_calls" not in tr_mod.CSV_HEADER
+    assert [len(row.split(",")) for row in joined.to_csv().splitlines()] == [9] * 12
+
+
+def test_fill_takes_objective_and_gradient_from_one_product():
+    # a blind method's block: the quadratic's Hessian is applied once per row,
+    # and the composite objective adds h to the smooth value
+    from accelib import momentum, oracles
+
+    p = oracles.make_quadratic(np.linspace(1.0, 10.0, 5), np.ones(5), seed=2)
+    comp = oracles.CompositeProblem(p, oracles.make_l1(0.3, 5))
+    rows = []
+    grad = p.gradient
+    p.gradient = lambda x: rows.append(np.shape(x)) or grad(x)
+    p.value = None  # the fill must not call it
+    tr = momentum.bregman_agm(comp, np.zeros(5), 70)  # takes no value itself
+    assert sorted(shape for shape in rows if len(shape) == 2) == [(7, 5), (64, 5)]
+    assert tr.final.grad_calls == len(rows) - 2 == 70
+    X = np.array([r.x for r in tr])
+    G = grad(X)  # reference: F - f* with F = f + h, f* the smooth part's (no F* given)
+    F = 0.5 * np.einsum("ij,ij->i", X - p.x_star, G) + p.f_star + 0.3 * np.abs(X).sum(axis=1)
+    np.testing.assert_allclose([r.f_gap for r in tr], F - p.f_star, rtol=1e-13)
+    np.testing.assert_allclose([r.grad_norm for r in tr], np.linalg.norm(G, axis=1),
+                               rtol=1e-13)
