@@ -44,7 +44,7 @@ def fista_bound(L, L0, alpha, R, N, mu=0.0):
 
 def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None):
     """Shared stepper for fista / prox_agm. State keys: x, z, L, and A (monotone
-    mode) or B (non-monotone modes); each step also reports y and wasted count."""
+    mode) or B (other modes), plus y, the wasted count and the line search's f(x)."""
     if mode not in MODES:
         raise InvalidArgument(f"unknown backtracking mode {mode!r}")
     if alpha <= 1:
@@ -96,7 +96,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
         else:
             raise RunawayLError("backtracking exceeded 200 increases; "
                                 "is f really smooth, or is alpha too small?")
-        return {"x": x1, "z": z1, "L": L1, "y": y, "wasted": wasted,
+        return {"x": x1, "z": z1, "L": L1, "y": y, "wasted": wasted, "f": lhs,
                 key: A1 if monotone else A1 / L1}
 
     return state, step

@@ -388,14 +388,14 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
     def start(co):
         inner, inner_step = factory(co)
 
-        def objective(x):  # F = f + h, f counted as a value call
-            f = co.value(x)
+        def objective(x, f=None):  # F = f + h; f is a value call unless the step holds it
+            f = co.value(x) if f is None else f
             return f if h is None else f + h.value(x)
 
         def step(s):
             inner = inner_step(dict(s["inner"], x=s["best"]))
             x = inner["x"]
-            f = objective(x)
+            f = objective(x, inner.get("f"))
             if f < s["f_best"]:
                 return {"inner": inner, "x": x, "best": x, "f_best": f}
             return dict(s, inner=inner, x=x)

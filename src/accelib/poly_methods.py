@@ -16,27 +16,28 @@ def _x_grad(s):
     return s["x"], s["g"], {}
 
 
+def _gd_factory(co, x0, gamma):
+    if gamma is None or gamma <= 0:
+        raise InvalidArgument("gamma must be > 0")
+    x = np.array(x0, dtype=float)
+
+    def step(s):
+        x = s["x"] - gamma * s["g"]
+        return {"x": x, "g": co.gradient(x)}
+
+    return {"x": x, "g": co.gradient(x)}, step
+
+
 def gradient_descent(oracle, gamma, x0, N, mu=0.0):
     """x_{k+1} = x_k - gamma * grad f(x_k).
 
     `mu` only annotates the trace so the potential certificate can use the
     strongly convex weighting; it does not change the iterates.
     """
-    if gamma <= 0:
-        raise InvalidArgument("gamma must be > 0")
     if N < 0:
         raise InvalidArgument("N must be >= 0")
-
-    def start(co):
-        x = np.array(x0, dtype=float)
-
-        def step(s):
-            x = s["x"] - gamma * s["g"]
-            return {"x": x, "g": co.gradient(x)}
-
-        return {"x": x, "g": co.gradient(x)}, step
-
-    return drive("gd", oracle, {"gamma": gamma, "N": N, "mu": mu}, start, _x_grad, N,
+    return drive("gd", oracle, {"gamma": gamma, "N": N, "mu": mu},
+                 lambda co: _gd_factory(co, x0, gamma), _x_grad, N,
                  potential=certify.gd_potential)
 
 

@@ -218,3 +218,31 @@ def test_tmm_takes_one_gradient_per_step(N):
     for r, y in zip(tr, points):  # each at the recorded y, with its g
         np.testing.assert_array_equal(r.x, y)
         np.testing.assert_array_equal(r.state["g"], grad(y))
+
+
+@pytest.mark.parametrize("method", ["fista", "prox_agm"])
+def test_monotone_wrap_takes_f_from_the_line_search(method):
+    # the accepted trial of the inner line search has evaluated f(x_{k+1}), so
+    # each step costs f(y_k) and f(x_{k+1}): 2N + 1 value calls with f(x0)
+    from accelib.composite import _composite_factory
+    from accelib.trace import CountingOracle
+
+    N = 20
+    p = oracles.make_quadratic(np.linspace(1.0, 10.0, 5), np.ones(5), seed=3)
+    l1 = oracles.make_l1(0.2, 5)
+    comp = oracles.CompositeProblem(p, l1)
+    x0 = np.full(5, 2.0)
+    tr = mo.monotone_wrap(method, comp, x0, N)
+    assert tr.final.value_calls == 2 * N + 1
+    # reference: the wrapper as a loop over the inner stepper, F evaluated in full
+    inner, step = _composite_factory(method, comp, CountingOracle(p), x0, p.params.mu,
+                                     p.params.L, 2.0, "monotone")
+    best, f_best, xs = x0, p.value(x0) + l1.value(x0), [x0]
+    for _ in range(N):
+        inner = step(dict(inner, x=best))
+        f = p.value(inner["x"]) + l1.value(inner["x"])
+        if f < f_best:
+            best, f_best = inner["x"], f
+        xs.append(best)
+    assert inner["wasted"] == 0
+    assert all(np.array_equal(r.x, x) for r, x in zip(tr, xs)) and len(tr) == N + 1

@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from accelib import oracles, restart as rs
-from accelib.errors import InvalidArgument
+from accelib.errors import DivergedError, InvalidArgument
+from accelib.momentum import fgm
+from accelib.poly_methods import gradient_descent
+from accelib.trace import join
 
 
 def test_sched_constant_frozen():
@@ -131,3 +135,103 @@ def test_scheduled_restart_counts_calls_per_record():
     assert len(tr) == 101
     for i, r in enumerate(tr):
         assert r.grad_calls == i
+
+
+def _chained(oracle, inner, lengths, x0, gamma=None, L=None):
+    """Reference restart: one public driver run per epoch, each started at the
+    previous run's output, joined into one trace."""
+
+    def run(x, k):
+        if inner == "gd":
+            return gradient_descent(oracle, gamma, x, k)
+        return fgm(oracle, x, k, mu=0.0, L=L)
+
+    runs, x = [], np.array(x0, dtype=float)
+    for k in lengths:
+        runs.append(run(x, k))
+        x = runs[-1].final.x
+    return join("reference", {}, runs or [run(x, 0)])
+
+
+def _assert_same_run(tr, ref):
+    assert len(tr) == len(ref)
+    for r, s in zip(tr, ref):
+        assert r.k == s.k and r.state == s.state
+        assert np.array_equal(r.x, s.x)
+        assert (r.grad_calls, r.prox_calls, r.inner_iters, r.value_calls) == \
+            (s.grad_calls, s.prox_calls, s.inner_iters, s.value_calls)
+    for col in ("f_gap", "grad_norm", "dist_opt"):
+        np.testing.assert_allclose([getattr(r, col) for r in tr],
+                                   [getattr(s, col) for s in ref], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("inner, k, epochs", [("fgm", 7, 4), ("fgm", 1, 3), ("gd", 5, 3),
+                                              ("gd", 3, 0), ("fgm", 4, 0)])
+def test_fixed_restart_is_the_chained_inner_runs(quad_6, inner, k, epochs):
+    x0 = np.full(6, 2.0)
+    gamma = 1.0 / quad_6.params.L
+    tr = rs.fixed_restart(quad_6, inner, k, x0, epochs, gamma=gamma, L=quad_6.params.L)
+    assert tr.method == f"restart({inner})"
+    assert tr.meta == {"k": k, "epochs": epochs, "inner": inner}
+    _assert_same_run(tr, _chained(quad_6, inner, [k] * epochs, x0, gamma, quad_6.params.L))
+
+
+@pytest.mark.parametrize("r, budget", [(4, 100), (3, 257), (2, 90), (4, 0)])
+def test_scheduled_restart_is_the_chained_inner_runs(r, budget):
+    p = oracles.make_heb_power(r, 3)
+    x0 = np.array([3.0, 1.5, -1.5])
+    heb = rs.HebParams(r, 1.0, p.smoothness_on_ball(np.linalg.norm(x0)))
+    f0 = p.value(x0)
+    ks, _ = rs.schedule_lengths(heb, f0, budget)
+    lengths, it = [], 0
+    for k in ks:  # the schedule, its last epoch cut at the budget
+        lengths.append(min(k, budget - it))
+        it += lengths[-1]
+    tr = rs.scheduled_restart(p, heb, x0, f0, budget)
+    assert tr.meta["ks"] == ks
+    _assert_same_run(tr, _chained(p, "fgm", lengths, x0, L=heb.L))
+
+
+@pytest.mark.parametrize("budget", [4, 16, 37])
+def test_grid_restart_picks_the_chained_runs_best_cell(quad_6, budget):
+    x0 = np.full(6, 2.0)
+    table, best = [], None
+    for p, q in rs.grid_cells(budget):
+        x, it, i = x0.copy(), 0, 0
+        while it < budget:
+            k = min(int(np.ceil(2.0**p * np.exp((0.0 if q == 0 else 2.0 ** (-q)) * i))),
+                    budget - it)
+            x = fgm(quad_6, x, k, mu=0.0, L=10.0).final.x
+            it, i = it + k, i + 1
+        table.append(quad_6.value(x))
+        if best is None or table[-1] < best[0]:
+            best = (table[-1], p, q, x)
+    tr = rs.grid_restart(quad_6, 10.0, x0, budget)
+    assert (tr.meta["best_p"], tr.meta["best_q"]) == best[1:3]
+    assert [c["f_final"] for c in json.loads(tr.meta["table_json"])] == table
+    assert np.array_equal(tr.final.x, best[3]) and np.array_equal(tr.records[0].x, x0)
+    assert tr.final.state == {"p": best[1], "q": best[2]}
+
+
+def test_grid_restart_counts_its_selection_values(quad_6):
+    budget = 16
+    tr = rs.grid_restart(quad_6, 10.0, np.full(6, 2.0), budget)
+    assert tr.final.value_calls == len(rs.grid_cells(budget))
+    assert tr.records[0].value_calls == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_diverging_restart_raises_with_the_restart_trace():
+    p = oracles.make_quadratic(np.linspace(1.0, 10.0, 6), np.ones(6), seed=2)
+    with pytest.raises(DivergedError) as err:
+        rs.fixed_restart(p, "fgm", 5, 2.0 * np.ones(6), 400, L=0.05)  # L/200
+    tr = err.value.trace
+    assert tr.method == "restart(fgm)"
+    epochs = [r.state["epoch"] for r in tr]
+    assert epochs[:12] == [0] + [1] * 5 + [2] * 5 + [3]  # the earlier epochs are kept
+    assert sorted(set(epochs)) == list(range(epochs[-1] + 1)) and epochs == sorted(epochs)
+    assert [r.grad_calls for r in tr] == list(range(len(tr)))
+    # a grid cell that diverges stops the grid run, before the selection
+    with pytest.raises(DivergedError) as err:
+        rs.grid_restart(p, 0.05, 2.0 * np.ones(6), 128)
+    assert err.value.trace.method == "grid_restart" and len(err.value.trace) == 1
