@@ -43,37 +43,38 @@ def check_interpolation(triplets, mu, L):
 
     Returns the (n, n) array of slacks (left minus right side); entry [i, j]
     holds the condition for the pair (i, j) and the diagonal is +inf. All n^2
-    slacks come from one pass of Gram products. X, G and U are centred on
-    their mean rows first: the differences are unchanged, but the rounding
-    error then scales with the spread of the points, not with ||x||^2."""
+    slacks come from one (n x 3d)(3d x n) product and two broadcasts. X, G
+    and U are centred on their mean rows first: the differences are
+    unchanged, but the rounding error then scales with the spread of the
+    points, not with ||x||^2."""
     if not (0 <= mu < L):
         raise InvalidArgument("need 0 <= mu < L")
     n = len(triplets)
     if n == 0:
         return np.empty((0, 0))
-    X = np.array([t[0] for t in triplets], dtype=float).reshape(n, -1)
-    G = np.array([t[1] for t in triplets], dtype=float).reshape(n, -1)
-    F = np.array([t[2] for t in triplets], dtype=float)
-    Xc = X - X.mean(axis=0)
-    Gc = G - G.mean(axis=0)
+    X, G, F = (np.array(col, dtype=float) for col in zip(*triplets))
+    X, G = X.reshape(n, -1), G.reshape(n, -1)
+    Xc, Gc = X - X.mean(axis=0), G - G.mean(axis=0)
     Uc = Xc - Gc / L
-
-    def sqdist(A):
-        K = A @ A.T
-        d = np.diag(K)
-        return d[:, None] + d[None, :] - 2.0 * K
-
-    P = Xc @ G.T  # P[i, j] = <x_i - mean, g_j>
-    slack = (F[:, None] - F[None, :] - (P - np.diag(P)[None, :])
-             - sqdist(Gc) / (2.0 * L) - mu / (2.0 * (1.0 - mu / L)) * sqdist(Uc))
+    # expanding the squares, with c = mu/(2(1-mu/L)) and X, G, U centred,
+    # slack[i, j] = a_i + b_j + M[i, j] where
+    #   a_i = f_i - ||g_i||^2/(2L) - c ||u_i||^2,
+    #   b_j = -f_j + <g_j, x_j> - ||g_j||^2/(2L) - c ||u_j||^2,
+    #   M = [X, G, U] [-G_raw, G/L, 2c U]^T,
+    # G_raw uncentred: <g_j, x_i - x_j> needs g_j itself
+    c = mu / (2.0 * (1.0 - mu / L))
+    own = _sq(Gc) / (2.0 * L) + c * _sq(Uc)
+    slack = np.hstack([Xc, Gc, Uc]) @ np.hstack([-G, Gc / L, (2.0 * c) * Uc]).T
+    slack += (F - own)[:, None]
+    slack += np.einsum("ij,ij->i", G, Xc) - F - own
     np.fill_diagonal(slack, np.inf)
     return slack
 
 
 def harvest_triplets(trace, oracle):
     """Turn a trace into (x, g, f) triplets for interpolation checking, from
-    one row-stacked `value_and_gradient` call over its iterates."""
-    X = np.array([r.x for r in trace])
+    one row-stacked `value_and_gradient` call over its iterate column."""
+    X = trace.x
     if not len(X):
         return []
     F, G = oracle.value_and_gradient(X)
@@ -157,9 +158,9 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0,
 # ---------------------------------------------------------------------------
 # potential certificates along traces
 #
-# Each potential is one function of stacked arrays, potential(records, gap,
-# meta, x_star, gap_at) -> (phi, margins), with gap = F(x_k) - F* per record
-# and gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
+# Each potential is one function of a trace's columns, potential(trace, gap,
+# x_star, gap_at) -> (phi, margins), with gap = F(x_k) - F* per record and
+# gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
 # `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
 
 def potential_series(trace, problem):
@@ -175,8 +176,7 @@ def potential_series(trace, problem):
     def gap_at(Y):
         return in_blocks(fun, Y) - f_star
 
-    return handler(trace.records, _per_row(trace.records, lambda col: gap_at(col("x"))),
-                   trace.meta, x_star, gap_at)
+    return handler(trace, gap_at(trace.x), x_star, gap_at)
 
 
 def check_potential(trace, problem):
@@ -187,28 +187,12 @@ def check_potential(trace, problem):
     return [Margin(k, m) for k, m in enumerate(margins.tolist())]
 
 
-def _col(records, key, lo=0):
-    """Iterates (key "x") or a state entry, stacked from record `lo` on."""
-    if key == "x":
-        return np.array([r.x for r in records[lo:]])
-    try:
-        return np.array([r.state[key] for r in records[lo:]], dtype=float)
-    except KeyError:  # e.g. FGM and constant momentum in form II carry no z
-        raise InvalidArgument(f"the trace's records carry no {key!r} to certify") from None
-
-
-def _per_row(records, fn, lo=0):
-    """One value per record from `lo` on: fn(col) on blocks of at most _BATCH
-    records, col(key) being the block's `_col`, so no column is stacked whole."""
-    return in_blocks(lambda block: fn(lambda key: _col(block, key)), records[lo:])
-
-
 def _sq(X):
     return np.einsum("ij,ij->i", X, X)
 
 
-def _dist2(records, key, x_star):
-    return _per_row(records, lambda col: _sq(col(key) - x_star))
+def _dist2(trace, key, x_star):
+    return _sq(trace.column(key) - x_star)
 
 
 def _estimate(A, gap, c, mu, dist2):
@@ -220,37 +204,38 @@ def _series(phi):
     return phi, phi[:-1] - phi[1:]
 
 
-def gd_potential(records, gap, meta, x_star, gap_at):
+def gd_potential(trace, gap, x_star, gap_at):
     # the certificate is stated for step 1/L, so the trace's gamma defines the
     # smoothness constant it claims; a too-long step then fails the check
-    L, mu = 1.0 / meta["gamma"], meta.get("mu") or 0.0
+    L, mu = 1.0 / trace.meta["gamma"], trace.meta.get("mu") or 0.0
     keep = np.float64(1.0 - mu / L)  # gamma = 1/mu gives A = inf, not ZeroDivisionError
     A = np.fromiter(accumulate(range(len(gap) - 1), lambda A, _: (1.0 + A) / keep,
                                initial=0.0), float, len(gap))
-    return _series(_estimate(A, gap, L, mu, _dist2(records, "x", x_star)))
+    return _series(_estimate(A, gap, L, mu, _dist2(trace, "x", x_star)))
 
 
-def fgm_potential(records, gap, meta, x_star, gap_at):
-    return _series(_estimate(_col(records, "A"), gap, meta["L"], meta["mu"],
-                             _dist2(records, "z", x_star)))
+def fgm_potential(trace, gap, x_star, gap_at):
+    return _series(_estimate(trace.column("A"), gap, trace.meta["L"], trace.meta["mu"],
+                             _dist2(trace, "z", x_star)))
 
 
-def constant_momentum_potential(records, gap, meta, x_star, gap_at):
-    mu, L = meta["mu"], meta["L"]
-    v = gap + 0.5 * mu * _dist2(records, "z", x_star)
+def constant_momentum_potential(trace, gap, x_star, gap_at):
+    mu, L = trace.meta["mu"], trace.meta["L"]
+    v = gap + 0.5 * mu * _dist2(trace, "z", x_star)
     return v, (1.0 - np.sqrt(mu / L)) * v[:-1] - v[1:]
 
 
-def ogm_potential(records, gap, meta, x_star, gap_at):
+def ogm_potential(trace, gap, x_star, gap_at):
     """The final-output term theta_N^2 (f(y_N) - f*) + L/2 ||z_N - theta_N g_N/L
     - x*||^2 (record N holds x = y_N) enters only the last margin, not the column."""
-    L = meta["L"]
-    if meta.get("form") != "I":
+    L = trace.meta["L"]
+    if trace.meta.get("form") != "I":
         raise InvalidArgument("only form I carries the (y, z, theta) state")
-    phi = 0.5 * L * _dist2(records, "z", x_star)
-    phi[1:] += 2.0 * _col(records, "theta_prev", 1) ** 2 * _per_row(
-        records, lambda col: gap_at(col("y_prev")) - _sq(col("g_prev")) / (2.0 * L), 1)
-    last = records[-1].state
+    phi = 0.5 * L * _dist2(trace, "z", x_star)
+    if len(phi) > 1:  # record 0 carries no theta_prev, y_prev, g_prev
+        phi[1:] += 2.0 * trace.column("theta_prev", 1) ** 2 * (
+            gap_at(trace.column("y_prev", 1)) - _sq(trace.column("g_prev", 1)) / (2.0 * L))
+    last = trace.states[-1]
     if "theta_final" not in last:
         return _series(phi)
     th = last["theta_final"]
@@ -259,78 +244,75 @@ def ogm_potential(records, gap, meta, x_star, gap_at):
     return phi, -np.diff(np.append(phi, final))
 
 
-def _y_term(col, mu, L, x_star):
-    """-||g||^2/(2L) - mu/(2(1-q)) ||y - g/L - x*||^2 at y = x (ITEM, TMM)."""
-    G = col("g")
-    return -_sq(G) / (2.0 * L) - mu / (2.0 * (1.0 - mu / L)) * _sq(col("x") - G / L - x_star)
+def _y_term(trace, lo, mu, L, x_star):
+    """-||g||^2/(2L) - mu/(2(1-q)) ||y - g/L - x*||^2 at y = x (ITEM, TMM),
+    from record `lo` on."""
+    G = trace.column("g", lo)
+    return (-_sq(G) / (2.0 * L)
+            - mu / (2.0 * (1.0 - mu / L)) * _sq(trace.x[lo:] - G / L - x_star))
 
 
-def item_potential(records, gap, meta, x_star, gap_at):
+def item_potential(trace, gap, x_star, gap_at):
     """Record k >= 1 holds x = y_{k-1} with g there and z_k in the state."""
-    mu, L = meta["mu"], meta["L"]
-    A = _col(records, "A")
-    phi = (L + mu * A) / (1.0 - mu / L) * _dist2(records, "z", x_star)
-    phi[1:] += A[1:] * (gap[1:] + _per_row(records, lambda col: _y_term(col, mu, L, x_star), 1))
+    mu, L = trace.meta["mu"], trace.meta["L"]
+    A = trace.column("A")
+    phi = (L + mu * A) / (1.0 - mu / L) * _dist2(trace, "z", x_star)
+    if len(phi) > 1:
+        phi[1:] += A[1:] * (gap[1:] + _y_term(trace, 1, mu, L, x_star))
     return _series(phi)
 
 
-def tmm_potential(records, gap, meta, x_star, gap_at):
+def tmm_potential(trace, gap, x_star, gap_at):
     """Every record holds x = y with g there and z in the state."""
-    mu, L = meta["mu"], meta["L"]
-    v = gap + _per_row(records, lambda col: _y_term(col, mu, L, x_star)
-                       + mu / (1.0 - mu / L) * _sq(col("z") - x_star))
+    mu, L = trace.meta["mu"], trace.meta["L"]
+    v = gap + (_y_term(trace, 0, mu, L, x_star)
+               + mu / (1.0 - mu / L) * _dist2(trace, "z", x_star))
     return v, (1.0 - np.sqrt(mu / L)) ** 2 * v[:-1] - v[1:]
 
 
-def composite_potential(records, gap, meta, x_star, gap_at):
+def composite_potential(trace, gap, x_star, gap_at):
     """A accounting (monotone mode) compares phi_k and phi_{k+1} at the
     common L_{k+1}; the column holds phi_k at L_k. B accounting has no L."""
-    mu = meta["mu"]
-    dist2 = _dist2(records, "z", x_star)
-    if "A" not in records[0].state:
-        return _series(_estimate(_col(records, "B"), gap, 1.0, mu, dist2))
-    A, Ls = _col(records, "A"), _col(records, "L")
+    mu = trace.meta["mu"]
+    dist2 = _dist2(trace, "z", x_star)
+    if "A" not in trace.states[0]:
+        return _series(_estimate(trace.column("B"), gap, 1.0, mu, dist2))
+    A, Ls = trace.column("A"), trace.column("L")
     phi = _estimate(A, gap, Ls, mu, dist2)
     return phi, _estimate(A[:-1], gap[:-1], Ls[1:], mu, dist2[:-1]) - phi[1:]
 
 
-def bregman_potential(records, gap, meta, x_star, gap_at):
-    return _series(_col(records, "A") * gap + meta["L"] * _per_row(
-        records, lambda col: bregman_divergence(meta["dgf"], x_star, col("z"))))
+def bregman_potential(trace, gap, x_star, gap_at):
+    return _series(trace.column("A") * gap + trace.meta["L"] * bregman_divergence(
+        trace.meta["dgf"], x_star, trace.column("z")))
 
 
-def ppa_potential(records, gap, meta, x_star, gap_at):
+def ppa_potential(trace, gap, x_star, gap_at):
     """The exact PPA's z-sequence is its x; the accelerated ones record z."""
-    z = "z" if "z" in records[0].state else "x"
-    return _series(_estimate(_col(records, "A"), gap, 1.0, meta.get("mu", 0.0),
-                             _dist2(records, z, x_star)))
+    z = "z" if "z" in trace.states[0] else "x"
+    return _series(_estimate(trace.column("A"), gap, 1.0, trace.meta.get("mu", 0.0),
+                             _dist2(trace, z, x_star)))
 
 
-def monotone_potential(records, gap, meta, x_star, gap_at):
+def monotone_potential(trace, gap, x_star, gap_at):
     return _series(gap)
 
 
 _POTENTIALS = {
-    "gd": gd_potential,
-    "fgm": fgm_potential,
+    "gd": gd_potential, "fgm": fgm_potential, "ogm": ogm_potential,
     "constant_momentum": constant_momentum_potential,
-    "ogm": ogm_potential,
-    "item": item_potential,
-    "tmm": tmm_potential,
-    "fista": composite_potential,
-    "prox_agm": composite_potential,
-    "bregman_agm": bregman_potential,
-    "ppa": ppa_potential,
-    "accel_inexact_ppa": ppa_potential,
-    "catalyst": ppa_potential,
+    "item": item_potential, "tmm": tmm_potential,
+    "fista": composite_potential, "prox_agm": composite_potential,
+    "bregman_agm": bregman_potential, "ppa": ppa_potential,
+    "accel_inexact_ppa": ppa_potential, "catalyst": ppa_potential,
     "monotone": monotone_potential,
 }
 
 
 def potential_scale(trace, problem):
     fun, x_star, f_star = optimum(problem)
-    r0 = trace.records[0]
-    return abs(fun(r0.x) - f_star) + float(np.sum((r0.x - x_star) ** 2)) + 1.0
+    x0 = trace.x[0]
+    return abs(fun(x0) - f_star) + float(np.sum((x0 - x_star) ** 2)) + 1.0
 
 
 # ---------------------------------------------------------------------------

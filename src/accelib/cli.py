@@ -218,7 +218,8 @@ def cmd_compare(args):
     for name in names:
         method = METHODS[name]
         trace = method.run(args, problem if method.composite else oracle, x0)
-        columns[name] = [(r.grad_calls, r.f_gap) for r in trace]
+        columns[name] = [(grad_calls, gap) for (grad_calls, *_), gap
+                         in zip(trace.tallies, trace.f_gap.tolist())]
     _write(args.out, _dumps({"problem": args.problem,
                              "final_gaps": {m: columns[m][-1][1] for m in names},
                              "columns": columns}))

@@ -277,7 +277,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                   lambda s: (s["x"], s.get("g"), {"A": s["A"], "z": s["z"],
                                                    "n_inner": s["n_inner"]}),
                   potential=certify.ppa_potential)
-    inner_counts = [r.state["n_inner"] for r in trace.records[1:]]
+    inner_counts = [s["n_inner"] for s in trace.states[1:]]
     trace.meta["inner_counts"] = inner_counts
     trace.meta["n_outer"] = len(inner_counts)
     trace.meta["n_total"] = total

@@ -1,71 +1,100 @@
-"""Trace records and oracle-call accounting shared by every method driver."""
+"""Traces (columns of records) and oracle-call accounting shared by every method driver."""
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from collections.abc import Sequence
+from operator import add
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DivergedError, InnerSolveError
+from .errors import DivergedError, InnerSolveError, InvalidArgument
 from .oracles import optimum
 
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
 
-# record fields that accumulate over a run (value_calls is not a CSV column)
+# record fields that accumulate over a run, in the order of a trace's
+# `tallies` tuples (value_calls is not a CSV column)
 TALLIES = ("grad_calls", "prox_calls", "inner_iters", "wall_ns", "value_calls")
 
 
-@dataclass
-class TraceRecord:
-    k: int
-    x: np.ndarray
-    f_gap: float
-    grad_norm: float
-    dist_opt: float
-    potential: float | None
-    grad_calls: int
-    prox_calls: int
-    inner_iters: int
-    wall_ns: int
-    state: dict = field(default_factory=dict)
-    value_calls: int = 0
-
-    def csv_row(self):
-        pot = "" if self.potential is None else repr(self.potential)
-        return (
-            f"{self.k},{self.f_gap!r},{self.grad_norm!r},{self.dist_opt!r},"
-            f"{pot},{self.grad_calls},{self.prox_calls},{self.inner_iters},{self.wall_ns}"
-        )
+# One row of a Trace, built on access and read-only: x is a row of the
+# trace's read-only iterate column, state a read-only view of the snapshot.
+TraceRecord = namedtuple("TraceRecord", ("k", "x", "f_gap", "grad_norm", "dist_opt",
+                                         "potential", *TALLIES, "state"))
 
 
-@dataclass
-class Trace:
-    method: str
-    meta: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
+class Trace(Sequence):
+    """A run's records, held as columns: `k`, `tallies` (one TALLIES tuple per
+    record) and `states` (the snapshot dicts) are lists; `x` (n rows), f_gap,
+    grad_norm, dist_opt and potential (None without a potential) are
+    read-only arrays. Indexing and iteration give `TraceRecord`s built on
+    access (a slice, a list of them); `records` is the trace itself."""
 
-    def append(self, record):
-        self.records.append(record)
+    def __init__(self, method, meta=None):
+        self.method, self.meta = method, dict(meta or {})
+        self.k, self.tallies, self.states = [], [], []
+        self.x = np.empty((0, 0))
+        self.f_gap = self.grad_norm = self.dist_opt = np.empty(0)
+        self.potential, self._stacked = None, {}  # _stacked: the cached `column`s
+
+    def extend(self, k, tallies, states, **arrays):
+        """Add rows to the lists k, tallies and states and to the named arrays."""
+        self.k += k
+        self.tallies += tallies
+        self.states += states
+        for name, new in arrays.items():
+            old = getattr(self, name)
+            col = np.concatenate([old, new]) if len(old) else new
+            col.flags.writeable = False
+            setattr(self, name, col)
+        self._stacked.clear()
+
+    def column(self, key, lo=0):
+        """The iterates (key "x") or the snapshot entry `key` of the records
+        from `lo` on, as floats; a snapshot column is stacked once and cached."""
+        if key == "x":
+            return self.x[lo:]
+        col = self._stacked.get((key, lo))
+        if col is None:
+            try:
+                col = np.array([s[key] for s in self.states[lo:]], dtype=float)
+            except KeyError:  # e.g. FGM and constant momentum in form II carry no z
+                raise InvalidArgument(f"the trace's records carry no {key!r} to certify") from None
+            col.flags.writeable = False
+            self._stacked[key, lo] = col
+        return col
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        pot = None if self.potential is None else float(self.potential[i])
+        return TraceRecord(self.k[i], self.x[i], float(self.f_gap[i]), float(self.grad_norm[i]),
+                           float(self.dist_opt[i]), pot, *self.tallies[i],
+                           MappingProxyType(self.states[i]))
 
     def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+        return len(self.k)
 
     @property
-    def xs(self):
-        return [r.x for r in self.records]
+    def records(self):
+        return self
 
     @property
     def final(self):
-        return self.records[-1]
+        return self[-1]
 
     def to_csv(self):
-        lines = [CSV_HEADER]
-        lines.extend(r.csv_row() for r in self.records)
-        return "\n".join(lines) + "\n"
+        pots = ([""] * len(self) if self.potential is None
+                else map(repr, self.potential.tolist()))
+        rows = (f"{k},{gap!r},{norm!r},{dist!r},{pot},{grad},{prox},{inner},{wall}"
+                for k, gap, norm, dist, pot, (grad, prox, inner, wall, _) in zip(
+                    self.k, self.f_gap.tolist(), self.grad_norm.tolist(),
+                    self.dist_opt.tolist(), pots, self.tallies))
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 class Counters:
@@ -112,16 +141,16 @@ _BATCH = 64
 
 
 class Recorder:
-    """Builds Trace records for smooth or composite problems. Only `drive`
-    builds one; methods never record directly.
+    """Builds a Trace for smooth or composite problems. Only `drive` builds
+    one; methods never record directly.
 
-    `record` keeps the iterate, the counters, the wall time and the state
-    snapshot, plus the gradient norm when the caller passes the gradient.
-    The reporting columns (f_gap, dist_opt and the missing gradient norms)
-    of the records not filled yet are filled together, in blocks of up to
-    _BATCH rows: by the `record` call marked `last`, so reporting stays part
-    of recording, and whenever `trace` is read. So every trace a caller sees
-    is complete, and `wall_ns` is method time only. A block with a record
+    `record` only appends a row to a list: a copy of the iterate, the
+    gradient's norm if passed, one TALLIES tuple and the state snapshot. The
+    fill, at the `record` call marked `last` and whenever `trace` is read,
+    stacks the pending rows into the trace's columns in blocks of up to
+    _BATCH, dropping each row once stacked, and fills the reporting columns
+    (f_gap, dist_opt, missing gradient norms). So every trace a caller sees
+    is complete, and `wall_ns` is method time only. A block with a row
     missing its gradient norm takes the objective and the gradients from one
     row-stacked `value_and_gradient` call; any other block calls the
     objective alone. `problem` is a `ProblemOracle` or a `CompositeProblem`,
@@ -132,15 +161,14 @@ class Recorder:
     gradient passed and no optimum known, `problem` may be None.
 
     `potential`, when given and the optimum is known, is one of the
-    `certify` potentials; the same fill then sets the `potential` column
-    from it and puts the worst certificate margin and its step in the meta
-    (`potential_worst_margin`, `potential_worst_step`). Otherwise the
-    column stays empty.
+    `certify` potentials; the fill then sets the `potential` column from it
+    and puts the worst margin and its step in the meta
+    (`potential_worst_margin`, `potential_worst_step`).
     """
 
     def __init__(self, method, problem, counters, meta=None, potential=None):
-        self._trace = Trace(method, dict(meta or {}))
-        self._pending = []  # records whose reporting columns are not filled yet
+        self._trace = Trace(method, meta)
+        self._pending = []  # (k, x, grad norm, tallies, state) per record not filled yet
         self._counters = counters
         self._smooth = getattr(problem, "smooth", problem)
         self._h = getattr(problem, "nonsmooth", None)
@@ -153,22 +181,14 @@ class Recorder:
         self._t0 = time.perf_counter_ns()
 
     def record(self, k, x, grad=None, state=None, last=False):
-        rec = TraceRecord(
-            k=k,
-            x=np.array(x, dtype=float, copy=True),
-            f_gap=float("nan"),
-            grad_norm=None if grad is None else float(np.linalg.norm(grad)),
-            dist_opt=float("nan"),
-            potential=None,
-            grad_calls=self._counters.grad_calls,
-            prox_calls=self._counters.prox_calls,
-            inner_iters=self._counters.inner_iters,
-            wall_ns=time.perf_counter_ns() - self._t0,
-            state=dict(state or {}),
-            value_calls=self._counters.value_calls,
-        )
-        self._trace.append(rec)
-        self._pending.append(rec)
+        c = self._counters
+        self._pending.append((
+            k, np.array(x, dtype=float, copy=True),
+            # = np.linalg.norm bit for bit (the same ddot), but vdot does not warn on overflow
+            None if grad is None else math.sqrt(np.vdot(grad, grad)),
+            (c.grad_calls, c.prox_calls, c.inner_iters, time.perf_counter_ns() - self._t0,
+             c.value_calls),
+            dict(state) if state else {}))
         if last:
             self._fill()
 
@@ -178,49 +198,48 @@ class Recorder:
         self._fill()
         return self._trace
 
-    def _value_and_gradient(self, X):
-        F, G = self._smooth.value_and_gradient(X)
-        return (F if self._h is None else F + self._h.value(X)), G
-
     def _fill(self):
-        recs, self._pending = self._pending, []
-        if not recs:
+        if not self._pending:
             return
-        for lo in range(0, len(recs), _BATCH):
-            block = recs[lo:lo + _BATCH]
-            X = np.array([r.x for r in block])
-            blind = [i for i, r in enumerate(block) if r.grad_norm is None]
+        ks, rows, norms, tallies, states = map(list, zip(*self._pending))
+        self._pending = []
+        n = len(rows)
+        X = np.empty((n, *rows[0].shape))
+        gap, dist = np.full(n, np.nan), np.full(n, np.nan)
+        for lo in range(0, n, _BATCH):
+            block = np.stack(rows[lo:lo + _BATCH], out=X[lo:lo + _BATCH])
+            rows[lo:lo + _BATCH] = [None] * len(block)  # the column is the only copy
+            blind = [i for i in range(len(block)) if norms[lo + i] is None]
             if self._f_star is not None:
                 if blind:
-                    F, G = self._value_and_gradient(X)
-                    G = G[blind]
+                    F, G = self._smooth.value_and_gradient(block)
+                    F, G = (F if self._h is None else F + self._h.value(block)), G[blind]
                 else:
-                    F = self._objective(X)
-                dists = np.linalg.norm(X - self._x_star, axis=1)
-                for r, gap, dist in zip(block, (F - self._f_star).tolist(), dists.tolist()):
-                    r.f_gap = gap
-                    r.dist_opt = dist
+                    F = self._objective(block)
+                gap[lo:lo + len(block)] = F - self._f_star
+                dist[lo:lo + len(block)] = np.linalg.norm(block - self._x_star, axis=1)
             elif blind:
-                G = self._smooth.gradient(X[blind])
+                G = self._smooth.gradient(block[blind])
             if blind:
                 for i, norm in zip(blind, np.linalg.norm(G, axis=1).tolist()):
-                    block[i].grad_norm = norm
+                    norms[lo + i] = norm
+        self._trace.extend(ks, tallies, states, x=X, f_gap=gap,
+                           grad_norm=np.array(norms, dtype=float), dist_opt=dist)
         if self._potential is not None and self._f_star is not None:
             self._fill_potential()
 
     def _fill_potential(self):
-        """The potential column of every record, and the worst margin with
-        its step in the meta, from the f_gap column already filled: only
-        potentials that need the objective at other points (OGM's y_prev)
-        evaluate it again. A diverged run's column may hold inf/nan."""
+        """The potential column, and the worst margin with its step in the
+        meta, from the f_gap column already filled: only potentials that need
+        the objective at other points (OGM's y_prev) evaluate it again. A
+        diverged run's column may hold inf/nan."""
         trace = self._trace
-        gap = np.array([r.f_gap for r in trace])
         with np.errstate(all="ignore"):
             phi, margins = self._potential(
-                trace.records, gap, trace.meta, self._x_star,
+                trace, trace.f_gap, self._x_star,
                 lambda Y: in_blocks(self._objective, Y) - self._f_star)
-        for r, p in zip(trace, phi.tolist()):
-            r.potential = p
+        phi.flags.writeable = False
+        trace.potential = phi
         if len(margins):
             k = int(margins.argmin())
             trace.meta.update(potential_worst_margin=float(margins[k]),
@@ -228,8 +247,8 @@ class Recorder:
 
 
 def in_blocks(fun, X):
-    """fun over the rows of X (a stack of points, or a list of records) in
-    blocks of at most _BATCH rows; fun returns one value per row."""
+    """fun over the rows of X in blocks of at most _BATCH rows; fun returns
+    one value per row."""
     if not len(X):
         return np.empty(0)
     if len(X) <= _BATCH:
@@ -238,7 +257,10 @@ def in_blocks(fun, X):
 
 
 def check_finite(x, trace=None):
-    if not np.all(np.isfinite(x)):
+    """Raise DivergedError unless every entry of the 1-D x is finite."""
+    # a finite squared norm proves it; only an overflowing one needs the
+    # entrywise test (vdot, unlike dot, does not warn when it overflows)
+    if not (math.isfinite(np.vdot(x, x)) or np.isfinite(x).all()):
         raise DivergedError("iterate became non-finite", trace)
 
 
@@ -278,7 +300,7 @@ def drive(method, problem, meta, start, view, N=None, check="x", potential=None)
             exc.trace = rec.trace
         raise
     trace = rec.trace
-    if not np.all(np.isfinite([r.grad_norm for r in trace])):
+    if not np.isfinite(trace.grad_norm).all():
         raise DivergedError("gradient became non-finite", trace)
     return trace
 
@@ -286,15 +308,16 @@ def drive(method, problem, meta, start, view, N=None, check="x", potential=None)
 def join(method, meta, runs):
     """One trace from restarted runs, each started at the previous run's final
     iterate: record 0 of the first run, then records 1.. of each run with k
-    renumbered, counters and wall time offset by the runs before, and state
-    {"epoch": e} for the e-th run (0 for record 0). The joined method has no
-    potential, so its `potential` column is empty."""
-    trace = Trace(method, dict(meta))
-    trace.append(replace(runs[0].records[0], potential=None, state={"epoch": 0}))
-    base = dict.fromkeys(TALLIES, 0)
+    renumbered, tallies offset by the runs before, and state {"epoch": e}
+    for the e-th run (0 for record 0). The joined method has no potential,
+    so its `potential` column is None."""
+    tallies, states, base = runs[0].tallies[:1], [{"epoch": 0}], (0,) * len(TALLIES)
     for e, run in enumerate(runs, 1):
-        for r in run.records[1:]:
-            trace.append(replace(r, k=len(trace), potential=None, state={"epoch": e},
-                                 **{t: getattr(r, t) + base[t] for t in TALLIES}))
-        base = {t: getattr(run.final, t) + base[t] for t in TALLIES}
+        tallies += [tuple(map(add, t, base)) for t in run.tallies[1:]]
+        states += [{"epoch": e} for _ in run.tallies[1:]]
+        base = tuple(map(add, run.tallies[-1], base))
+    trace = Trace(method, meta)
+    trace.extend(list(range(len(tallies))), tallies, states, **{
+        name: np.concatenate([getattr(runs[0], name), *(getattr(r, name)[1:] for r in runs[1:])])
+        for name in ("x", "f_gap", "grad_norm", "dist_opt")})
     return trace

@@ -449,3 +449,68 @@ def test_potential_matches_reference_property(method, L, q, N, seed):
     else:
         tr = mo.tmm(quad, x0, N, mu=max(mu, 1e-3 * L), L=L)
     assert_potential_matches_reference(tr, quad)
+
+
+# ---------------------------------------------------------------------------
+# the one-product interpolation check against the pairwise reference
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 80), d=st.integers(1, 40), L=st.floats(0.1, 100.0),
+       q=st.floats(0.0, 0.99), offset=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_interpolation_matches_reference_far_from_origin(n, d, L, q, offset, seed):
+    # the optimum and the points sit up to 1e6 from the origin, where ||x||^2
+    # dwarfs the pairwise differences the slacks are made of
+    mu = q * L
+    rng = np.random.default_rng(seed)
+    center = offset * rng.standard_normal(d) / np.sqrt(d)
+    eigs = rng.uniform(mu if mu > 0 else 1e-3 * L, L, d)
+    quad = oracles.make_quadratic(eigs, center + rng.standard_normal(d), seed=seed)
+    triplets = [(x, quad.gradient(x), quad.value(x))
+                for x in center + 3.0 * rng.standard_normal((n, d))]
+    got, tol = assert_matches_reference(triplets, mu, L)
+    assert ct.min_slack(got) >= -tol
+
+
+def test_interpolation_on_converged_traces_matches_reference(monkeypatch, capsys):
+    # every certified CLI method run long enough that its iterates converge,
+    # so the slacks are differences of nearly equal terms
+    from accelib import cli
+
+    seen = []
+    real = cli.certify_mod.check_interpolation
+    monkeypatch.setattr(cli.certify_mod, "check_interpolation",
+                        lambda trip, mu, L: seen.append((trip, mu, L)) or real(trip, mu, L))
+    methods = [m for m in cli.METHODS if m in ct._POTENTIALS]
+    assert len(methods) == 10
+    for method in methods:
+        cli.main(["certify", "--method", method, "--problem", "quad:d=20,kappa=50",
+                  "--N", "150", "--seed", "5"])
+        capsys.readouterr()
+        triplets, mu, L = seen.pop()
+        got, want = real(triplets, mu, L), reference_interpolation(triplets, mu, L)
+        tol = tol_for(max(abs(t[2]) for t in triplets) + 1.0)  # as cmd_certify's
+        assert np.array_equal(np.argwhere(got < -tol), np.argwhere(want < -tol)), method
+        assert abs(ct.min_slack(got) - ct.min_slack(want)) <= tol, method
+
+
+# ---------------------------------------------------------------------------
+# potentials read the trace's columns
+
+def test_missing_state_column_raises_invalid_argument(quad_6):
+    tr = mo.fgm(quad_6, np.ones(6), 10, form="II")  # form II carries no z
+    with pytest.raises(InvalidArgument, match="'z'"):
+        tr.column("z")
+    with pytest.raises(InvalidArgument):
+        ct.check_potential(tr, quad_6)
+    assert tr.column("A").shape == (11,)
+
+
+def test_ogm_final_only_state_is_readable(quad_6):
+    tr = mo.ogm(quad_6, np.ones(6), 8)
+    last = tr.records[-1].state
+    assert {"theta_final", "g_final", "y_final"} <= set(last)
+    assert np.array_equal(last["y_final"], tr.final.x)
+    assert not any("theta_final" in r.state for r in tr.records[:-1])
+    with pytest.raises(InvalidArgument):  # record 0 carries no y_prev
+        tr.column("y_prev")
+    assert tr.column("y_prev", 1).shape == (8, 6)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accelib import trace as tr_mod
 from accelib.errors import DivergedError
@@ -199,3 +200,107 @@ def test_fill_takes_objective_and_gradient_from_one_product():
     np.testing.assert_allclose([r.f_gap for r in tr], F - p.f_star, rtol=1e-13)
     np.testing.assert_allclose([r.grad_norm for r in tr], np.linalg.norm(G, axis=1),
                                rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# check_finite and the recorded gradient norm
+
+@pytest.mark.parametrize("d", [1, 7, 1000])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_raises_at_every_position(d, bad):
+    import warnings
+
+    positions = range(d) if d < 1000 else [0, 1, 499, 998, 999]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in positions:
+            x = np.ones(d)
+            x[i] = bad
+            with pytest.raises(DivergedError):
+                tr_mod.check_finite(x)
+        tr_mod.check_finite(np.ones(d))
+        tr_mod.check_finite(1e200 * np.ones(d))  # the squared norm overflows; x does not
+        tr_mod.check_finite(-1e200 * np.ones(d))
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(1, 300), log_scale=st.floats(-300.0, 300.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_recorded_gradient_norm_is_np_linalg_norm(d, log_scale, seed):
+    g = 10.0**log_scale * np.random.default_rng(seed).standard_normal(d)
+    rec = tr_mod.Recorder("gd", None, tr_mod.Counters())
+    rec.record(0, np.zeros(d), grad=g)  # an overflowing norm records inf, without a warning
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(g)
+    assert rec.trace.grad_norm.tobytes() == np.float64(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the columnar trace and its read-only record view
+
+def test_records_view_indexing_slicing_iteration(quad_6):
+    from accelib.momentum import fgm
+
+    tr = fgm(quad_6, np.ones(6), 9)
+    assert len(tr) == len(tr.records) == 10
+    ks = [r.k for r in tr]
+    assert ks == list(range(10)) == [r.k for r in tr.records]
+    assert tr.records[3].k == 3 and tr.records[-1].k == 9 and tr.records[-10].k == 0
+    assert tr.final.k == 9 and np.array_equal(tr.final.x, tr.x[-1])
+    assert [r.k for r in tr.records[2:8:3]] == [2, 5]
+    assert [r.k for r in tr.records[::-1]] == ks[::-1]
+    pairs = list(zip(tr.records, tr.records[1:]))
+    assert [(a.k, b.k) for a, b in pairs] == [(k, k + 1) for k in range(9)]
+    with pytest.raises(IndexError):
+        tr.records[10]
+    r = tr.records[4]
+    assert np.array_equal(r.x, tr.x[4]) and r.f_gap == tr.f_gap[4]
+    assert (r.grad_calls, r.value_calls, r.state["A"]) == (tr.tallies[4][0], tr.tallies[4][4],
+                                                           tr.column("A")[4])
+    assert isinstance(r.f_gap, float) and isinstance(r.grad_calls, int)
+
+
+def test_record_x_is_read_only_and_not_aliased(quad_2):
+    rec = tr_mod.Recorder("gd", quad_2, tr_mod.Counters())
+    x = np.array([1.0, 2.0])
+    rec.record(0, x, state={"z": x})
+    x[0] = 5.0  # the method reuses its array after recording
+    r = rec.trace.records[0]
+    assert r.x.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        r.x[0] = 3.0
+    with pytest.raises(TypeError):
+        r.state["z"] = None
+    with pytest.raises(AttributeError):
+        r.f_gap = 0.0
+    for col in (rec.trace.x, rec.trace.f_gap, rec.trace.grad_norm, rec.trace.dist_opt):
+        assert not col.flags.writeable
+
+
+def test_trace_read_mid_run_grows_its_columns(quad_2):
+    rec = tr_mod.Recorder("gd", quad_2, tr_mod.Counters())
+    rec.record(0, np.ones(2), state={"A": 1.0})
+    assert rec.trace.column("A").tolist() == [1.0]
+    rec.record(1, np.zeros(2), state={"A": 2.0})
+    tr = rec.trace
+    assert tr.column("A").tolist() == [1.0, 2.0]  # the cached column is restacked
+    assert tr.x.tolist() == [[1.0, 1.0], [0.0, 0.0]] and tr.f_gap.tolist() == [5.5, 0.0]
+
+
+def test_join_renumbers_offsets_and_marks_epochs(quad_6):
+    from accelib.momentum import fgm
+
+    a = fgm(quad_6, np.ones(6), 4)
+    b = fgm(quad_6, a.final.x, 3)
+    c = fgm(quad_6, b.final.x, 0)  # a run without steps adds no record
+    joined = tr_mod.join("restart(fgm)", {"k": 4}, [a, b, c])
+    assert [r.k for r in joined] == list(range(8))
+    assert [r.state for r in joined] == [{"epoch": 0}] + [{"epoch": 1}] * 4 + [{"epoch": 2}] * 3
+    assert np.array_equal(joined.x, np.vstack([a.x, b.x[1:]]))
+    assert joined.f_gap.tolist() == a.f_gap.tolist() + b.f_gap[1:].tolist()
+    for t in tr_mod.TALLIES:
+        got = [getattr(r, t) for r in joined]
+        want = ([getattr(r, t) for r in a]
+                + [getattr(r, t) + getattr(a.final, t) for r in b.records[1:]])
+        assert got == want, t
+    assert joined.potential is None and joined.meta == {"k": 4}
