@@ -3,6 +3,7 @@ regularized, and proximal variants with safeguards."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -156,23 +157,70 @@ def rna(buf, h, lam, c_ref=None):
     return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_cond(vals + lam))
 
 
-def golden_section(fun, a, b, evals=20):
-    """Golden-section search for the minimiser of a unimodal `fun` on [a, b],
-    spending `evals` evaluations."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(evals - 2):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, phi the golden ratio
+_GOLDEN = 1.0 - _INVPHI  # the golden step, as a fraction of a segment
+
+
+def minimize_unimodal(fun, a, b, evals=20):
+    """The minimiser of a unimodal `fun` on [a, b], by Brent's method:
+    successive parabolic interpolation through the three best points, with a
+    golden-section step whenever the parabola's step is rejected.
+
+    It makes at most `evals` evaluations, all inside [a, b], and stops early
+    once its bracket is no wider than the one golden-section search leaves
+    after `evals` evaluations, (b - a) phi^-(evals - 2). It returns the best
+    point it evaluated, which then lies in that bracket with the minimiser.
+    Unlike golden section, it does not guarantee to close the bracket within
+    `evals` evaluations: if they run out first, the result is only the best
+    point found. Steps shorter than a third of that width are lengthened to
+    it, so the last two steps, one on each side of the best point, close the
+    bracket.
+    """
+    width = (b - a) * _INVPHI ** (evals - 2)
+    tol = width / 3.0
+    x = w = v = a + _GOLDEN * (b - a)  # best, second best, previous second best
+    fx = fw = fv = fun(x)
+    d = e = 0.0  # the last step, and the one before it
+    for _ in range(evals - 1):
+        if b - a <= width:
+            break
+        m = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol:  # the vertex of the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accepted if it halves the step before last and stays inside
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x < m else -tol
+        if golden:  # into the larger of [a, x] and [x, b]
+            e = b - x if x < m else a - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = fun(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return c if fc < fd else d
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def _x_grad_fallback(s):
@@ -186,7 +234,8 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
     offline mixing (lam == 0), and optionally safeguards:
       - "descent": accept x_extr only if f(x_extr) < min buffered f(x_i),
         else fall back to x_k - h grad f(x_k);
-      - "linesearch": golden-section search of the mixing step over [0, 4h].
+      - "linesearch": `minimize_unimodal` of f over the mixing step in
+        [0, 4h], each evaluation one counted value call.
     The weights c do not depend on the mixing step, so they are solved once
     per step. A singular solve falls back to the gradient step and flags the
     record state. With "descent", f(x_i) is kept beside each buffered pair,
@@ -226,7 +275,7 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
                 c = (rna(buf, 0.0, lam) if lam > 0 else offline_na(buf)).c
                 t = h
                 if safeguard == "linesearch":
-                    t = golden_section(lambda u: co.value(c @ (X - u * G)), 0.0, 4.0 * h)
+                    t = minimize_unimodal(lambda u: co.value(c @ (X - u * G)), 0.0, 4.0 * h)
                 x_new = c @ (X - t * G)
                 if descent:
                     f_new = co.value(x_new)

@@ -221,12 +221,12 @@ def make_huber(tau, L, d):
         raise InvalidArgument("tau must be > 0")
     if L <= 0:
         raise InvalidArgument("L must be > 0")
-    a = L * tau
+    a, half_L = L * tau, 0.5 * L
+    offset = half_L * tau * tau
 
     def value(x):  # also one value per row of a 2-D x
         ax = np.abs(x)
-        inner = ax <= tau
-        return np.sum(np.where(inner, 0.5 * L * x * x, a * ax - 0.5 * L * tau * tau), axis=-1)
+        return np.add.reduce(np.where(ax <= tau, half_L * x * x, a * ax - offset), axis=-1)
 
     def gradient(x):  # coordinatewise, so also row-stacked
         ax = np.abs(x)

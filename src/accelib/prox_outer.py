@@ -4,6 +4,7 @@ linearly convergent inner solvers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from . import certify
 from .errors import (ContractViolation, InconsistentCertificate, InnerSolveError,
                      InvalidArgument, UnsupportedOracle)
-from .extrapolation import golden_section
+from .extrapolation import minimize_unimodal
 from .momentum import _constant_momentum_factory, _tau_delta
 from .oracles import ClassParams, ProblemOracle, class_params
 from .tolerances import tol_for
@@ -207,12 +208,17 @@ def lambda_optimal_tuning(mu, L):
     return 2.0 / (L - 3.0 * mu)
 
 
+def _phi_value(oracle, y, lam, x):
+    """Phi(x) = f(x) + ||x - y||^2/(2 lam), f evaluated through `oracle`."""
+    return oracle.value(x) + float(np.dot(x - y, x - y)) / (2.0 * lam)
+
+
 def _regularized(oracle, y, lam):
     """Phi(x) = f(x) + ||x - y||^2/(2 lam)."""
     mu = oracle.params.mu if oracle.params is not None else 0.0
     L = oracle.params.L
     return ProblemOracle(
-        lambda x: oracle.value(x) + float(np.dot(x - y, x - y)) / (2.0 * lam),
+        lambda x: _phi_value(oracle, y, lam, x),
         lambda x: oracle.gradient(x) + (x - y) / lam,
         params=ClassParams(mu + 1.0 / lam, L + 1.0 / lam),
         name="catalyst_subproblem",
@@ -235,8 +241,12 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     one iteration (its stopping test costs a gradient), so every outer step
     spends budget and the run ends within budget_total outer steps. The
     charged count is what `n_inner`, `inner_counts`, `n_total` and the
-    `inner_iters` counter report, so n_total == inner_iters ==
-    sum(inner_counts) + n_useless.
+    `inner_iters` counter report, so n_total == sum(inner_counts) + n_useless
+    and the final record's inner_iters == sum(inner_counts): an inner solve
+    cut by the budget is spent after the last record.
+    With gd_linesearch, each inner step's line search evaluates Phi through
+    counted value calls (`minimize_unimodal`), except on a quadratic f, whose
+    closed-form step costs one `hessian_matvec` that no counter records.
     """
     if inner not in INNER_SOLVERS:
         raise InvalidArgument(f"unknown inner solver {inner!r}")
@@ -247,6 +257,8 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     if not np.isfinite(burden):  # lam L past 1/eps rounds 1 - tau_M to 1
         raise InvalidArgument("lambda * L too large for a finite inner-solver burden")
     cap = 2 * int(np.ceil(burden))
+    # the class of every subproblem Phi_k: its check refuses an infinite L + 1/lam
+    phi_params = ClassParams(oracle.params.mu + 1.0 / lam, L + 1.0 / lam)
     total = 0
     exhausted = False
 
@@ -257,7 +269,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                 return None
             x, z, A = s["x"], s["z"], s["A"]
             _, A1, delta, y = _outer_point(x, z, A, lam, mu)
-            w, g, n_inner, stopped = _inner_solve(co, oracle, y, lam, inner,
+            w, g, n_inner, stopped = _inner_solve(co, y, lam, inner, phi_params,
                                                   budget_total - total, cap)
             n_inner = max(n_inner, 1)
             co.counters.inner_iters += n_inner
@@ -285,23 +297,22 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     return trace
 
 
-def _inner_solve(co, oracle, y, lam, inner, budget_left, cap):
-    """Run the inner method on Phi = f + ||.-y||^2/(2 lam) from w0 = y until
-    lam ||grad Phi(w)|| <= ||w - w0||. Returns (w, grad f(w), iterations,
-    stopped): the gradient is the one the last stopping test took."""
-    phi = _regularized(co, y, lam)
-    L_phi = phi.params.L
+def _inner_solve(co, y, lam, inner, phi_params, budget_left, cap):
+    """Run the inner method on Phi = f + ||.-y||^2/(2 lam), of class `phi_params`,
+    from w0 = y until lam ||grad Phi(w)|| <= ||w - w0||. Returns (w, grad f(w),
+    iterations, stopped): the gradient is the one the last stopping test took."""
     if inner == "const_momentum":
-        s, step = _constant_momentum_factory(phi, y, phi.params.mu, L_phi)
+        s, step = _constant_momentum_factory(_regularized(co, y, lam), y, phi_params.mu,
+                                             phi_params.L)
     else:  # a gd step reuses the gradient of the stopping test
         s = {"x": y}
 
         def step(s):
             w, g = s["x"], s["g"]
             if inner == "gd":
-                t = 1.0 / L_phi
+                t = 1.0 / phi_params.L
             else:  # exact line search on the regularized subproblem
-                t = _exact_linesearch(phi, oracle, w, g, lam, L_phi)
+                t = _exact_linesearch(co, w, g, y, lam, phi_params.mu)
             return {"x": w - t * g}
 
     n = min(budget_left, cap)
@@ -310,9 +321,11 @@ def _inner_solve(co, oracle, y, lam, inner, budget_left, cap):
         # honest oracle accounting for evaluating it
         w = s["x"]
         g = co.gradient(w)
-        s["g"] = g + (w - y) / lam  # grad Phi(w), as phi.gradient forms it
-        dist = np.linalg.norm(w - y)
-        if lam * np.linalg.norm(s["g"]) - dist <= tol_for(dist):
+        r = w - y
+        s["g"] = g + r / lam  # grad Phi(w), as `_regularized` forms it
+        # = np.linalg.norm bit for bit (the same ddot)
+        dist = math.sqrt(np.vdot(r, r))
+        if lam * math.sqrt(np.vdot(s["g"], s["g"])) - dist <= tol_for(dist):
             return w, g, i, True
         if i < n:
             s = step(s)
@@ -322,11 +335,15 @@ def _inner_solve(co, oracle, y, lam, inner, budget_left, cap):
     return w, g, n, False
 
 
-def _exact_linesearch(phi, oracle, w, g, lam, L_phi):
-    if getattr(oracle, "is_quadratic", False):
-        Hg = oracle.hessian_matvec(g) + g / lam  # Hessian of Phi applied to g
+def _exact_linesearch(co, w, g, y, lam, mu_phi):
+    """argmin over t of Phi(w - t g), Phi = f + ||.-y||^2/(2 lam) being
+    mu_phi-strongly convex. On a quadratic f it is closed-form, at the cost of
+    one `hessian_matvec` that no counter records; otherwise it is
+    `minimize_unimodal`, each evaluation of Phi one counted value call."""
+    if getattr(co, "is_quadratic", False):
+        Hg = co.hessian_matvec(g) + g / lam  # Hessian of Phi applied to g
         return float(np.dot(g, g) / np.dot(g, Hg))
     # t -> Phi(w - t g) is mu_phi ||g||^2-strongly convex with slope -||g||^2
     # at 0, so its minimiser lies in [0, 1/mu_phi], inside this bracket
-    return golden_section(lambda t: phi.value(w - t * g), 0.0, 2.0 / phi.params.mu,
-                          evals=42)
+    return minimize_unimodal(lambda t: _phi_value(co, y, lam, w - t * g), 0.0, 2.0 / mu_phi,
+                             evals=42)

@@ -47,6 +47,25 @@ def test_huber_frozen_values():
     )
 
 
+def huber_value_reference(x, tau, L):
+    """The Huber value as `make_huber` first wrote it."""
+    ax = np.abs(x)
+    return np.sum(np.where(ax <= tau, 0.5 * L * x * x, L * tau * ax - 0.5 * L * tau * tau),
+                  axis=-1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(1, 40), rows=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-3.0, 3.0), tau=st.floats(1e-3, 1e3), L=st.floats(1e-3, 1e3))
+def test_huber_value_equals_the_reference_bit_for_bit(d, rows, seed, log_scale, tau, L):
+    # rows = 0: one 1-D point; else a stack of that many rows
+    shape = (rows, d) if rows else (d,)
+    x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(shape)
+    got = oracles.make_huber(tau, L, d).value(x)
+    assert np.array_equal(got, huber_value_reference(x, tau, L))
+    assert np.shape(got) == shape[:-1]
+
+
 def test_heb_power_frozen_values():
     p = oracles.make_heb_power(4, 2)
     x = np.array([1.0, 0.0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from accelib import oracles, prox_outer as po
+from accelib.extrapolation import minimize_unimodal
 from accelib.errors import (
     ContractViolation,
     InconsistentCertificate,
@@ -175,3 +176,48 @@ def test_catalyst_gradient_calls_are_its_stopping_tests(monkeypatch, inner, budg
     # the last record
     useless = tr.meta["n_useless"]
     assert tr.final.grad_calls == len(tests) - (useless + 1 if useless else 0)
+
+
+@pytest.mark.parametrize("inner", po.INNER_SOLVERS)
+def test_catalyst_accounting_identities_under_every_budget(inner):
+    # a solve cut by the budget counts in n_total and n_useless, but is spent
+    # after the last record, so the final inner_iters leaves it out
+    rng = np.random.default_rng(4)
+    p = oracles.make_quadratic(np.linspace(0.5, 20.0, 7), rng.standard_normal(7), seed=4)
+    x0 = rng.standard_normal(7)
+    cut = 0
+    for budget in range(1, 21):
+        tr = po.catalyst(p, inner, 0.2, budget, x0)
+        m = tr.meta
+        assert m["n_total"] == sum(m["inner_counts"]) + m["n_useless"] <= budget
+        assert tr.final.inner_iters == sum(m["inner_counts"])
+        cut += m["n_useless"] > 0
+    assert cut  # some budget cuts an inner solve
+
+
+@pytest.mark.parametrize("d, seed", [(20, 3), (100, 1), (200, 2)])
+def test_catalyst_line_search_stops_short_of_its_evaluation_cap(monkeypatch, d, seed):
+    # each gd_linesearch step on a non-quadratic f minimises Phi along -grad
+    # with counted value calls, at most 42 per search; every search closes
+    # its bracket, as narrow as 42 golden-section evaluations would leave
+    # it, before the cap, since the minimiser's bound holds only then
+    searches = []
+
+    def counted(fun, a, b, evals):
+        calls = []
+        t = minimize_unimodal(lambda u: calls.append(u) or fun(u), a, b, evals)
+        searches.append((len(calls), evals))
+        return t
+
+    monkeypatch.setattr(po, "minimize_unimodal", counted)
+    f = oracles.make_huber(0.1, 1.0, d)
+    x0 = 10.0 * np.random.default_rng(seed).standard_normal(d)
+    for budget in (30, 60, 110):
+        searches.clear()
+        tr = po.catalyst(f, "gd_linesearch", 1.0, budget, x0)
+        m = tr.meta
+        assert searches and all(n < evals == 42 for n, evals in searches)
+        assert 0 < tr.final.value_calls <= sum(n for n, _ in searches)
+        assert tr.final.value_calls < 42 * sum(m["inner_counts"])
+        assert m["n_total"] == sum(m["inner_counts"]) + m["n_useless"]
+        assert tr.final.inner_iters == sum(m["inner_counts"])
