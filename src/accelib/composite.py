@@ -24,7 +24,7 @@ from . import certify
 from .errors import InvalidArgument, RunawayLError
 from .momentum import _tau_delta, fgm_bound, next_A
 from .oracles import CompositeProblem, class_params
-from .tolerances import tol_for
+from .tolerances import tolerances
 from .trace import CountingOracle, drive
 
 MAX_BACKTRACKS = 200
@@ -44,7 +44,8 @@ def fista_bound(L, L0, alpha, R, N, mu=0.0):
 
 def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None):
     """Shared stepper for fista / prox_agm. State keys: x, z, L, and A (monotone
-    mode) or B (other modes), plus y, the wasted count and the line search's f(x)."""
+    mode) or B (other modes), plus y, the wasted count and the line search's f(x).
+    The descent test's (atol, rtol) are read once, when the run starts."""
     if mode not in MODES:
         raise InvalidArgument(f"unknown backtracking mode {mode!r}")
     if alpha <= 1:
@@ -56,6 +57,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
     if not (0 < beta < 1):
         raise InvalidArgument("beta must be in (0,1)")
     co_h = CountingOracle(problem.nonsmooth, co_f.counters)
+    atol, rtol = tolerances()
 
     monotone = mode == "monotone"
     key = "A" if monotone else "B"
@@ -82,20 +84,22 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
                 f_y, g = co_f.value_and_gradient(y)
             if method == "fista":
                 x1 = co_h.prox(y - g / L1, 1.0 / L1)
-                z1 = (1.0 - q1 * delta) * z + q1 * delta * y + delta * (x1 - y)
             else:  # prox_agm: prox on the z-sequence
                 z1 = co_h.prox((1.0 - q1 * delta) * z + q1 * delta * y - (delta / L1) * g,
                                delta / L1)
                 x1 = (A / A1) * x + (1.0 - A / A1) * z1
             lhs = co_f.value(x1)
-            rhs = f_y + np.dot(g, x1 - y) + 0.5 * L1 * np.dot(x1 - y, x1 - y)
-            if lhs <= rhs + tol_for(abs(rhs)):
+            dx = x1 - y
+            rhs = f_y + np.dot(g, dx) + 0.5 * L1 * np.dot(dx, dx)
+            if lhs <= rhs + (atol + rtol * abs(rhs)):
                 break
             wasted += 1
             L1 *= alpha
         else:
             raise RunawayLError("backtracking exceeded 200 increases; "
                                 "is f really smooth, or is alpha too small?")
+        if method == "fista":  # z_{k+1} of the accepted trial only
+            z1 = (1.0 - q1 * delta) * z + q1 * delta * y + delta * dx
         return {"x": x1, "z": z1, "L": L1, "y": y, "wasted": wasted, "f": lhs,
                 key: A1 if monotone else A1 / L1}
 

@@ -1,5 +1,14 @@
 """Nonlinear (Anderson-type) acceleration: offline, mixing, online,
-regularized, and proximal variants with safeguards."""
+regularized, and proximal variants with safeguards.
+
+Every extrapolation solves a k x k system in the Gram matrix G G^T of the
+buffered gradients (k <= the buffer's capacity) from one symmetric
+eigendecomposition G G^T = V diag(vals) V^T: its largest eigenvalue
+normalises it, |vals + lam| are the system's singular values, to which the
+module's one singularity rule applies (`SINGULAR_PIVOT_REL`), the condition
+number comes from the same vals, and the solve is V diag(1/(vals + lam)) V^T.
+Pairs whose Gram matrix has a non-finite trace raise DivergedError.
+"""
 
 from __future__ import annotations
 
@@ -9,39 +18,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, SingularSystemError
+from .errors import DivergedError, InvalidArgument, SingularSystemError
 from .trace import CountingOracle, drive
 
 SINGULAR_PIVOT_REL = 1e-13
 
 
+def _rank_deficient(sv):
+    """The module's one singularity rule: the singular values `sv` of a system
+    span more than 1 / SINGULAR_PIVOT_REL (or are all zero)."""
+    return sv.min() < SINGULAR_PIVOT_REL * max(sv.max(), 1e-300)
+
+
+_NO_ROWS = np.empty((0, 0))
+_NO_ROWS.flags.writeable = False
+
+
+def _stack(M, row, drop):
+    """The read-only rows of M without its first `drop`, then `row`."""
+    row = np.array(row, dtype=float, ndmin=2)
+    M = np.concatenate((M[drop:], row)) if len(M) else row
+    M.flags.writeable = False
+    return M
+
+
 class PairBuffer:
-    """Ordered (x_i, g_i) pairs with optional capacity; oldest evicted first."""
+    """Ordered (x_i, g_i) pairs with optional capacity; oldest evicted first.
+
+    `X` and `G` are the pairs stacked as rows, formed once per `append` and
+    read-only."""
 
     def __init__(self, capacity=None):
         if capacity is not None and capacity < 1:
             raise InvalidArgument("capacity must be >= 1")
         self.capacity = capacity
-        self._xs = []
-        self._gs = []
+        self._X = self._G = _NO_ROWS
 
     def append(self, x, g):
-        self._xs.append(np.array(x, dtype=float, copy=True))
-        self._gs.append(np.array(g, dtype=float, copy=True))
-        if self.capacity is not None and len(self._xs) > self.capacity:
-            self._xs.pop(0)
-            self._gs.pop(0)
+        drop = int(self.capacity is not None and len(self) == self.capacity)
+        self._X = _stack(self._X, x, drop)
+        self._G = _stack(self._G, g, drop)
 
     def __len__(self):
-        return len(self._xs)
+        return len(self._X)
 
     @property
     def X(self):
-        return np.array(self._xs)
+        return self._X
 
     @property
     def G(self):
-        return np.array(self._gs)
+        return self._G
 
 
 @dataclass
@@ -55,17 +82,19 @@ def lstsq_qr(A, b):
     """Least-squares min ||A y - b|| via QR (backward stable, unlike the
     squared normal equations); b may hold several right-hand sides as columns.
 
-    The module's one singularity rule: raises SingularSystemError when A is
-    wide or the singular values of R (those of A) span more than 1 / 1e-13;
-    the unpivoted R diagonal would miss a zero hidden by a small leading R_ii.
+    Raises SingularSystemError when A is wide, or when the singular values of
+    R (those of A) break the module's singularity rule; the unpivoted R
+    diagonal would miss a zero hidden by a small leading R_ii. The
+    extrapolations' Gram systems do not come here: they are solved from one
+    eigendecomposition (see the module docstring). Only `offline_na`'s
+    fallback in difference coordinates, a tall system, does.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     if m < n:
         raise SingularSystemError(f"wide system: {m} equations, {n} unknowns")
     Q, R = np.linalg.qr(A)
-    sv = np.linalg.svd(R, compute_uv=False)
-    if sv[-1] < SINGULAR_PIVOT_REL * max(sv[0], 1e-300):
+    if _rank_deficient(np.linalg.svd(R, compute_uv=False)):
         raise SingularSystemError("rank-deficient system")
     return np.linalg.solve(R, Q.T @ np.asarray(b, dtype=float))
 
@@ -88,27 +117,41 @@ def _cond(vals):
     return np.inf if lo == 0.0 else hi / lo
 
 
-def offline_na(buf):
-    """Solve (G^T G) z = 1, normalize c = z / (z^T 1), return x_extr = sum c_i x_i.
+def _gram_eigh(G):
+    """The eigenvalues (ascending) and eigenvectors of G G^T / ||G G^T||_2,
+    from one `eigh`. A non-finite trace of G G^T, which every non-finite
+    entry of G or of G G^T gives, raises DivergedError."""
+    GGt = G @ G.T
+    if not math.isfinite(np.trace(GGt)):
+        raise DivergedError("extrapolation pairs became non-finite")
+    vals, V = np.linalg.eigh(GGt)
+    if vals[-1] > 0:
+        vals = vals / vals[-1]
+    return vals, V
 
-    When the Gram solve is singular by `lstsq_qr`'s rule (the buffered
-    gradients are affinely dependent, e.g. k >= d on a quadratic where the
-    exact minimizer is reachable), the same subproblem min ||c @ G|| s.t.
-    sum(c) = 1 is re-solved in difference coordinates c_i (i < k), which stays
-    nonsingular whenever the gradient differences are independent. Truly
-    degenerate buffers, and buffers of more than d + 1 pairs (a wide
-    difference system), still raise.
-    """
-    if len(buf) < 1:
-        raise InvalidArgument("need at least one pair")
-    G = buf.G
-    GtG = G @ G.T
-    k = len(buf)
+
+def _weights(vals, V, lam, c_ref=None):
+    """c = w + z (1 - w^T 1)/(z^T 1) from (GG_n + lam I) [w z] = [lam c_ref, 1],
+    GG_n = V diag(vals) V^T, so c^T 1 = 1 exactly; c_ref defaults to uniform.
+    At lam = 0, w = 0 and c = z / (z^T 1). Raises SingularSystemError when
+    |vals + lam| break the module's singularity rule."""
+    s = vals + lam
+    if _rank_deficient(np.abs(s)):
+        raise SingularSystemError("rank-deficient system")
+    k = len(s)
+    if c_ref is None:
+        c_ref = np.full(k, 1.0 / k)
+    w, z = (V @ ((V.T @ np.column_stack([lam * c_ref, np.ones(k)])) / s[:, None])).T
+    return w + z * (1.0 - np.sum(w)) / np.sum(z)
+
+
+def _offline_weights(G):
+    """`offline_na`'s weights, with its fallback, and the Gram condition."""
+    vals, V = _gram_eigh(G)
     try:
-        z = lstsq_qr(GtG, np.ones(k))
-        c = z / np.sum(z)
+        c = _weights(vals, V, 0.0)
     except SingularSystemError:
-        if k == 1:
+        if len(G) == 1:
             raise
         D = G[:-1] - G[-1]
         norms = np.linalg.norm(D, axis=1)
@@ -116,45 +159,51 @@ def offline_na(buf):
             raise
         y = lstsq_qr((D / norms[:, None]).T, -G[-1]) / norms
         c = np.append(y, 1.0 - np.sum(y))
-    x_extr = c @ buf.X
-    return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_cond(np.linalg.eigvalsh(GtG)))
+    return c, _cond(vals)
+
+
+def offline_na(buf):
+    """Solve (G^T G) z = 1, normalize c = z / (z^T 1), return x_extr = sum c_i x_i
+    (the mixing step h = 0 of `na_mixing`).
+
+    When the Gram solve is singular by the module's rule (the buffered
+    gradients are affinely dependent, e.g. k >= d on a quadratic where the
+    exact minimizer is reachable), the same subproblem min ||c @ G|| s.t.
+    sum(c) = 1 is re-solved in difference coordinates c_i (i < k) by
+    `lstsq_qr`, which stays nonsingular whenever the gradient differences are
+    independent. Truly degenerate buffers, and buffers of more than d + 1
+    pairs (a wide difference system), still raise.
+    """
+    return na_mixing(buf, 0.0)
 
 
 def na_mixing(buf, h):
     """x_extr = sum c_i (x_i - h g_i) with the offline weights."""
-    res = offline_na(buf)
-    x_extr = res.c @ (buf.X - h * buf.G)
-    return ExtrapolationResult(c=res.c, x_extr=x_extr, gram_cond=res.gram_cond)
+    if len(buf) < 1:
+        raise InvalidArgument("need at least one pair")
+    c, cond = _offline_weights(buf.G)
+    return ExtrapolationResult(c=c, x_extr=c @ (buf.X - h * buf.G), gram_cond=cond)
 
 
 def rna(buf, h, lam, c_ref=None):
     """Regularized weights from (GG/||GG||_2 + lam I) w = lam c_ref, renormalized.
 
     c = w + z (1 - w^T 1)/(z^T 1) with (GG_n + lam I) z = 1, so c^T 1 = 1 exactly.
-    Default c_ref is uniform.
+    Default c_ref is uniform. Both systems are solved from one eigendecomposition
+    of GG (see the module docstring), which also gives ||GG||_2 and gram_cond.
     """
     if lam <= 0:
         raise InvalidArgument("lambda must be > 0")
-    k = len(buf)
-    if k < 1:
+    if len(buf) < 1:
         raise InvalidArgument("need at least one pair")
-    if c_ref is None:
-        c_ref = np.full(k, 1.0 / k)
-    else:
+    if c_ref is not None:
         c_ref = np.asarray(c_ref, dtype=float)
         if abs(np.sum(c_ref) - 1.0) > 1e-9:
             raise InvalidArgument("c_ref must sum to 1")
-    G = buf.G
-    GtG = G @ G.T
-    vals = np.linalg.eigvalsh(GtG)  # vals[-1] = spectral_norm(GtG)
-    norm = float(vals[-1])
-    if norm > 0:
-        GtG, vals = GtG / norm, vals / norm
-    A = GtG + lam * np.eye(k)
-    w, z = lstsq_qr(A, np.column_stack([lam * c_ref, np.ones(k)])).T
-    c = w + z * (1.0 - np.sum(w)) / np.sum(z)
-    x_extr = c @ (buf.X - h * buf.G)
-    return ExtrapolationResult(c=c, x_extr=x_extr, gram_cond=_cond(vals + lam))
+    vals, V = _gram_eigh(buf.G)
+    c = _weights(vals, V, lam, c_ref)
+    return ExtrapolationResult(c=c, x_extr=c @ (buf.X - h * buf.G),
+                               gram_cond=_cond(vals + lam))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, phi the golden ratio
@@ -223,6 +272,18 @@ def minimize_unimodal(fun, a, b, evals=20):
     return x
 
 
+def _search_from_edge(fun, a, b, evals=20):
+    """The minimiser of a convex `fun` on [a, b], to the width
+    w = (b - a) phi^-(evals - 2) that `minimize_unimodal` closes: first
+    fun(b) and fun(b - w), and b itself if fun(b) <= fun(b - w), since
+    convexity then puts a minimiser in [b - w, b]; otherwise
+    `minimize_unimodal(fun, a, b, evals)`, after those two evaluations."""
+    w = (b - a) * _INVPHI ** (evals - 2)
+    if fun(b) <= fun(b - w):
+        return b
+    return minimize_unimodal(fun, a, b, evals)
+
+
 def _x_grad_fallback(s):
     return s["x"], s.get("g"), ({"fallback": s["fallback"]} if "fallback" in s else {})
 
@@ -234,10 +295,13 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
     offline mixing (lam == 0), and optionally safeguards:
       - "descent": accept x_extr only if f(x_extr) < min buffered f(x_i),
         else fall back to x_k - h grad f(x_k);
-      - "linesearch": `minimize_unimodal` of f over the mixing step in
-        [0, 4h], each evaluation one counted value call.
+      - "linesearch": the minimiser of f over the mixing step in [0, 4h],
+        each evaluation one counted value call. The step 4h is taken after
+        two evaluations when f shows it to be within the search's width of
+        the minimiser (`_search_from_edge`), else `minimize_unimodal` runs.
     The weights c do not depend on the mixing step, so they are solved once
-    per step. A singular solve falls back to the gradient step and flags the
+    per step, from the stacked pairs, without forming rna's or offline_na's
+    x_extr. A singular solve falls back to the gradient step and flags the
     record state. With "descent", f(x_i) is kept beside each buffered pair,
     taken with the gradient at x_i (or from the test itself at an accepted
     x_extr), so no point is evaluated twice.
@@ -272,10 +336,10 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
             X, G = buf.X, buf.G
             f_new = None
             try:
-                c = (rna(buf, 0.0, lam) if lam > 0 else offline_na(buf)).c
+                c = _weights(*_gram_eigh(G), lam) if lam > 0 else _offline_weights(G)[0]
                 t = h
                 if safeguard == "linesearch":
-                    t = minimize_unimodal(lambda u: co.value(c @ (X - u * G)), 0.0, 4.0 * h)
+                    t = _search_from_edge(lambda u: co.value(c @ (X - u * G)), 0.0, 4.0 * h)
                 x_new = c @ (X - t * G)
                 if descent:
                     f_new = co.value(x_new)

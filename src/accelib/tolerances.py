@@ -2,7 +2,10 @@
 
 Every inequality check in the library accepts slack >= -(atol + rtol * magnitude).
 Defaults are atol=1e-10, rtol=1e-9; the ACCEL_TOL environment variable overrides
-both as a comma-separated pair "atol,rtol".
+both as a comma-separated pair "atol,rtol". `ACCEL_TOL` is read when a run
+starts: a step loop that tests every trial point (the composite line search)
+takes the pair once per run from `tolerances()`, so changing the variable
+mid-run does not affect that run.
 """
 
 import os

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from accelib import extrapolation as ex, oracles, poly_methods as pm
-from accelib.errors import InvalidArgument, SingularSystemError
+from accelib.errors import DivergedError, InvalidArgument, SingularSystemError
 
 
 def test_solve_pivot_matches_reference():
@@ -312,3 +312,149 @@ def test_minimize_unimodal_meets_the_golden_section_bound(kind, seed, evals, a, 
     assert t in points and fun(t) == min(map(fun, points))  # the best point evaluated
     assert abs(t - t_star) <= bound
     assert abs(golden_section_reference(fun, a, b, evals) - t_star) <= bound
+
+
+@pytest.mark.parametrize("lam", [1e-8, 0.0])
+@pytest.mark.parametrize("driver", ["online_rna", "prox_rna"])
+def test_overflowing_pair_buffer_raises_diverged_with_the_partial_trace(driver, lam):
+    # a step far beyond 2/L blows the buffered gradients up; the Gram matrix
+    # overflows before any iterate does, and the solve must not escape as
+    # numpy's LinAlgError ("Eigenvalues did not converge", "SVD did not
+    # converge")
+    p = oracles.make_quadratic([1.0, 4.0, 9.0], np.array([1.0, -2.0, 0.5]), seed=3)
+    x0 = np.array([2.0, -1.0, 3.0])
+    with np.errstate(all="ignore"), pytest.raises(DivergedError) as exc:
+        if driver == "online_rna":
+            ex.online_rna(p, x0, h=100.0, lam=lam, m=3, N=400)
+        else:
+            comp = oracles.CompositeProblem(p, oracles.make_zero(3))
+            ex.prox_rna(comp, x0, gamma=100.0, lam=lam, N=400, m=3)
+    tr = exc.value.trace
+    assert tr is not None and 1 < len(tr) < 401
+    assert np.isfinite(tr.x).all()
+
+
+def qr_weights_reference(G, lam, c_ref):
+    """The Gram solve the eigendecomposition replaced, kept as the reference:
+    lam = 0 solves offline_na's G G^T z = 1 by `lstsq_qr`, lam > 0 rna's two
+    systems in G G^T / ||G G^T||_2 + lam I."""
+    k = len(G)
+    GtG = G @ G.T
+    if lam == 0:
+        z = ex.lstsq_qr(GtG, np.ones(k))
+        return z / np.sum(z)
+    norm = float(np.linalg.eigvalsh(GtG)[-1])
+    if norm > 0:
+        GtG = GtG / norm
+    w, z = ex.lstsq_qr(GtG + lam * np.eye(k), np.column_stack([lam * c_ref, np.ones(k)])).T
+    return w + z * (1.0 - np.sum(w)) / np.sum(z)
+
+
+@settings(deadline=None, max_examples=400)
+@given(k=st.integers(1, 8), d=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(0.0, 8.0), lam=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)))
+def test_eigen_weights_match_the_qr_reference(k, d, seed, spread, lam):
+    # gradients whose rows differ in scale by up to 10^spread, so the Gram
+    # matrix runs from well conditioned to singular (always when k > d)
+    lam = 0.0 if lam == 0.0 else 10.0 ** lam
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-spread / 2, spread / 2, (k, 1))
+    c_ref = rng.dirichlet(np.ones(k))
+    GtG = G @ G.T
+    A = GtG / np.linalg.norm(GtG, 2) + lam * np.eye(k)
+    sv = np.linalg.svd(A, compute_uv=False)
+    ratio = sv[-1] / sv[0]
+    try:
+        want = qr_weights_reference(G, lam, c_ref)
+    except SingularSystemError:
+        want = None
+    try:
+        got = ex._weights(*ex._gram_eigh(G), lam, c_ref)
+    except SingularSystemError:
+        got = None
+    if ratio < 1e-14:
+        assert want is None and got is None
+    elif ratio > 1e-12:
+        assert want is not None and got is not None
+    if want is None or got is None:
+        return
+    assert abs(np.sum(got) - 1.0) <= 1e-12
+    scale = max(1.0, np.abs(want).max()) ** 2
+    assert np.abs(got - want).max() <= 64 * k * np.finfo(float).eps * scale / ratio
+
+
+def test_one_eigendecomposition_per_extrapolation(monkeypatch, quad_6):
+    # a nonsingular rna/offline_na/na_mixing call makes one eigh and no other
+    # dense factorisation or solve
+    x0 = np.full(6, 1.5)
+    tr = pm.gradient_descent(quad_6, 1.0 / 10.0, x0, 4)
+    buf = ex.PairBuffer()
+    for rec in tr.records:
+        buf.append(rec.x, quad_6.gradient(rec.x))
+    calls = []
+    for name in ("eigh", "eigvalsh", "qr", "svd", "solve", "lstsq", "inv"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
+    for extrapolate in (lambda: ex.rna(buf, 0.1, 1e-8), lambda: ex.offline_na(buf),
+                        lambda: ex.na_mixing(buf, 0.1)):
+        calls.clear()
+        extrapolate()
+        assert calls == ["eigh"]
+
+
+def test_pair_buffer_stacks_read_only_copies():
+    buf = ex.PairBuffer(capacity=2)
+    x = np.array([1.0, 2.0])
+    buf.append(x, -x)
+    x[0] = 9.0  # the buffer holds a copy
+    buf.append(x, -x)
+    buf.append(2 * x, -2 * x)
+    assert np.array_equal(buf.X, [[9.0, 2.0], [18.0, 4.0]])
+    assert np.array_equal(buf.G, -buf.X)
+    assert buf.X is buf.X  # stacked once per append, not per access
+    with pytest.raises(ValueError):
+        buf.X[0, 0] = 0.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["quadratic", "huber", "log-sum-exp"]),
+       seed=st.integers(0, 2**32 - 1), evals=st.integers(3, 24),
+       a=st.floats(-4.0, 4.0), width=st.floats(0.5, 8.0), c=st.floats(0.1, 10.0))
+def test_search_from_edge_takes_the_edge_in_two_evaluations(kind, seed, evals, a, width, c):
+    # a minimiser at the end of the bracket costs 2 evaluations and returns
+    # that end; any other stays within the golden-section bound of
+    # `minimize_unimodal`, after at most evals + 2 evaluations
+    fun, slope = line_function(kind, np.random.default_rng(seed), c)
+    b = a + width
+    t_star = argmin_by_slope(slope, a, b)
+    points = []
+    t = ex._search_from_edge(lambda u: points.append(u) or fun(u), a, b, evals)
+    assert len(points) <= evals + 2 and all(a <= u <= b for u in points)
+    assert abs(t - t_star) <= (b - a) * INVPHI ** (evals - 2)
+    if t_star == b:
+        assert t == b and len(points) == 2
+
+
+def test_online_rna_linesearch_pays_two_values_at_the_bracket_edge(monkeypatch):
+    # the workload's instance (d = 100, kappa = 100, h = 1/L, m = 8): most
+    # searches end at the edge 4h of the bracket and cost 2 value calls, the
+    # others 2 plus those of their `minimize_unimodal`
+    rng = np.random.default_rng(7)
+    p = oracles.make_quadratic(np.linspace(0.1, 10.0, 100), rng.standard_normal(100), seed=7)
+    searches = []  # the points each `minimize_unimodal` call evaluated
+    inner = ex.minimize_unimodal
+
+    def spy(fun, a, b, evals):
+        points = []
+        searches.append(points)
+        return inner(lambda u: points.append(u) or fun(u), a, b, evals)
+
+    monkeypatch.setattr(ex, "minimize_unimodal", spy)
+    tr = ex.online_rna(p, rng.standard_normal(100), h=0.1, lam=1e-8, m=8, N=15,
+                       safeguard="linesearch")
+    per_step = np.diff([r.value_calls for r in tr.records])
+    assert per_step.min() == 2
+    assert sorted(per_step[per_step > 2] - 2) == sorted(map(len, searches))
+    assert np.sum(per_step == 2) >= 8 and len(searches) >= 1
+    assert tr.final.value_calls == 2 * 15 + sum(map(len, searches))
