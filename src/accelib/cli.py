@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from . import certify as certify_mod
 from . import composite, momentum, poly_methods, prox_outer
 from .errors import (ContractViolation, DivergedError, InvalidArgument, RunawayLError,
                      UnsupportedOracle)
 from .oracles import CompositeProblem, make_huber, make_l1, make_quadratic, make_zero
-from .tolerances import tol_for
+from .tolerances import tol_for, tolerances
 
 EXIT_SCHEMA = 2
 EXIT_DIVERGED = 3
@@ -135,7 +136,9 @@ METHODS = {
 
 
 def _setup(args):
-    """(smooth oracle, composite problem, x0) shared by every command."""
+    """(smooth oracle, composite problem, x0) shared by every command. A
+    malformed ACCEL_TOL is refused here, before the run."""
+    tolerances()
     for name in ("mu", "L", "lam", "gamma"):  # e.g. a subnormal --L, whose 1/L overflows
         value = getattr(args, name)
         if value and not np.isfinite(1.0 / value):
@@ -176,6 +179,7 @@ def _write(path, text):
 def write_outputs(trace, args, bound, config):
     value = getattr(trace.final, METHODS[args.method].column)
     satisfied = None if bound is None else bool(value <= bound + tol_for(bound))
+    atol, rtol = tolerances()
     summary = {
         "config": config,
         "final_gap": trace.final.f_gap,
@@ -186,6 +190,8 @@ def write_outputs(trace, args, bound, config):
         "bound_satisfied": satisfied,
         "potential_worst_margin": trace.meta.get("potential_worst_margin"),
         "potential_worst_step": trace.meta.get("potential_worst_step"),
+        "provenance": {"accelib": __version__, "numpy": np.__version__,
+                       "seed": args.seed, "atol": atol, "rtol": rtol},
     }
     csv_text, text = trace.to_csv(), _dumps(summary)
     if args.out:

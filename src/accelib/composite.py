@@ -72,7 +72,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
             L1 = L0
         else:
             L1 = max(beta * s["L"], L0)
-        wasted, tau_y = s["wasted"], None
+        wasted, tau_y, zx = s["wasted"], None, z - x
         for attempt in range(MAX_BACKTRACKS + 1):
             q1 = mu / L1
             A = s["A"] if monotone else L1 * s["B"]
@@ -80,7 +80,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
             tau, delta = _tau_delta(A, A1, q1)
             if tau != tau_y:  # y is the same for every L1 in monotone mode with mu = 0
                 tau_y = tau
-                y = x + tau * (z - x)
+                y = x + tau * zx
                 f_y, g = co_f.value_and_gradient(y)
             if method == "fista":
                 x1 = co_h.prox(y - g / L1, 1.0 / L1)

@@ -308,6 +308,8 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
     """
     if m < 1:
         raise InvalidArgument("memory m must be >= 1")
+    if not lam >= 0:
+        raise InvalidArgument("lambda must be >= 0 (0: unregularized weights)")
     if safeguard not in ("none", "descent", "linesearch"):
         raise InvalidArgument(f"unknown safeguard {safeguard!r}")
 
@@ -366,6 +368,8 @@ def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
     """
     if gamma <= 0:
         raise InvalidArgument("gamma must be > 0")
+    if not lam >= 0:
+        raise InvalidArgument("lambda must be >= 0 (0: unregularized weights)")
 
     def start(f):
         h = CountingOracle(problem.nonsmooth, f.counters)

@@ -5,6 +5,8 @@ wrapper, and the Bregman accelerated scheme."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidArgument
@@ -16,7 +18,9 @@ from .trace import CountingOracle, drive
 
 
 # ---------------------------------------------------------------------------
-# coefficient sequences
+# coefficient sequences: scalar recurrences, taking and returning Python
+# floats. `math.sqrt` rounds correctly, as `np.sqrt` does, so they give the
+# bits the numpy scalar forms give, without numpy's per-call cost.
 
 def theta_schedule(N):
     """theta_{0,N}=1; 4-rule up to k=N-1; 8-rule for the final theta_{N,N}."""
@@ -26,16 +30,16 @@ def theta_schedule(N):
     for k in range(1, N + 1):
         prev = thetas[-1]
         if k < N:
-            thetas.append((1.0 + np.sqrt(4.0 * prev**2 + 1.0)) / 2.0)
+            thetas.append((1.0 + math.sqrt(4.0 * prev**2 + 1.0)) / 2.0)
         else:
-            thetas.append((1.0 + np.sqrt(8.0 * prev**2 + 1.0)) / 2.0)
+            thetas.append((1.0 + math.sqrt(8.0 * prev**2 + 1.0)) / 2.0)
     return thetas
 
 
 def next_A(A, q):
     """Larger root of (A - A')^2 - A' - q A'^2 = 0; reduces to A + (1+sqrt(4A+1))/2
     at q=0."""
-    return (2.0 * A + 1.0 + np.sqrt(4.0 * A + 4.0 * q * A * A + 1.0)) / (2.0 * (1.0 - q))
+    return (2.0 * A + 1.0 + math.sqrt(4.0 * A + 4.0 * q * A * A + 1.0)) / (2.0 * (1.0 - q))
 
 
 def _tau_delta(A, A1, q):
@@ -189,7 +193,7 @@ def fgm(oracle, x0, N, form="I", mu=None, L=None):
 
 def _constant_momentum_factory(co, x0, mu, L):
     q = mu / L
-    sq = np.sqrt(q)
+    sq = math.sqrt(q)
     state = {"x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
 
     def step(s):
@@ -235,7 +239,7 @@ def constant_momentum(oracle, x0, N, form="I", mu=None, L=None):
 # information-theoretic exact method (ITEM)
 
 def item_next_A(A, q):
-    return ((1.0 + q) * A + 2.0 * (1.0 + np.sqrt((1.0 + A) * (1.0 + q * A)))) / (1.0 - q) ** 2
+    return ((1.0 + q) * A + 2.0 * (1.0 + math.sqrt((1.0 + A) * (1.0 + q * A)))) / (1.0 - q) ** 2
 
 
 def item(oracle, x0, N, mu=None, L=None):

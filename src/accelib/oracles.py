@@ -185,14 +185,17 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     def gradient(x):  # also one gradient per row of a 2-D x
         return hess(x - x_star)
 
-    def value_from_gradient(x, g):  # f from g = H (x - x_star), per row of a 2-D x
-        w = x - x_star
+    def half_dot(w, g):  # f from w = x - x_star and g = H w, per row of a 2-D w
         if w.ndim == 2:
             return 0.5 * np.einsum("ij,ij->i", w, g) + f_star
         return 0.5 * np.dot(w, g) + f_star
 
-    def value(x):
-        return value_from_gradient(x, gradient(x))
+    def value_from_gradient(x, g):
+        return half_dot(x - x_star, g)
+
+    def value(x):  # value_from_gradient(x, gradient(x)), forming x - x_star once
+        w = x - x_star
+        return half_dot(w, hess(w))
 
     def prox(x, lam):
         w = x - x_star

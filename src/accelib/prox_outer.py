@@ -102,8 +102,8 @@ def _outer_point(x, z, A, lam, mu):
     A is in lambda-units (it grows like the sum of the lambda_k), so the fast
     gradient method's tau and delta apply with q = mu."""
     a = (lam + 2.0 * A * lam * mu
-         + np.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
-                   + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
+         + math.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
+                     + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
     tau, delta = _tau_delta(A, A + a, mu)
     return a, A + a, delta, x + tau * (z - x)
 
@@ -128,6 +128,10 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
         N = len(lambdas)
     if len(lambdas) < N:
         raise InvalidArgument("need one lambda per iteration")
+    if not all(lam > 0 for lam in lambdas[:N]):
+        raise InvalidArgument("every lambda must be > 0")
+    if not mu >= 0:
+        raise InvalidArgument("mu must be >= 0")
     if enforce_delta and mu == 0 and not (0 <= delta <= 1):
         raise InvalidArgument("delta must lie in [0,1] when mu=0")
 
@@ -210,7 +214,8 @@ def lambda_optimal_tuning(mu, L):
 
 def _phi_value(oracle, y, lam, x):
     """Phi(x) = f(x) + ||x - y||^2/(2 lam), f evaluated through `oracle`."""
-    return oracle.value(x) + float(np.dot(x - y, x - y)) / (2.0 * lam)
+    r = x - y
+    return oracle.value(x) + float(np.dot(r, r)) / (2.0 * lam)
 
 
 def _regularized(oracle, y, lam):
@@ -250,8 +255,10 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     """
     if inner not in INNER_SOLVERS:
         raise InvalidArgument(f"unknown inner solver {inner!r}")
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidArgument("lambda must be > 0")
+    if not mu >= 0:
+        raise InvalidArgument("mu must be >= 0")
     _, L = class_params(oracle, mu=mu)
     burden = catalyst_burden(inner, lam, L)
     if not np.isfinite(burden):  # lam L past 1/eps rounds 1 - tau_M to 1
@@ -300,35 +307,31 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
 def _inner_solve(co, y, lam, inner, phi_params, budget_left, cap):
     """Run the inner method on Phi = f + ||.-y||^2/(2 lam), of class `phi_params`,
     from w0 = y until lam ||grad Phi(w)|| <= ||w - w0||. Returns (w, grad f(w),
-    iterations, stopped): the gradient is the one the last stopping test took."""
+    iterations, stopped): the gradient is the one the last stopping test took.
+    A gd step moves along the stopping test's grad Phi(w)."""
     if inner == "const_momentum":
         s, step = _constant_momentum_factory(_regularized(co, y, lam), y, phi_params.mu,
                                              phi_params.L)
-    else:  # a gd step reuses the gradient of the stopping test
-        s = {"x": y}
-
-        def step(s):
-            w, g = s["x"], s["g"]
-            if inner == "gd":
-                t = 1.0 / phi_params.L
-            else:  # exact line search on the regularized subproblem
-                t = _exact_linesearch(co, w, g, y, lam, phi_params.mu)
-            return {"x": w - t * g}
-
-    n = min(budget_left, cap)
+    t_gd = 1.0 / phi_params.L
+    w, n = y, min(budget_left, cap)
     for i in range(n + 1):
         # the stopping test costs a gradient of f through co; that is the
         # honest oracle accounting for evaluating it
-        w = s["x"]
         g = co.gradient(w)
         r = w - y
-        s["g"] = g + r / lam  # grad Phi(w), as `_regularized` forms it
+        g_phi = g + r / lam  # grad Phi(w), as `_regularized` forms it
         # = np.linalg.norm bit for bit (the same ddot)
         dist = math.sqrt(np.vdot(r, r))
-        if lam * math.sqrt(np.vdot(s["g"], s["g"])) - dist <= tol_for(dist):
+        if lam * math.sqrt(np.vdot(g_phi, g_phi)) - dist <= tol_for(dist):
             return w, g, i, True
         if i < n:
-            s = step(s)
+            if inner == "gd":
+                w = w - t_gd * g_phi
+            elif inner == "gd_linesearch":  # exact line search on Phi
+                w = w - _exact_linesearch(co, w, g_phi, y, lam, phi_params.mu) * g_phi
+            else:
+                s = step(s)
+                w = s["x"]
     if n == cap and budget_left > cap:
         raise ContractViolation(
             "inner solver exceeded twice its advertised burden")

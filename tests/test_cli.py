@@ -374,3 +374,55 @@ def test_run_sidecar_reports_value_calls(tmp_path, method, problem):
         assert side["value_calls"] == 0
     else:  # f(y_k) and one f(x_{k+1}) per trial of the line search
         assert side["value_calls"] >= side["grad_calls"] + 20
+
+
+@pytest.mark.parametrize("argv, raw", [
+    (["run", "--method", "gd", "--problem", "quad:d=3", "--N", "3"], "abc"),
+    (["certify", "--method", "gd", "--problem", "quad:d=3", "--N", "3"], "1e-10,x"),
+    (["compare", "--methods", "gd,fgm", "--problem", "quad:d=3", "--N", "3"], "-1,0"),
+])
+def test_malformed_accel_tol_exits_2_before_the_run(monkeypatch, capsys, argv, raw):
+    from accelib import momentum, poly_methods
+
+    def not_run(*args, **kwargs):
+        raise AssertionError("the method ran")
+
+    monkeypatch.setattr(poly_methods, "gradient_descent", not_run)
+    monkeypatch.setattr(momentum, "fgm", not_run)
+    monkeypatch.setenv("ACCEL_TOL", raw)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ACCEL_TOL") and captured.err.count("\n") == 1
+
+
+def test_malformed_accel_tol_prints_no_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), ACCEL_TOL="abc")
+    proc = subprocess.run([sys.executable, "-m", "accelib.cli", "run", "--method", "gd",
+                           "--problem", "quad:d=3", "--N", "3"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ACCEL_TOL") and proc.stderr.count("\n") == 1
+
+
+def test_run_sidecar_records_its_provenance(tmp_path, monkeypatch):
+    import numpy as np
+
+    import accelib
+
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--method", "fgm", "--problem", "quad:d=4", "--N", "5",
+                     "--seed", "6", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.csv.json").read_text())
+    assert side["provenance"] == {"accelib": accelib.__version__, "numpy": np.__version__,
+                                  "seed": 6, "atol": 1e-10, "rtol": 1e-9}
+    assert set(side) == {"config", "final_gap", "grad_calls", "prox_calls", "value_calls",
+                         "bound", "bound_satisfied", "potential_worst_margin",
+                         "potential_worst_step", "provenance"}
+    monkeypatch.setenv("ACCEL_TOL", "1e-6,1e-5")
+    assert cli.main(["run", "--method", "fgm", "--problem", "quad:d=4", "--N", "5",
+                     "--out", str(out)]) == 0
+    prov = json.loads((tmp_path / "t.csv.json").read_text())["provenance"]
+    assert (prov["seed"], prov["atol"], prov["rtol"]) == (0, 1e-6, 1e-5)

@@ -458,3 +458,29 @@ def test_online_rna_linesearch_pays_two_values_at_the_bracket_edge(monkeypatch):
     assert sorted(per_step[per_step > 2] - 2) == sorted(map(len, searches))
     assert np.sum(per_step == 2) >= 8 and len(searches) >= 1
     assert tr.final.value_calls == 2 * 15 + sum(map(len, searches))
+
+
+def _negative_lam_problem():
+    # the repro: a d = 3 rotated quadratic, m = 3, five steps
+    p = oracles.make_quadratic([1.0, 4.0, 9.0], np.array([1.0, -2.0, 0.5]), seed=3)
+    return p, np.array([2.0, -1.0, 3.0])
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan")])
+def test_online_and_prox_rna_refuse_a_negative_lambda(lam):
+    p, x0 = _negative_lam_problem()
+    with pytest.raises(InvalidArgument, match="lambda"):
+        ex.online_rna(p, x0, h=1 / 9, lam=lam, m=3, N=5)
+    prob = oracles.CompositeProblem(p, oracles.make_zero(3))
+    with pytest.raises(InvalidArgument, match="lambda"):
+        ex.prox_rna(prob, x0, gamma=1 / 9, lam=lam, N=5, m=3)
+
+
+def test_zero_lambda_still_selects_the_unregularized_weights():
+    p, x0 = _negative_lam_problem()
+    tr = ex.online_rna(p, x0, h=1 / 9, lam=0.0, m=3, N=5)
+    prob = oracles.CompositeProblem(p, oracles.make_zero(3))
+    tr_prox = ex.prox_rna(prob, x0, gamma=1 / 9, lam=0.0, N=5, m=3)
+    assert tr.meta["lambda"] == tr_prox.meta["lambda"] == 0.0
+    # both step with offline mixing from the same pairs
+    np.testing.assert_allclose(tr_prox.x, tr.x, rtol=1e-10, atol=1e-12)

@@ -246,3 +246,76 @@ def test_monotone_wrap_takes_f_from_the_line_search(method):
         xs.append(best)
     assert inner["wasted"] == 0
     assert all(np.array_equal(r.x, x) for r, x in zip(tr, xs)) and len(tr) == N + 1
+
+
+# ---------------------------------------------------------------------------
+# the coefficient recurrences in Python floats: the bits of the numpy forms
+
+def _np_next_A(A, q):
+    return (2.0 * A + 1.0 + np.sqrt(4.0 * A + 4.0 * q * A * A + 1.0)) / (2.0 * (1.0 - q))
+
+
+def _np_item_next_A(A, q):
+    return ((1.0 + q) * A + 2.0 * (1.0 + np.sqrt((1.0 + A) * (1.0 + q * A)))) / (1.0 - q) ** 2
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+_AS = [0.0, *np.geomspace(1e-12, 1e150, 400).tolist()]
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-4, 0.02, 0.5])
+def test_coefficient_recurrences_return_the_numpy_forms_bits_as_floats(q):
+    for A in _AS:
+        A1 = mo.next_A(A, q)
+        assert type(A1) is float and _bits(A1) == _bits(_np_next_A(A, q))
+        tau, delta = mo._tau_delta(A, A1, q)
+        tau_np, delta_np = mo._tau_delta(A, _np_next_A(A, q), q)
+        assert type(tau) is float and type(delta) is float
+        assert (_bits(tau), _bits(delta)) == (_bits(tau_np), _bits(delta_np))
+        A1 = mo.item_next_A(A, q)
+        assert type(A1) is float and _bits(A1) == _bits(_np_item_next_A(A, q))
+
+
+def test_recurrence_runs_keep_the_numpy_forms_bits():
+    # along the sequences the methods step, where each A is the last output
+    for q in (0.0, 1e-4, 0.02, 0.5):
+        A = A_np = 0.0
+        for _ in range(3000):
+            A, A_np = mo.next_A(A, q), _np_next_A(A_np, q)
+            assert type(A) is float and _bits(A) == _bits(A_np)
+            if A > 1e150:  # short of the overflow
+                break
+    th = mo.theta_schedule(2000)
+    ref = [1.0]
+    for k in range(1, 2001):
+        c = 4.0 if k < 2000 else 8.0
+        ref.append((1.0 + np.sqrt(c * ref[-1] ** 2 + 1.0)) / 2.0)
+    assert all(type(t) is float for t in th)
+    assert [_bits(t) for t in th] == [_bits(t) for t in ref]
+
+
+def test_outer_point_coefficients_are_floats():
+    from accelib import prox_outer as po
+
+    x, z = np.zeros(3), np.ones(3)
+    A = 0.0
+    for lam, mu in [(0.1, 0.0), (0.5, 2.0), (3.0, 1e-3)]:
+        a, A1, delta, y = po._outer_point(x, z, A, lam, mu)
+        assert all(type(v) is float for v in (a, A1, delta))
+        a_np = (lam + 2.0 * A * lam * mu
+                + np.sqrt(4.0 * A * A * lam * mu * (lam * mu + 1.0)
+                          + 4.0 * A * lam * (lam * mu + 1.0) + lam * lam)) / 2.0
+        assert _bits(a) == _bits(a_np)
+        A = A1
+
+
+def test_overflowing_A_sequence_diverges_without_a_python_error():
+    # 4 q A^2 overflows near A = 1e154 (ROADMAP item 1, not mended here): the
+    # float recurrence must still end in DivergedError, not in OverflowError,
+    # ZeroDivisionError or a math domain error
+    p = oracles.make_quadratic([1.0, 10.0], np.zeros(2), seed=0)
+    with np.errstate(all="ignore"), pytest.raises(DivergedError):
+        mo.fgm(p, np.ones(2), 1000)

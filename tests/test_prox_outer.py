@@ -64,6 +64,33 @@ def test_accel_inexact_ppa_rejects_bad_delta(quad_2):
         po.accel_inexact_ppa(solver, [1.0] * 3, 1.5, np.ones(2), oracle=quad_2)
 
 
+@pytest.mark.parametrize("lambdas, mu", [([1.0, -0.5, 1.0], 0.0), ([1.0, 0.0, 1.0], 0.0),
+                                         ([1.0, np.nan, 1.0], 0.0), ([1.0] * 3, -0.5)])
+def test_accel_inexact_ppa_refuses_a_bad_lambda_or_mu_before_the_first_step(quad_2, lambdas,
+                                                                            mu):
+    # a negative lambda or mu makes the outer point's square root negative
+    # once A > 0; it is refused up front, not met mid-run
+    exact, calls = po.exact_prox_solver(quad_2), []
+
+    def solver(y, lam, counters):
+        calls.append(lam)
+        return exact(y, lam, counters)
+
+    with pytest.raises(InvalidArgument):
+        po.accel_inexact_ppa(solver, lambdas, 0.0, np.ones(2), mu=mu, oracle=quad_2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lam, mu", [(-1.0, 0.0), (np.nan, 0.0), (1.0, -0.1)])
+def test_catalyst_refuses_a_bad_lambda_or_mu_before_the_first_step(quad_6, lam, mu):
+    f, calls = quad_6, []
+    probe = oracles.ProblemOracle(f.value, lambda x: calls.append(1) or f.gradient(x),
+                                  params=f.params)
+    with pytest.raises(InvalidArgument):
+        po.catalyst(probe, "gd", lam, budget_total=50, x0=np.zeros(6), mu=mu)
+    assert calls == []
+
+
 def test_accel_inexact_ppa_flags_broken_certificate(quad_2):
     exact = po.exact_prox_solver(quad_2)
 

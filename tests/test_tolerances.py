@@ -30,3 +30,25 @@ def test_env_override(monkeypatch):
     assert tl.slack_ok(-1e-7)
     monkeypatch.delenv("ACCEL_TOL")
     assert tl.tolerances() == (1e-10, 1e-9)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e-10,x", "1e-10", "1e-10,1e-9,0", "",
+                                 "-1e-10,1e-9", "1e-10,-0.5", "inf,1e-9", "1e-10,nan"])
+def test_malformed_env_raises_invalid_argument(monkeypatch, raw):
+    from accelib.errors import InvalidArgument
+
+    monkeypatch.setenv("ACCEL_TOL", raw)
+    with pytest.raises(InvalidArgument, match="ACCEL_TOL") as info:
+        tl.tolerances()
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(InvalidArgument):
+        tl.tol_for(1.0)
+
+
+def test_env_is_read_on_every_call(monkeypatch):
+    monkeypatch.setenv("ACCEL_TOL", "0,0")
+    assert tl.tolerances() == (0.0, 0.0)
+    monkeypatch.setenv("ACCEL_TOL", " 2e-6 , 3e-5 ")  # float() strips spaces
+    assert tl.tol_for(2.0) == 2e-6 + 3e-5 * 2.0
+    monkeypatch.delenv("ACCEL_TOL")
+    assert tl.tolerances() == (tl.DEFAULT_ATOL, tl.DEFAULT_RTOL)
