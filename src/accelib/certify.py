@@ -4,6 +4,7 @@ LMI for gradient descent."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -11,8 +12,8 @@ import numpy as np
 
 from .errors import InvalidArgument, UnsupportedOracle
 from .tolerances import tol_for
-from .oracles import bregman_divergence, optimum
-from .trace import in_blocks
+from .oracles import CompositeProblem, bregman_divergence, optimum
+from .trace import _BATCH, in_blocks
 
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
 
@@ -24,16 +25,37 @@ class Margin:
 
 
 def min_slack(margins):
-    """Smallest slack of a list of `Margin`s, or of the pairwise slack matrix
-    from `check_interpolation` (its +inf diagonal carries no condition).
-    Returns 0.0 when there is nothing to check: no margins, or n <= 1 points."""
-    if isinstance(margins, np.ndarray):
+    """Smallest slack of a list of `Margin`s, of an array of per-step potential
+    margins, or of the pairwise slack matrix from `check_interpolation` (its
+    +inf diagonal carries no condition). Returns 0.0 when there is nothing to
+    check: no margins, or n <= 1 points. A NaN step margin is left out, as a
+    step that cannot be certified is reported by the caller; when every one
+    is NaN the result is NaN."""
+    if isinstance(margins, np.ndarray) and margins.ndim == 2:
         return float(margins.min()) if margins.size > 1 else 0.0
+    if isinstance(margins, np.ndarray):
+        kept = margins[margins == margins]
+        return float(kept.min()) if kept.size else (np.nan if margins.size else 0.0)
     return min(m.slack for m in margins) if margins else 0.0
 
 
 # ---------------------------------------------------------------------------
 # interpolation
+
+class Triplets(Sequence):
+    """The (x, g, f) triplets of n points, held stacked: X and G are (n, d)
+    arrays and F holds the n values. An index and iteration give (x, g, f)
+    tuples with f a float, as a list of triplets would."""
+
+    def __init__(self, X, G, F):
+        self.X, self.G, self.F = X, G, F
+
+    def __len__(self):
+        return len(self.F)
+
+    def __getitem__(self, i):
+        return self.X[i], self.G[i], float(self.F[i])
+
 
 def check_interpolation(triplets, mu, L):
     """Pairwise necessary-and-sufficient condition for membership in the
@@ -41,44 +63,51 @@ def check_interpolation(triplets, mu, L):
     f_i >= f_j + <g_j; x_i-x_j> + ||g_i-g_j||^2/(2L)
          + mu/(2(1-mu/L)) ||u_i-u_j||^2 for all i != j, with u = x - g/L.
 
-    Returns the (n, n) array of slacks (left minus right side); entry [i, j]
-    holds the condition for the pair (i, j) and the diagonal is +inf. All n^2
-    slacks come from one (n x 3d)(3d x n) product and two broadcasts. X, G
-    and U are centred on their mean rows first: the differences are
-    unchanged, but the rounding error then scales with the spread of the
-    points, not with ||x||^2."""
+    `triplets` is a `Triplets` or any sequence of (x, g, f). Returns the
+    (n, n) array of slacks (left minus right side); entry [i, j] holds the
+    condition for the pair (i, j) and the diagonal is +inf. X, G and U are
+    centred on their mean rows first: the differences are unchanged, but the
+    rounding error then scales with the spread of the points, not with
+    ||x||^2. All n^2 slacks come from one (n x d)(d x n) product and two
+    broadcasts: the cross terms [Xc, Gc, Uc] [-G, Gc/L, 2c Uc]^T of the
+    expanded squares, with G = Gc + mean(g) and gc = L (xc - uc), are
+    Uc (2c Uc - Gc)^T - (Xc mean(g)) 1^T."""
     if not (0 <= mu < L):
         raise InvalidArgument("need 0 <= mu < L")
     n = len(triplets)
     if n == 0:
         return np.empty((0, 0))
-    X, G, F = (np.array(col, dtype=float) for col in zip(*triplets))
-    X, G = X.reshape(n, -1), G.reshape(n, -1)
-    Xc, Gc = X - X.mean(axis=0), G - G.mean(axis=0)
+    if not isinstance(triplets, Triplets):
+        triplets = Triplets(*(np.array(col, dtype=float) for col in zip(*triplets)))
+    X, G, F = triplets.X.reshape(n, -1), triplets.G.reshape(n, -1), triplets.F
+    g_mean = G.mean(axis=0)
+    Xc, Gc = X - X.mean(axis=0), G - g_mean
     Uc = Xc - Gc / L
     # expanding the squares, with c = mu/(2(1-mu/L)) and X, G, U centred,
     # slack[i, j] = a_i + b_j + M[i, j] where
-    #   a_i = f_i - ||g_i||^2/(2L) - c ||u_i||^2,
+    #   a_i = f_i - ||g_i||^2/(2L) - c ||u_i||^2 - <x_i, mean(g)>,
     #   b_j = -f_j + <g_j, x_j> - ||g_j||^2/(2L) - c ||u_j||^2,
-    #   M = [X, G, U] [-G_raw, G/L, 2c U]^T,
-    # G_raw uncentred: <g_j, x_i - x_j> needs g_j itself
+    #   M[i, j] = <u_i, 2c u_j - g_j>,
+    # G uncentred in <g_j, x_j>: the inner product with x_i - x_j needs g_j itself
     c = mu / (2.0 * (1.0 - mu / L))
     own = _sq(Gc) / (2.0 * L) + c * _sq(Uc)
-    slack = np.hstack([Xc, Gc, Uc]) @ np.hstack([-G, Gc / L, (2.0 * c) * Uc]).T
-    slack += (F - own)[:, None]
+    slack = Uc @ ((2.0 * c) * Uc - Gc).T
+    slack += (F - own - Xc @ g_mean)[:, None]
     slack += np.einsum("ij,ij->i", G, Xc) - F - own
     np.fill_diagonal(slack, np.inf)
     return slack
 
 
 def harvest_triplets(trace, oracle):
-    """Turn a trace into (x, g, f) triplets for interpolation checking, from
-    one row-stacked `value_and_gradient` call over its iterate column."""
+    """The trace's iterates with the oracle's gradients and values there, as
+    stacked `Triplets` for interpolation checking: one row-stacked
+    `value_and_gradient` call per block of _BATCH iterates, the blocks of
+    `in_blocks`."""
     X = trace.x
-    if not len(X):
-        return []
-    F, G = oracle.value_and_gradient(X)
-    return list(zip(X, G, F.tolist()))
+    F, G = np.empty(len(X)), np.empty(X.shape)
+    for lo in range(0, len(X), _BATCH):
+        F[lo:lo + _BATCH], G[lo:lo + _BATCH] = oracle.value_and_gradient(X[lo:lo + _BATCH])
+    return Triplets(X, G, F)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +192,13 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0,
 # gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
 # `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
 
-def potential_series(trace, problem):
+def potential_series(trace, problem, smooth_values=None):
     """(phi, margins) of the trace method's potential, recomputed from
-    `problem`, whose objective is evaluated row-stacked (see check_potential)."""
+    `problem`, whose objective is evaluated row-stacked (see check_potential).
+    `smooth_values`, when given, are the smooth part's values at the trace's
+    iterates, evaluated by the caller in the blocks of `in_blocks` (as
+    `harvest_triplets` does): the objective there is then those values, plus
+    the nonsmooth part's for a `CompositeProblem`, the same floats."""
     fun, x_star, f_star = optimum(problem)
     if x_star is None:
         raise InvalidArgument("potential checks need a known optimum")
@@ -176,7 +209,13 @@ def potential_series(trace, problem):
     def gap_at(Y):
         return in_blocks(fun, Y) - f_star
 
-    return handler(trace, gap_at(trace.x), x_star, gap_at)
+    if smooth_values is None:
+        gap = gap_at(trace.x)
+    elif isinstance(problem, CompositeProblem):
+        gap = smooth_values + in_blocks(problem.nonsmooth.value, trace.x) - f_star
+    else:
+        gap = smooth_values - f_star
+    return handler(trace, gap, x_star, gap_at)
 
 
 def check_potential(trace, problem):

@@ -233,24 +233,28 @@ def cmd_compare(args):
 
 
 def cmd_certify(args):
+    """Both certificates come from one fresh row-stacked evaluation of the
+    smooth oracle at the iterates, never from the trace's f_gap or potential
+    columns. A NaN potential margin is a violation: its step is not certified."""
     method, (oracle, problem, x0) = METHODS[args.method], _setup(args)
     target = problem if method.composite else oracle
     trace = method.run(args, target, x0)
+    triplets = certify_mod.harvest_triplets(trace, oracle)
     try:
-        margins = certify_mod.check_potential(trace, target)
+        _, margins = certify_mod.potential_series(trace, target, triplets.F)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CERT
     tol = tol_for(certify_mod.potential_scale(trace, target))
-    bad = [str(m.where) for m in margins if m.slack < -tol]
-    triplets = certify_mod.harvest_triplets(trace, oracle)
+    bad = [str(k) for k in np.flatnonzero(~(margins >= -tol)).tolist()]
     interp = certify_mod.check_interpolation(triplets, oracle.params.mu, oracle.params.L)
-    iscale = max(abs(t[2]) for t in triplets) + 1.0
-    bad += [str((int(i), int(j)))
-            for i, j in np.argwhere(interp < -tol_for(iscale))]  # row-major
+    interp_min = certify_mod.min_slack(interp)
+    itol = tol_for(np.abs(triplets.F).max() + 1.0)
+    if not interp_min >= -itol:  # or NaN: one NaN slack makes the minimum NaN
+        bad += [str((i, j)) for i, j in np.argwhere(interp < -itol).tolist()]  # row-major
     _write(args.out, _dumps({"method": args.method,
                              "potential_min_slack": certify_mod.min_slack(margins),
-                             "interpolation_min_slack": certify_mod.min_slack(interp),
+                             "interpolation_min_slack": interp_min,
                              "violations": bad, "pass": not bad}))
     return EXIT_CERT_FAIL if bad else 0
 

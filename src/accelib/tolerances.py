@@ -17,23 +17,10 @@ from .errors import InvalidArgument
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
 
-_KEY = os.environ.encodekey("ACCEL_TOL")  # as os.environ stores it (bytes on POSIX)
-
-
-def _raw():
-    """os.environ.get(ACCEL_TOL), read afresh on every call. `os.environ`
-    keeps its entries in the dict `_data`; looking the name up there skips
-    the KeyError that `Mapping.get` raises and catches on a miss: 0.13 against
-    1.84 us per call with the variable unset, about 0.9% of a `prox-extrap`
-    or `certify-long` job (88 and 36 reads per job)."""
-    raw = os.environ._data.get(_KEY)
-    return None if raw is None else os.environ.decodevalue(raw)
-
-
 def tolerances():
     """Return the active (atol, rtol) pair, honoring ACCEL_TOL. Raises
     InvalidArgument unless ACCEL_TOL is two finite, non-negative floats."""
-    raw = _raw()
+    raw = os.environ.get("ACCEL_TOL")
     if raw is None:
         return DEFAULT_ATOL, DEFAULT_RTOL
     try:

@@ -471,6 +471,31 @@ def test_interpolation_matches_reference_far_from_origin(n, d, L, q, offset, see
     assert ct.min_slack(got) >= -tol
 
 
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 60), d=st.integers(1, 30), L=st.floats(0.1, 100.0),
+       q=st.floats(0.99, 0.9999), offset=st.floats(0.0, 1e4), seed=st.integers(0, 2**32 - 1))
+def test_interpolation_matches_reference_for_large_c(n, d, L, q, offset, seed):
+    # near q = 1, c = mu/(2(1-q)) reaches 5000 mu: the (n x d)(d x n) product
+    # weighs <u_i, u_j> by 2c, with u = x - g/L far smaller than x and g
+    mu = q * L
+    rng = np.random.default_rng(seed)
+    center = offset * rng.standard_normal(d) / np.sqrt(d)
+    eigs = rng.uniform(mu, L, d)
+    quad = oracles.make_quadratic(eigs, center + rng.standard_normal(d), seed=seed)
+    X = center + 3.0 * rng.standard_normal((n, d))
+    F, G = quad.value_and_gradient(X)
+    got, tol = assert_matches_reference(ct.Triplets(X, G, F), mu, L)
+    assert ct.min_slack(got) >= -tol
+    assert np.array_equal(got, ct.check_interpolation(list(zip(X, G, F.tolist())), mu, L))
+
+
+def test_min_slack_of_step_margins_skips_nan():
+    assert ct.min_slack(np.array([np.nan, 2.0, -1.0, np.nan])) == -1.0
+    assert np.isnan(ct.min_slack(np.array([np.nan, np.nan])))
+    assert ct.min_slack(np.array([5.0])) == 5.0
+    assert ct.min_slack(np.empty(0)) == 0.0
+
+
 def test_interpolation_on_converged_traces_matches_reference(monkeypatch, capsys):
     # every certified CLI method run long enough that its iterates converge,
     # so the slacks are differences of nearly equal terms

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,10 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from accelib import cli, composite
+from accelib import certify as ct, cli, composite
+from accelib.errors import InvalidArgument
+from accelib.oracles import ProblemOracle
+from accelib.tolerances import tol_for
 
 
 def strip_wall(text):
@@ -426,3 +431,125 @@ def test_run_sidecar_records_its_provenance(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0
     prov = json.loads((tmp_path / "t.csv.json").read_text())["provenance"]
     assert (prov["seed"], prov["atol"], prov["rtol"]) == (0, 1e-6, 1e-5)
+
+
+# ---------------------------------------------------------------------------
+# certify against the public certificate functions
+
+def stacked_interpolation(triplets, mu, L):
+    """Interpolation slacks from one (n x 3d)(3d x n) product: the form that
+    check_interpolation's (n x d)(d x n) product rewrites."""
+    X, G, F = (np.array(col, dtype=float) for col in zip(*triplets))
+    Xc, Gc = X - X.mean(axis=0), G - G.mean(axis=0)
+    Uc = Xc - Gc / L
+    c = mu / (2.0 * (1.0 - mu / L))
+    own = np.einsum("ij,ij->i", Gc, Gc) / (2.0 * L) + c * np.einsum("ij,ij->i", Uc, Uc)
+    slack = np.hstack([Xc, Gc, Uc]) @ np.hstack([-G, Gc / L, (2.0 * c) * Uc]).T
+    slack += (F - own)[:, None]
+    slack += np.einsum("ij,ij->i", G, Xc) - F - own
+    np.fill_diagonal(slack, np.inf)
+    return slack
+
+
+def public_certify(argv):
+    """(exit code, report) of `certify` rebuilt from check_potential,
+    harvest_triplets and stacked_interpolation; None for exit code 4."""
+    args = cli.build_parser().parse_args(argv)
+    method = cli.METHODS[args.method]
+    oracle, problem, x0 = cli._setup(args)
+    target = problem if method.composite else oracle
+    trace = method.run(args, target, x0)
+    try:
+        margins = ct.check_potential(trace, target)
+    except InvalidArgument:
+        return 4, None
+    tol = tol_for(ct.potential_scale(trace, target))
+    bad = [str(m.where) for m in margins if not m.slack >= -tol]  # a NaN margin fails
+    finite = [m.slack for m in margins if not math.isnan(m.slack)]
+    triplets = list(ct.harvest_triplets(trace, oracle))
+    interp = stacked_interpolation(triplets, oracle.params.mu, oracle.params.L)
+    itol = tol_for(max(abs(f) for _, _, f in triplets) + 1.0)
+    bad += [str((int(i), int(j))) for i, j in zip(*(interp < -itol).nonzero())]
+    report = {"potential_min_slack": min(finite) if finite else math.nan,
+              "interpolation_min_slack": ct.min_slack(interp), "itol": itol,
+              "violations": bad, "pass": not bad}
+    return (5 if bad else 0), report
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gamma = 1/mu makes A_k = inf
+@pytest.mark.parametrize("argv", [
+    *(["--method", m, "--problem", p, "--N", "40", "--seed", s]
+      for m in CERTIFIED for p in ("quad:d=6,kappa=20", "lasso:d=6") for s in ("3", "4")),
+    ["--method", "gd", "--problem", "quad:d=5", "--N", "40", "--gamma", "0.3"],
+    ["--method", "gd", "--problem", "quad:d=5", "--N", "20", "--gamma", "1.0"],
+])
+def test_certify_matches_public_certificate_functions(argv, capsys):
+    code = cli.main(["certify", *argv])
+    got = json.loads(capsys.readouterr().out) if code != 4 else None
+    want_code, want = public_certify(["certify", *argv])
+    assert code == want_code
+    if want is None:
+        return
+    assert got["pass"] is want["pass"]
+    assert got["violations"] == want["violations"]
+    pmin = float(got["potential_min_slack"])  # a non-finite one is a string
+    assert pmin == want["potential_min_slack"] or math.isnan(pmin) and math.isnan(
+        want["potential_min_slack"])
+    assert abs(got["interpolation_min_slack"] - want["interpolation_min_slack"]) <= want["itol"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # A_k = inf is the point
+def test_certify_counts_nan_potential_margins_as_violations(capsys):
+    # gd with gamma = 1/mu: A_1 = inf, so margin 0 is -inf and every later one
+    # inf - inf; no step after the first can be certified either
+    assert cli.main(["certify", "--method", "gd", "--problem", "quad:d=5", "--N", "20",
+                     "--gamma", "1.0"]) == 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"][:20] == [str(k) for k in range(20)]
+    assert report["potential_min_slack"] == "-inf"
+
+
+@pytest.mark.parametrize("method", CERTIFIED)
+def test_certify_evaluates_the_iterates_once_after_the_run(method, monkeypatch, capsys):
+    # after the run, the smooth oracle sees one pass of row-stacked calls over
+    # the iterates, in blocks of at most 64 rows, plus OGM's y_prev rows; the
+    # only other call is potential_scale's value at x0
+    traces, calls, depth = [], [], [0]
+    real = cli.METHODS[method]
+
+    def run(args, problem, x0):
+        traces.append(real.run(args, problem, x0))
+        return traces[-1]
+
+    def spying(name, real_call):
+        def spy(self, x):
+            outer = bool(traces) and self.name == "quadratic" and not depth[0]
+            if outer:  # value_and_gradient's own gradient call is not counted
+                calls.append((name, np.array(x, dtype=float, copy=True)))
+            depth[0] += outer
+            try:
+                return real_call(self, x)
+            finally:
+                depth[0] -= outer
+        return spy
+
+    monkeypatch.setitem(cli.METHODS, method, dataclasses.replace(real, run=run))
+    for name in ("value", "gradient", "value_and_gradient"):
+        monkeypatch.setattr(ProblemOracle, name, spying(name, getattr(ProblemOracle, name)))
+    assert cli.main(["certify", "--method", method, "--problem", "quad:d=4,kappa=1000",
+                     "--N", "150"]) == 0
+    capsys.readouterr()
+    (trace,) = traces
+    stacked = [(name, x) for name, x in calls if x.ndim == 2]
+    assert [name for name, _ in stacked[:3]] == ["value_and_gradient"] * 3
+    assert all(len(x) <= 64 for _, x in stacked)
+    assert np.array_equal(np.concatenate([x for _, x in stacked[:3]]), trace.x)
+    rest = [x for name, x in stacked[3:] if name == "value"]
+    assert len(rest) == len(stacked) - 3
+    if method == "ogm":
+        assert np.array_equal(np.concatenate(rest), trace.column("y_prev", 1))
+    else:
+        assert not rest
+    points = [(name, x) for name, x in calls if x.ndim == 1]
+    assert [name for name, _ in points] == ["value"]
+    assert np.array_equal(points[0][1], trace.x[0])
