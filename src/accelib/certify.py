@@ -4,6 +4,7 @@ LMI for gradient descent."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -357,42 +358,27 @@ def potential_scale(trace, problem):
 # ---------------------------------------------------------------------------
 # 2x2 LMI for gradient-descent distance contraction
 
-def _lmi_matrix(tau, gamma, mu, L, lam):
-    m11 = tau - 1.0 + mu * L * (2.0 * lam) / (2.0 * (L - mu))
-    m12 = gamma - (L * lam + mu * lam) / (2.0 * (L - mu))
-    m22 = -gamma**2 + (2.0 * lam) / (2.0 * (L - mu))
-    return m11, m12, m22
-
-
-def lmi_gd_distance(tau, gamma, mu, L, grid=400):
-    """Scan the single multiplier lambda = lambda_1 = lambda_2 for positive
-    semidefiniteness of the 2x2 certificate matrix. Returns the witness
-    lambda, or None when no scanned point (including the closed-form vertex
-    of the determinant) is feasible. Feasibility proves
-    ||x_{k+1}-x_star||^2 <= tau ||x_k-x_star||^2 for every function in the
-    class, for one gd step with the given gamma."""
+def lmi_gd_distance(tau, gamma, mu, L):
+    """The witness lambda >= 0 certifying ||x_{k+1}-x_star||^2 <= tau ||x_k-x_star||^2
+    for one gd step of size gamma on every L-smooth, mu-strongly convex
+    function, or None. The certificate, the contraction gap less
+    lambda / (L - mu) times the interpolation inequality
+    (L + mu) <g, x - x_star> >= ||g||^2 + mu L ||x - x_star||^2, is a 2x2 matrix
+    M(lambda) that must be PSD. det M is concave in lambda (leading coefficient
+    -1/4) and M's diagonal nondecreasing, so the one candidate is
+    max(lambda_lo, vertex of det M), lambda_lo the smallest lambda >= 0 with a
+    nonnegative diagonal. M is tested in the variables (x - x_star, g/L), where
+    its entries are of order one at any L: its smallest eigenvalue must be
+    >= -tol_for(1 + tau)."""
     if not (0 <= mu < L):
         raise InvalidArgument("need 0 <= mu < L")
-    candidates = [0.0]
-    candidates.extend(np.logspace(-8, 4, grid) / L)
-    # det is a concave quadratic in lambda; include its vertex so that tight
-    # (tau, gamma) pairs, where the feasible set degenerates to a point, are
-    # still found
-    a_ = tau - 1.0
-    b_ = mu * L / (L - mu)
-    c_ = -gamma**2
-    d_ = 1.0 / (L - mu)
-    e_ = gamma
-    f_ = -(L + mu) / (2.0 * (L - mu))
-    A2 = b_ * d_ - f_**2
-    B1 = a_ * d_ + b_ * c_ - 2.0 * e_ * f_
-    if A2 < 0:
-        vertex = -B1 / (2.0 * A2)
-        if vertex > 0:
-            candidates.append(vertex)
-    tol = tol_for(1.0 + tau + gamma**2)
-    for lam in candidates:
-        m11, m12, m22 = _lmi_matrix(tau, gamma, mu, L, lam)
-        if m11 >= -tol and m22 >= -tol and m11 * m22 - m12**2 >= -tol:
-            return lam
+    lam = gamma**2 * (L - mu)  # M's (2, 2) entry is >= 0 from here on
+    if mu > 0:  # and its (1, 1) entry from here; at mu = 0 it is tau - 1 throughout
+        lam = max(lam, (1.0 - tau) * (L - mu) / (mu * L))
+    lam = max(lam, 2.0 * (tau - 1.0 - mu * L * gamma**2 + (L + mu) * gamma) / (L - mu))
+    m11 = tau - 1.0 + mu * L * lam / (L - mu)
+    m12 = L * (gamma - (L + mu) * lam / (2.0 * (L - mu)))
+    m22 = L * L * (lam / (L - mu) - gamma**2)
+    if 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12) >= -tol_for(1.0 + tau):
+        return lam
     return None

@@ -6,7 +6,7 @@ iterate inside dom h. Backtracking modes:
 
   - "monotone":  L_{k+1} starts at L_k and never decreases (A_k accounting);
   - "reset":     L_{k+1} starts back at L_0 each iteration (B_k accounting);
-  - "decrease":  L_{k+1} starts at max(beta * L_k, L_0), default beta = 1/alpha.
+  - "decrease":  L_{k+1} starts at max(L_k / alpha, L_0), the factor 1/alpha fixed.
 
 Both accountings step the one A-recurrence of the fast gradient method
 (`momentum.next_A`, `momentum._tau_delta`) at q = mu/L_{k+1}. B_k accounting is
@@ -42,20 +42,19 @@ def fista_bound(L, L0, alpha, R, N, mu=0.0):
     return ell * R * R if N == 0 else fgm_bound(ell, R, N, mu)
 
 
-def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None):
+def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode):
     """Shared stepper for fista / prox_agm. State keys: x, z, L, and A (monotone
     mode) or B (other modes), plus y, the wasted count and the line search's f(x).
     The descent test's (atol, rtol) are read once, when the run starts."""
+    if not isinstance(problem, CompositeProblem):
+        raise InvalidArgument(f"{method} expects a CompositeProblem")
     if mode not in MODES:
         raise InvalidArgument(f"unknown backtracking mode {mode!r}")
     if alpha <= 1:
         raise InvalidArgument("alpha must be > 1")
     if L0 <= mu:
         raise InvalidArgument("L0 must exceed mu")
-    if beta is None:
-        beta = 1.0 / alpha
-    if not (0 < beta < 1):
-        raise InvalidArgument("beta must be in (0,1)")
+    shrink = 1.0 / alpha  # decrease mode's factor
     co_h = CountingOracle(problem.nonsmooth, co_f.counters)
     atol, rtol = tolerances()
 
@@ -71,7 +70,7 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode, beta=None
         elif mode == "reset":
             L1 = L0
         else:
-            L1 = max(beta * s["L"], L0)
+            L1 = max(shrink * s["L"], L0)
         wasted, tau_y, zx = s["wasted"], None, z - x
         for attempt in range(MAX_BACKTRACKS + 1):
             q1 = mu / L1
@@ -110,26 +109,24 @@ def _view(s):
     return s["x"], None, {k: s[k] for k in ("z", "L", "wasted", "A", "B") if k in s}
 
 
-def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode, beta):
-    if not isinstance(problem, CompositeProblem):
-        raise InvalidArgument(f"{method} expects a CompositeProblem")
-    _, L0 = class_params(problem.smooth, mu=mu, L=L0)
+def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode):
+    _, L0 = class_params(getattr(problem, "smooth", problem), mu=mu, L=L0)
     trace = drive(method, problem,
                   {"N": N, "mu": mu, "L0": L0, "alpha": alpha, "mode": mode},
                   lambda co: _composite_factory(method, problem, co, x0, mu, L0, alpha,
-                                                mode, beta),
+                                                mode),
                   _view, N, potential=certify.composite_potential)
     trace.meta["wasted"] = trace.final.state["wasted"]
     trace.meta["L_final"] = trace.final.state["L"]
     return trace
 
 
-def fista(problem, x0, N, mu=0.0, L0=None, alpha=2.0, mode="monotone", beta=None):
+def fista(problem, x0, N, mu=0.0, L0=None, alpha=2.0, mode="monotone"):
     """Accelerated proximal gradient taking the prox step from y_k."""
-    return _accelerated_prox("fista", problem, x0, N, mu, L0, alpha, mode, beta)
+    return _accelerated_prox("fista", problem, x0, N, mu, L0, alpha, mode)
 
 
-def prox_agm(problem, x0, N, mu=0.0, L0=None, alpha=2.0, mode="monotone", beta=None):
+def prox_agm(problem, x0, N, mu=0.0, L0=None, alpha=2.0, mode="monotone"):
     """Accelerated proximal gradient proxing the z-sequence; keeps all
     iterates in dom h, so f need only be smooth there."""
-    return _accelerated_prox("prox_agm", problem, x0, N, mu, L0, alpha, mode, beta)
+    return _accelerated_prox("prox_agm", problem, x0, N, mu, L0, alpha, mode)

@@ -145,13 +145,16 @@ def _weights(vals, V, lam, c_ref=None):
     return w + z * (1.0 - np.sum(w)) / np.sum(z)
 
 
-def _offline_weights(G):
-    """`offline_na`'s weights, with its fallback, and the Gram condition."""
+def _solve_weights(G, lam, c_ref=None):
+    """The weights c of the buffered gradients G (one per row) and the
+    eigenvalues of G G^T / ||G G^T||_2 they were solved from: rna's regularized
+    weights at lam > 0, offline_na's (with its fallback) at lam = 0. Every
+    extrapolation takes its weights from here."""
     vals, V = _gram_eigh(G)
     try:
-        c = _weights(vals, V, 0.0)
+        c = _weights(vals, V, lam, c_ref)
     except SingularSystemError:
-        if len(G) == 1:
+        if lam > 0 or len(G) == 1:
             raise
         D = G[:-1] - G[-1]
         norms = np.linalg.norm(D, axis=1)
@@ -159,7 +162,16 @@ def _offline_weights(G):
             raise
         y = lstsq_qr((D / norms[:, None]).T, -G[-1]) / norms
         c = np.append(y, 1.0 - np.sum(y))
-    return c, _cond(vals)
+    return c, vals
+
+
+def _extrapolate(buf, h, lam, c_ref=None):
+    """rna's result (na_mixing's at lam = 0) for the pairs in buf."""
+    if len(buf) < 1:
+        raise InvalidArgument("need at least one pair")
+    c, vals = _solve_weights(buf.G, lam, c_ref)
+    return ExtrapolationResult(c=c, x_extr=c @ (buf.X - h * buf.G),
+                               gram_cond=_cond(vals + lam))
 
 
 def offline_na(buf):
@@ -179,31 +191,24 @@ def offline_na(buf):
 
 def na_mixing(buf, h):
     """x_extr = sum c_i (x_i - h g_i) with the offline weights."""
-    if len(buf) < 1:
-        raise InvalidArgument("need at least one pair")
-    c, cond = _offline_weights(buf.G)
-    return ExtrapolationResult(c=c, x_extr=c @ (buf.X - h * buf.G), gram_cond=cond)
+    return _extrapolate(buf, h, 0.0)
 
 
 def rna(buf, h, lam, c_ref=None):
     """Regularized weights from (GG/||GG||_2 + lam I) w = lam c_ref, renormalized.
 
     c = w + z (1 - w^T 1)/(z^T 1) with (GG_n + lam I) z = 1, so c^T 1 = 1 exactly.
-    Default c_ref is uniform. Both systems are solved from one eigendecomposition
-    of GG (see the module docstring), which also gives ||GG||_2 and gram_cond.
+    Default c_ref is uniform; one given must hold len(buf) finite weights
+    summing to 1. Both systems are solved from one eigendecomposition of GG
+    (see the module docstring), which also gives ||GG||_2 and gram_cond.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidArgument("lambda must be > 0")
-    if len(buf) < 1:
-        raise InvalidArgument("need at least one pair")
     if c_ref is not None:
         c_ref = np.asarray(c_ref, dtype=float)
-        if abs(np.sum(c_ref) - 1.0) > 1e-9:
-            raise InvalidArgument("c_ref must sum to 1")
-    vals, V = _gram_eigh(buf.G)
-    c = _weights(vals, V, lam, c_ref)
-    return ExtrapolationResult(c=c, x_extr=c @ (buf.X - h * buf.G),
-                               gram_cond=_cond(vals + lam))
+        if c_ref.shape != (len(buf),) or not abs(np.sum(c_ref) - 1.0) <= 1e-9:
+            raise InvalidArgument(f"c_ref must be {len(buf)} weights summing to 1")
+    return _extrapolate(buf, h, lam, c_ref)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, phi the golden ratio
@@ -338,7 +343,7 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
             X, G = buf.X, buf.G
             f_new = None
             try:
-                c = _weights(*_gram_eigh(G), lam) if lam > 0 else _offline_weights(G)[0]
+                c = _solve_weights(G, lam)[0]
                 t = h
                 if safeguard == "linesearch":
                     t = _search_from_edge(lambda u: co.value(c @ (X - u * G)), 0.0, 4.0 * h)
@@ -359,12 +364,15 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
                  start, _x_grad_fallback, N)
 
 
-def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
+def prox_rna(problem, x0, gamma, lam, N, m=None):
     """Online RNA through a proximal operator.
 
     Maintains z_k with x_k = prox_{gamma h}(z_k); the extrapolated residuals are
     g_k = (gamma grad f(x_k) + z_k - x_k)/gamma, and the z-sequence is
-    extrapolated then re-proxed so every reported x_k lies in dom h.
+    extrapolated then re-proxed so every reported x_k lies in dom h. Each
+    step's z_{k+1} is rna's x_extr (lam > 0) or na_mixing's (lam == 0) at the
+    mixing step gamma, its weights solved as `online_rna` solves them; a
+    singular solve falls back to z_k - gamma g_k and flags the record.
     """
     if gamma <= 0:
         raise InvalidArgument("gamma must be > 0")
@@ -381,10 +389,7 @@ def prox_rna(problem, x0, gamma, lam, N, c_ref=None, m=None):
             buf.append(z, g)
             fallback = False
             try:
-                if lam > 0:
-                    z_new = rna(buf, gamma, lam, c_ref=c_ref).x_extr
-                else:
-                    z_new = na_mixing(buf, gamma).x_extr
+                z_new = _solve_weights(buf.G, lam)[0] @ (buf.X - gamma * buf.G)
             except SingularSystemError:
                 z_new = z - gamma * g
                 fallback = True

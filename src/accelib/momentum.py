@@ -191,9 +191,15 @@ def fgm(oracle, x0, N, form="I", mu=None, L=None):
 # ---------------------------------------------------------------------------
 # constant momentum (mu > 0)
 
+def _sqrt_q(mu, L):
+    """sqrt(mu/L) of a constant-momentum run, which requires mu > 0."""
+    if mu <= 0:
+        raise InvalidArgument("constant_momentum requires mu > 0")
+    return math.sqrt(mu / L)
+
+
 def _constant_momentum_factory(co, x0, mu, L):
-    q = mu / L
-    sq = math.sqrt(q)
+    sq = _sqrt_q(mu, L)
     state = {"x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
 
     def step(s):
@@ -211,8 +217,7 @@ def constant_momentum(oracle, x0, N, form="I", mu=None, L=None):
     if form not in ("I", "II"):
         raise InvalidArgument(f"unknown form {form!r}")
     mu, L = class_params(oracle, mu, L)
-    if mu <= 0:
-        raise InvalidArgument("constant_momentum requires mu > 0")
+    _sqrt_q(mu, L)  # refuses mu <= 0 for both forms
     meta = {"N": N, "mu": mu, "L": L, "form": form}
     if form == "I":
         return drive("constant_momentum", oracle, meta,
@@ -308,8 +313,18 @@ def tmm(oracle, x0, N, mu=None, L=None):
 # Bregman accelerated gradient
 
 def _bregman_factory(problem, co_f, x0, L, dgf):
+    if dgf not in ("euclidean", "entropy"):
+        raise InvalidArgument(f"unknown dgf {dgf!r}")
+    if not isinstance(problem, CompositeProblem):
+        raise InvalidArgument("bregman_agm expects a CompositeProblem")
+    x0 = np.array(x0, dtype=float)
+    if dgf == "entropy":
+        if problem.nonsmooth.name != "simplex":
+            raise InvalidArgument("entropy mode requires the simplex indicator")
+        if np.min(x0) <= 0 or abs(np.sum(x0) - 1.0) > 1e-9:
+            raise InvalidArgument("entropy mode needs strictly positive x0 on the simplex")
     prox = CountingOracle(problem.nonsmooth, co_f.counters).prox
-    state = {"A": 0.0, "x": np.array(x0, dtype=float), "z": np.array(x0, dtype=float)}
+    state = {"A": 0.0, "x": x0, "z": x0.copy()}
 
     def step(s):
         A = s["A"]
@@ -339,17 +354,7 @@ def bregman_agm(problem, x0, N, dgf="euclidean", L=None):
     indicator and a strictly positive feasible x0 (multiplicative closed-form
     z-update, every z_k strictly positive on the simplex).
     """
-    if dgf not in ("euclidean", "entropy"):
-        raise InvalidArgument(f"unknown dgf {dgf!r}")
-    if not isinstance(problem, CompositeProblem):
-        raise InvalidArgument("bregman_agm expects a CompositeProblem")
-    x0 = np.array(x0, dtype=float)
-    if dgf == "entropy":
-        if problem.nonsmooth.name != "simplex":
-            raise InvalidArgument("entropy mode requires the simplex indicator")
-        if np.min(x0) <= 0 or abs(np.sum(x0) - 1.0) > 1e-9:
-            raise InvalidArgument("entropy mode needs strictly positive x0 on the simplex")
-    _, L = class_params(problem.smooth, mu=0.0, L=L)
+    _, L = class_params(getattr(problem, "smooth", problem), mu=0.0, L=L)
     return drive("bregman_agm", problem, {"N": N, "L": L, "dgf": dgf},
                  lambda co: _bregman_factory(problem, co, x0, L, dgf), _x_A_z, N,
                  potential=certify.bregman_potential)
@@ -361,15 +366,21 @@ def bregman_agm(problem, x0, N, dgf="euclidean", L=None):
 _WRAPPABLE = ("fgm", "constant_momentum", "fista", "prox_agm", "bregman_agm")
 
 
-def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
+def monotone_wrap(method, problem, x0, N, mu=None, L=None, form="I", dgf="euclidean",
+                  L0=None, alpha=2.0, mode="monotone"):
     """Enforce monotonicity: before each inner step, replace the inner x_k by
     the incumbent best point, then keep the better of the step's output and
     the incumbent. The wrapped method's worst-case bound is preserved.
 
-    Not applicable to ogm/item/tmm, whose potentials track y-sequences.
+    `form` is fgm's, I or III (form II steps from a y-sequence the wrapper
+    does not reset), and "I" for the other methods; `dgf` is bregman_agm's, and
+    `L0` (default L), `alpha` and `mode` fista's and prox_agm's, whose checks
+    apply. Not applicable to ogm/item/tmm, whose potentials track y-sequences.
     """
     if method not in _WRAPPABLE:
         raise InvalidArgument(f"monotone_wrap does not support {method!r}")
+    if form not in (("I", "III") if method == "fgm" else ("I",)):
+        raise InvalidArgument(f"monotone_wrap cannot run {method} in form {form!r}")
     x0 = np.array(x0, dtype=float)
 
     smooth = getattr(problem, "smooth", problem)
@@ -378,16 +389,15 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, **kwargs):
 
     def factory(co):
         if method == "fgm":
-            return _fgm_factory(co, x0, mu, L, form_three=(kwargs.get("form") == "III"))
+            return _fgm_factory(co, x0, mu, L, form_three=(form == "III"))
         if method == "constant_momentum":
             return _constant_momentum_factory(co, x0, mu, L)
         if method == "bregman_agm":
-            return _bregman_factory(problem, co, x0, L, kwargs.get("dgf", "euclidean"))
+            return _bregman_factory(problem, co, x0, L, dgf)
         from .composite import _composite_factory  # fista / prox_agm
 
-        L0 = kwargs.get("L0")
         return _composite_factory(method, problem, co, x0, mu, L if L0 is None else L0,
-                                  kwargs.get("alpha", 2.0), kwargs.get("mode", "monotone"))
+                                  alpha, mode)
 
     def start(co):
         inner, inner_step = factory(co)

@@ -208,7 +208,6 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
                            x_star=x_star, f_star=f_star, is_quadratic=True,
                            name="quadratic", values=value, gradients=gradient,
                            value_from_gradient=value_from_gradient)
-    oracle.eigs = eigs
     oracle.hessian_matvec = lambda v: hess(np.asarray(v, dtype=float))
     return oracle
 

@@ -45,15 +45,13 @@ def check_relative_error(cert):
     return lhs <= rhs + tol_for(rhs)
 
 
-def ppa(oracle, lambdas, x0, N=None):
-    """Exact proximal point algorithm x_{k+1} = prox_{lambda_k f}(x_k)."""
+def ppa(oracle, lambdas, x0):
+    """Exact proximal point algorithm x_{k+1} = prox_{lambda_k f}(x_k), one
+    step per lambda: N = len(lambdas)."""
     if not oracle.has_prox:
         raise UnsupportedOracle("ppa needs an exact prox")
     lambdas = [float(l) for l in lambdas]
-    if N is None:
-        N = len(lambdas)
-    if len(lambdas) < N:
-        raise InvalidArgument("need one lambda per iteration")
+    N = len(lambdas)
     if any(l < 0 for l in lambdas):
         raise InvalidArgument("lambdas must be >= 0")
     mu = oracle.params.mu if oracle.params is not None else 0.0
@@ -67,7 +65,7 @@ def ppa(oracle, lambdas, x0, N=None):
 
         return {"k": 0, "x": np.array(x0, dtype=float), "A": 0.0}, step
 
-    return drive("ppa", oracle, {"N": N, "lambdas": lambdas[:N], "mu": mu}, start,
+    return drive("ppa", oracle, {"N": N, "lambdas": lambdas, "mu": mu}, start,
                  lambda s: (s["x"], None, {"A": s["A"]}), N,
                  potential=certify.ppa_potential)
 
@@ -113,9 +111,9 @@ def _z_next(z, x_next, g, delta, mu):
     return z + mu * delta * (x_next - z) - delta * g
 
 
-def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
-                      enforce_delta=True):
-    """Accelerated inexact proximal point method.
+def accel_inexact_ppa(solver, lambdas, delta, x0, mu=0.0, oracle=None, enforce_delta=True):
+    """Accelerated inexact proximal point method, one outer step per lambda:
+    N = len(lambdas).
 
     `solver(y, lam, counters)` returns (x_next, g, e) with e the prox residual;
     each step's certificate ||e|| <= delta ||x_next - y|| is checked and a
@@ -124,16 +122,16 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
     to observe the certificate failing.
     """
     lambdas = [float(l) for l in lambdas]
-    if N is None:
-        N = len(lambdas)
-    if len(lambdas) < N:
-        raise InvalidArgument("need one lambda per iteration")
-    if not all(lam > 0 for lam in lambdas[:N]):
+    N = len(lambdas)
+    if not all(lam > 0 for lam in lambdas):
         raise InvalidArgument("every lambda must be > 0")
     if not mu >= 0:
         raise InvalidArgument("mu must be >= 0")
     if enforce_delta and mu == 0 and not (0 <= delta <= 1):
         raise InvalidArgument("delta must lie in [0,1] when mu=0")
+    if enforce_delta and mu > 0 and not all(0 <= delta <= np.sqrt(1.0 + lam * mu)
+                                            for lam in lambdas):
+        raise InvalidArgument("delta must lie in [0, sqrt(1+lambda*mu)]")
 
     def start(co):
         counters = co.counters
@@ -141,8 +139,6 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
         def step(s):
             k, x, z, A = s["k"], s["x"], s["z"], s["A"]
             lam = lambdas[k]
-            if mu > 0 and enforce_delta and not (0 <= delta <= np.sqrt(1.0 + lam * mu)):
-                raise InvalidArgument("delta must lie in [0, sqrt(1+lambda*mu)]")
             a, A1, delta_k, y = _outer_point(x, z, A, lam, mu)
             x_next, g, e = solver(y, lam, counters)
             counters.inner_iters += 1
@@ -162,7 +158,7 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, N=None, mu=0.0, oracle=None,
         return s["x"], grad, {"A": s["A"], "z": s["z"]}
 
     return drive("accel_inexact_ppa", oracle,
-                 {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas[:N]}, start, view, N,
+                 {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas}, start, view, N,
                  potential=certify.ppa_potential)
 
 

@@ -539,3 +539,30 @@ def test_ogm_final_only_state_is_readable(quad_6):
     with pytest.raises(InvalidArgument):  # record 0 carries no y_prev
         tr.column("y_prev")
     assert tr.column("y_prev", 1).shape == (8, 6)
+
+
+def test_lmi_refuses_a_factor_below_the_rate_at_large_L():
+    # the quadratic mu ||x||^2 / 2 contracts by (1 - gamma mu)^2 = 0.003011
+    # here, so the factor 1.27e-4 below is false; a tolerance fixed at
+    # tol_for(1 + tau + gamma^2), far above the certificate's entries at this
+    # L, once certified it
+    L, mu = 650.6761227268219, 602.7394132846622
+    gamma, tau = 0.0015680495264588814, 0.0027231673668673038
+    assert tau < (1.0 - gamma * mu) ** 2
+    assert ct.lmi_gd_distance(tau, gamma, mu, L) is None
+    assert ct.lmi_gd_distance((1.0 - gamma * mu) ** 2, gamma, mu, L) is not None
+
+
+@settings(deadline=None, max_examples=500)
+@given(log_L=st.floats(-3.0, 6.0),
+       ratio=st.one_of(st.just(0.0), st.floats(-8.0, np.log10(0.999)).map(lambda e: 10.0**e)),
+       step=st.floats(1e-9, 2.0, exclude_max=True))
+def test_lmi_certifies_exactly_the_gd_rate(log_L, ratio, step):
+    # the LMI's tight factor for one gd step is max(|1 - gamma mu|, |1 - gamma L|)^2:
+    # the rate is certified, with its witness lambda >= 0, and 1e-7 below it is not
+    L = 10.0**log_L
+    mu, gamma = ratio * L, step / L
+    rate = max(abs(1.0 - gamma * mu), abs(1.0 - gamma * L)) ** 2
+    lam = ct.lmi_gd_distance(rate, gamma, mu, L)
+    assert lam is not None and lam >= 0.0
+    assert ct.lmi_gd_distance(rate - 1e-7, gamma, mu, L) is None

@@ -154,3 +154,10 @@ def test_backtracking_counts_each_value_once(method, mode):
     tr = method(comp, np.zeros(5), 20, mu=0.5, L0=0.6, mode=mode)
     assert tr.meta["wasted"] > 0
     assert tr.final.value_calls == tr.final.grad_calls + 20 + tr.meta["wasted"]
+
+
+def test_drivers_refuse_a_smooth_problem():
+    p = lasso_instance().smooth
+    for run in (cp.fista, cp.prox_agm, mo.bregman_agm):
+        with pytest.raises(InvalidArgument, match="CompositeProblem"):
+            run(p, np.zeros(5), 5)

@@ -484,3 +484,44 @@ def test_zero_lambda_still_selects_the_unregularized_weights():
     assert tr.meta["lambda"] == tr_prox.meta["lambda"] == 0.0
     # both step with offline mixing from the same pairs
     np.testing.assert_allclose(tr_prox.x, tr.x, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam, m", [(0.0, None), (0.0, 3), (1e-15, None), (1e-8, 4)])
+def test_prox_rna_steps_to_the_extrapolation_of_its_pairs(lam, m):
+    # the z-sequence, read off the prox's inputs, is rna's x_extr (na_mixing's
+    # at lam = 0) of the pairs the run buffered, bit for bit; a singular
+    # solve gives the flagged step z_k - gamma g_k
+    p = oracles.make_quadratic([1.0, 4.0, 9.0], np.array([1.0, -2.0, 0.5]), seed=3)
+    l1 = oracles.make_l1(0.05, 3)
+    prox, zs = l1.prox, []
+    l1.prox = lambda z, t: zs.append(z) or prox(z, t)
+    gamma, x0 = 1 / 9, np.array([2.0, -1.0, 3.0])
+    tr = ex.prox_rna(oracles.CompositeProblem(p, l1), x0, gamma=gamma, lam=lam, N=20, m=m)
+    assert len(zs) == 20
+    buf, z, fallbacks = ex.PairBuffer(capacity=m), x0, []
+    for x, z_next in zip(tr.x, zs):
+        g = (gamma * p.gradient(x) + z - x) / gamma
+        buf.append(z, g)
+        try:
+            want = (ex.rna(buf, gamma, lam) if lam > 0 else ex.na_mixing(buf, gamma)).x_extr
+            fallbacks.append(False)
+        except SingularSystemError:
+            want = z - gamma * g
+            fallbacks.append(True)
+        assert want.tobytes() == z_next.tobytes()
+        z = z_next
+    assert [r.state["fallback"] for r in tr.records[1:]] == fallbacks
+    assert any(fallbacks) == (lam < 1e-13)
+
+
+def test_rna_refuses_a_malformed_reference_or_lambda():
+    rng = np.random.default_rng(0)
+    buf = ex.PairBuffer()
+    for _ in range(3):
+        buf.append(rng.standard_normal(4), rng.standard_normal(4))
+    for c_ref in ([0.5, 0.5], [0.25] * 4, [[1 / 3] * 3], [np.nan, 0.5, 0.5], [0.5, 0.6, 0.1]):
+        with pytest.raises(InvalidArgument, match="c_ref"):
+            ex.rna(buf, 0.1, 1e-3, c_ref=c_ref)
+    assert np.sum(ex.rna(buf, 0.1, 1e-3, c_ref=[0.2, 0.3, 0.5]).c) == pytest.approx(1.0)
+    with pytest.raises(InvalidArgument, match="lambda"):
+        ex.rna(buf, 0.1, float("nan"))

@@ -319,3 +319,55 @@ def test_overflowing_A_sequence_diverges_without_a_python_error():
     p = oracles.make_quadratic([1.0, 10.0], np.zeros(2), seed=0)
     with np.errstate(all="ignore"), pytest.raises(DivergedError):
         mo.fgm(p, np.ones(2), 1000)
+
+
+def _wrap_problems():
+    p = oracles.make_quadratic([1.0, 4.0, 9.0], np.array([1.0, -2.0, 0.5]), seed=3)
+    return p, oracles.CompositeProblem(p, oracles.make_l1(0.1, 3)), np.full(3, 1.0 / 3)
+
+
+@pytest.mark.parametrize("method, form", [("fgm", "bogus"), ("fgm", "II"),
+                                          ("constant_momentum", "II"), ("fista", "III")])
+def test_monotone_wrap_refuses_a_form_it_cannot_run(method, form):
+    p, lasso, x0 = _wrap_problems()
+    with pytest.raises(InvalidArgument, match="form"):
+        mo.monotone_wrap(method, lasso, x0, 5, form=form)
+
+
+def test_monotone_wrap_runs_fgm_form_three():
+    p, lasso, x0 = _wrap_problems()
+    one = mo.monotone_wrap("fgm", lasso, x0, 30, mu=0.0)
+    three = mo.monotone_wrap("fgm", lasso, x0, 30, mu=0.0, form="III")
+    assert lasso.objective(three.final.x) <= lasso.objective(x0)
+    assert not np.array_equal(one.x, three.x)  # the forms' x_k differ on a kinked h
+
+
+def test_monotone_wrap_refuses_an_unknown_dgf():
+    p, lasso, x0 = _wrap_problems()
+    with pytest.raises(InvalidArgument, match="dgf"):
+        mo.monotone_wrap("bregman_agm", lasso, x0, 5, dgf="bogus")
+
+
+def test_monotone_wrap_refuses_entropy_off_the_simplex():
+    p, lasso, x0 = _wrap_problems()
+    with pytest.raises(InvalidArgument, match="simplex"):
+        mo.monotone_wrap("bregman_agm", lasso, x0, 5, dgf="entropy")
+
+
+@pytest.mark.parametrize("method", ["fista", "prox_agm", "bregman_agm"])
+def test_monotone_wrap_refuses_a_smooth_problem_for_a_composite_method(method):
+    p, lasso, x0 = _wrap_problems()
+    with pytest.raises(InvalidArgument, match="CompositeProblem"):
+        mo.monotone_wrap(method, p, x0, 5)
+
+
+def test_monotone_wrap_refuses_constant_momentum_without_mu():
+    p, lasso, x0 = _wrap_problems()
+    with pytest.raises(InvalidArgument, match="mu > 0"):
+        mo.monotone_wrap("constant_momentum", lasso, x0, 5, mu=0.0)
+
+
+def test_monotone_wrap_refuses_a_misspelt_option():
+    p, lasso, x0 = _wrap_problems()
+    with pytest.raises(TypeError):
+        mo.monotone_wrap("fista", lasso, x0, 5, moed="reset")

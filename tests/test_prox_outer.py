@@ -81,6 +81,19 @@ def test_accel_inexact_ppa_refuses_a_bad_lambda_or_mu_before_the_first_step(quad
     assert calls == []
 
 
+def test_accel_inexact_ppa_refuses_delta_for_a_later_lambda_before_the_first_step(quad_2):
+    # delta = 1.2 is admissible for lambda = 10 (sqrt(11)) but not for 0.01
+    exact, calls = po.exact_prox_solver(quad_2), []
+
+    def solver(y, lam, counters):
+        calls.append(lam)
+        return exact(y, lam, counters)
+
+    with pytest.raises(InvalidArgument, match="delta"):
+        po.accel_inexact_ppa(solver, [10.0, 0.01], 1.2, np.ones(2), mu=1.0, oracle=quad_2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("lam, mu", [(-1.0, 0.0), (np.nan, 0.0), (1.0, -0.1)])
 def test_catalyst_refuses_a_bad_lambda_or_mu_before_the_first_step(quad_6, lam, mu):
     f, calls = quad_6, []
