@@ -214,6 +214,8 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
+    """Each method's trace is dropped, once its (grad_calls, f_gap) column is
+    taken, before the next method runs: the peak is one build plus one run."""
     names = args.methods.split(",")
     if len(names) < 2:
         raise ConfigError("compare needs at least two methods")
@@ -226,6 +228,7 @@ def cmd_compare(args):
         trace = method.run(args, problem if method.composite else oracle, x0)
         columns[name] = [(grad_calls, gap) for (grad_calls, *_), gap
                          in zip(trace.tallies, trace.f_gap.tolist())]
+        del trace
     _write(args.out, _dumps({"problem": args.problem,
                              "final_gaps": {m: columns[m][-1][1] for m in names},
                              "columns": columns}))

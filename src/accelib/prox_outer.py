@@ -247,7 +247,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     cut by the budget is spent after the last record.
     With gd_linesearch, each inner step's line search evaluates Phi through
     counted value calls (`minimize_unimodal`), except on a quadratic f, whose
-    closed-form step costs one `hessian_matvec` that no counter records.
+    closed-form step costs one `hessian_matvec`, counted in `hess_calls`.
     """
     if inner not in INNER_SOLVERS:
         raise InvalidArgument(f"unknown inner solver {inner!r}")
@@ -337,8 +337,8 @@ def _inner_solve(co, y, lam, inner, phi_params, budget_left, cap):
 def _exact_linesearch(co, w, g, y, lam, mu_phi):
     """argmin over t of Phi(w - t g), Phi = f + ||.-y||^2/(2 lam) being
     mu_phi-strongly convex. On a quadratic f it is closed-form, at the cost of
-    one `hessian_matvec` that no counter records; otherwise it is
-    `minimize_unimodal`, each evaluation of Phi one counted value call."""
+    one counted `hessian_matvec`; otherwise it is `minimize_unimodal`, each
+    evaluation of Phi one counted value call."""
     if getattr(co, "is_quadratic", False):
         Hg = co.hessian_matvec(g) + g / lam  # Hessian of Phi applied to g
         return float(np.dot(g, g) / np.dot(g, Hg))

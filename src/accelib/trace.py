@@ -17,8 +17,8 @@ from .oracles import optimum
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
 
 # record fields that accumulate over a run, in the order of a trace's
-# `tallies` tuples (value_calls is not a CSV column)
-TALLIES = ("grad_calls", "prox_calls", "inner_iters", "wall_ns", "value_calls")
+# `tallies` tuples (value_calls and hess_calls are not CSV columns)
+TALLIES = ("grad_calls", "prox_calls", "inner_iters", "wall_ns", "value_calls", "hess_calls")
 
 
 # One row of a Trace, built on access and read-only: x is a row of the
@@ -39,34 +39,43 @@ class Trace(Sequence):
         self.k, self.tallies, self.states = [], [], []
         self.x = np.empty((0, 0))
         self.f_gap = self.grad_norm = self.dist_opt = np.empty(0)
-        self.potential, self._stacked = None, {}  # _stacked: the cached `column`s
+        self.potential, self._columns = None, {}  # key -> (lo, stacked column from record lo)
 
-    def extend(self, k, tallies, states, **arrays):
-        """Add rows to the lists k, tallies and states and to the named arrays."""
+    def extend(self, k, tallies, states, **columns):
+        """Append rows to the lists k, tallies and states; each named array
+        becomes the given column, which holds every row, read-only."""
         self.k += k
         self.tallies += tallies
         self.states += states
-        for name, new in arrays.items():
-            old = getattr(self, name)
-            col = np.concatenate([old, new]) if len(old) else new
+        for name, col in columns.items():
             col.flags.writeable = False
             setattr(self, name, col)
-        self._stacked.clear()
+        self._columns.clear()
 
     def column(self, key, lo=0):
         """The iterates (key "x") or the snapshot entry `key` of the records
-        from `lo` on, as floats; a snapshot column is stacked once and cached."""
+        from `lo` on, as floats, read-only. A snapshot key is stacked on first
+        use, and each of its array-valued entries then becomes a read-only row
+        of that one column, so the trace holds the values once; a later call
+        from `lo` on or past it returns a view of the same column."""
         if key == "x":
             return self.x[lo:]
-        col = self._stacked.get((key, lo))
-        if col is None:
+        start, col = self._columns.get(key, (lo, None))
+        if col is None or lo < start:
+            states = self.states[lo:]
             try:
-                col = np.array([s[key] for s in self.states[lo:]], dtype=float)
+                col = np.array([s[key] for s in states], dtype=float)
             except KeyError:  # e.g. FGM and constant momentum in form II carry no z
                 raise InvalidArgument(f"the trace's records carry no {key!r} to certify") from None
             col.flags.writeable = False
-            self._stacked[key, lo] = col
-        return col
+            if col.ndim > 1:  # array-valued: each float array entry becomes its row
+                for s, row in zip(states, col):
+                    entry = s[key]
+                    if type(entry) is np.ndarray and entry.dtype is col.dtype:
+                        s[key] = row
+            start = lo
+            self._columns[key] = start, col
+        return col[lo - start:] if lo > start else col
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -91,7 +100,7 @@ class Trace(Sequence):
         pots = ([""] * len(self) if self.potential is None
                 else map(repr, self.potential.tolist()))
         rows = (f"{k},{gap!r},{norm!r},{dist!r},{pot},{grad},{prox},{inner},{wall}"
-                for k, gap, norm, dist, pot, (grad, prox, inner, wall, _) in zip(
+                for k, gap, norm, dist, pot, (grad, prox, inner, wall, _, _) in zip(
                     self.k, self.f_gap.tolist(), self.grad_norm.tolist(),
                     self.dist_opt.tolist(), pots, self.tallies))
         return "\n".join([CSV_HEADER, *rows]) + "\n"
@@ -105,11 +114,12 @@ class Counters:
         self.prox_calls = 0
         self.inner_iters = 0
         self.value_calls = 0
+        self.hess_calls = 0
 
 
 class CountingOracle:
-    """Wraps an oracle, counting value, gradient and prox evaluations;
-    `value_and_gradient` counts one value and one gradient."""
+    """Wraps an oracle, counting value, gradient, prox and Hessian-vector
+    evaluations; `value_and_gradient` counts one value and one gradient."""
 
     def __init__(self, oracle, counters=None):
         self._oracle = oracle
@@ -135,6 +145,10 @@ class CountingOracle:
         self.counters.prox_calls += 1
         return self._oracle.prox(x, step)
 
+    def hessian_matvec(self, v):
+        self.counters.hess_calls += 1
+        return self._oracle.hessian_matvec(v)
+
 
 # rows per reporting oracle call; bounds the stacked iterates and their images
 _BATCH = 64
@@ -144,31 +158,44 @@ class Recorder:
     """Builds a Trace for smooth or composite problems. Only `drive` builds
     one; methods never record directly.
 
-    `record` only appends a row to a list: a copy of the iterate, the
-    gradient's norm if passed, one TALLIES tuple and the state snapshot. The
-    fill, at the `record` call marked `last` and whenever `trace` is read,
-    stacks the pending rows into the trace's columns in blocks of up to
-    _BATCH, dropping each row once stacked, and fills the reporting columns
-    (f_gap, dist_opt, missing gradient norms). So every trace a caller sees
-    is complete, and `wall_ns` is method time only. A block with a row
-    missing its gradient norm takes the objective and the gradients from one
-    row-stacked `value_and_gradient` call; any other block calls the
-    objective alone. `problem` is a `ProblemOracle` or a `CompositeProblem`,
-    passed raw: reporting-only evaluations never touch the counters. The
-    objective is the smooth value, plus h for a composite problem, and f_gap
-    and dist_opt are measured from the problem's optimum (a composite problem
-    without one: the smooth part's), NaN when none is known. With every
-    gradient passed and no optimum known, `problem` may be None.
+    `record` writes the iterate straight into the trace's `x` column: a
+    buffer of `rows` rows when the run's length is known, else one that
+    doubles when full (at least _BATCH rows). It appends the gradient's norm
+    if passed, one TALLIES tuple and the state snapshot, whose entries are
+    kept as passed, never copied; an entry that is the recorded iterate
+    itself becomes a read-only row of `x`. The fill, at the `record` call
+    marked `last` and whenever `trace` is read, hands the buffer over cut to
+    its rows in place (no copy when nothing else views it) and fills the
+    reporting columns (f_gap, dist_opt, missing gradient norms) in blocks of
+    _BATCH rows that start at multiples of _BATCH, so a trace read mid-run
+    ends bit-identical to one filled once. So every trace a caller sees is
+    complete and holds each iterate once, and `wall_ns` is method time only.
+    A block with a row missing its gradient norm takes the objective and the
+    gradients from one row-stacked `value_and_gradient` call; any other
+    block calls the objective alone. `problem` is a `ProblemOracle` or a
+    `CompositeProblem`, passed raw: reporting-only evaluations never touch
+    the counters. The objective is the smooth value, plus h for a composite
+    problem, and f_gap and dist_opt are measured from the problem's optimum
+    (a composite problem without one: the smooth part's), NaN when none is
+    known. With every gradient passed and no optimum known, `problem` may be
+    None.
 
     `potential`, when given and the optimum is known, is one of the
     `certify` potentials; the fill then sets the `potential` column from it
     and puts the worst margin and its step in the meta
-    (`potential_worst_margin`, `potential_worst_step`).
+    (`potential_worst_margin`, `potential_worst_step`). The snapshot keys it
+    reads are stacked by `Trace.column`, which turns their entries into rows
+    of one column per key.
     """
 
-    def __init__(self, method, problem, counters, meta=None, potential=None):
+    def __init__(self, method, problem, counters, meta=None, potential=None, rows=None):
         self._trace = Trace(method, meta)
-        self._pending = []  # (k, x, grad norm, tallies, state) per record not filled yet
+        self._rows = rows
+        self._X, self._n = None, 0  # the iterate column's buffer and its rows recorded
+        self._k, self._tallies, self._states = [], [], []  # records since the last fill
+        self._norms = []  # recorded gradient norms (None: to evaluate) from row _done on
+        self._done = 0  # rows in whole _BATCH blocks, whose reporting values are final
+        self._aliases = []  # (row, key) of snapshot entries that were the recorded iterate
         self._counters = counters
         self._smooth = getattr(problem, "smooth", problem)
         self._h = getattr(problem, "nonsmooth", None)
@@ -181,14 +208,21 @@ class Recorder:
         self._t0 = time.perf_counter_ns()
 
     def record(self, k, x, grad=None, state=None, last=False):
-        c = self._counters
-        self._pending.append((
-            k, np.array(x, dtype=float, copy=True),
-            # = np.linalg.norm bit for bit (the same ddot), but vdot does not warn on overflow
-            None if grad is None else math.sqrt(np.vdot(grad, grad)),
-            (c.grad_calls, c.prox_calls, c.inner_iters, time.perf_counter_ns() - self._t0,
-             c.value_calls),
-            dict(state) if state else {}))
+        c, n = self._counters, self._n
+        if self._X is None or n == len(self._X):
+            self._grow(np.shape(x))
+        self._X[n] = x
+        self._n = n + 1
+        self._k.append(k)
+        # = np.linalg.norm bit for bit (the same ddot), but vdot does not warn on overflow
+        self._norms.append(None if grad is None else math.sqrt(np.vdot(grad, grad)))
+        self._tallies.append((c.grad_calls, c.prox_calls, c.inner_iters,
+                              time.perf_counter_ns() - self._t0, c.value_calls, c.hess_calls))
+        snap = dict(state) if state else {}
+        for key, value in snap.items():
+            if value is x:
+                self._aliases.append((n, key))
+        self._states.append(snap)
         if last:
             self._fill()
 
@@ -198,17 +232,56 @@ class Recorder:
         self._fill()
         return self._trace
 
+    def _grow(self, shape):
+        """A new buffer for the iterates, `rows` rows when the run's length
+        is known, else twice the rows so far, holding the rows so far."""
+        n = self._n
+        rows = self._rows if self._rows is not None and self._rows > n else max(2 * n, _BATCH)
+        try:
+            X = np.empty((rows, *shape))
+        except MemoryError:  # a horizon past memory: grow with the run, as for N=None
+            self._rows = None
+            X = np.empty((max(2 * n, _BATCH), *shape))
+        if n:
+            X[:n] = self._X[:n]
+        self._X = X
+
+    def _hand_over(self):
+        """The buffer cut to the rows recorded: shrunk in place, or copied
+        when a view of it is alive (rows handed out by an earlier fill; the
+        blocks `_report` viewed are gone once it has returned)."""
+        if len(self._X) > self._n:
+            try:
+                self._X.resize((self._n, *self._X.shape[1:]))
+            except ValueError:
+                self._X = self._X[:self._n].copy()
+        return self._X
+
     def _fill(self):
-        if not self._pending:
+        trace, n, done = self._trace, self._n, self._done
+        if n == len(trace):
             return
-        ks, rows, norms, tallies, states = map(list, zip(*self._pending))
-        self._pending = []
-        n = len(rows)
-        X = np.empty((n, *rows[0].shape))
-        gap, dist = np.full(n, np.nan), np.full(n, np.nan)
-        for lo in range(0, n, _BATCH):
-            block = np.stack(rows[lo:lo + _BATCH], out=X[lo:lo + _BATCH])
-            rows[lo:lo + _BATCH] = [None] * len(block)  # the column is the only copy
+        gap, norms, dist = self._report(done, n)
+        if done:  # the rows after `done` are filled anew, in their whole block
+            gap, norms, dist = (np.concatenate([old[:done], new]) for old, new in (
+                (trace.f_gap, gap), (trace.grad_norm, norms), (trace.dist_opt, dist)))
+        trace.extend(self._k, self._tallies, self._states, x=self._hand_over(), f_gap=gap,
+                     grad_norm=norms, dist_opt=dist)
+        for i, key in self._aliases:
+            trace.states[i][key] = trace.x[i]
+        self._k, self._tallies, self._states = [], [], []
+        self._done = n - n % _BATCH
+        self._norms = self._norms[self._done - done:]
+        if self._potential is not None and self._f_star is not None:
+            self._fill_potential()
+
+    def _report(self, done, n):
+        """f_gap, gradient norms and dist_opt of rows done..n-1 (done a
+        multiple of _BATCH), one block of up to _BATCH rows at a time."""
+        X, norms = self._X, list(self._norms)
+        gap, dist = np.full(n - done, np.nan), np.full(n - done, np.nan)
+        for lo in range(0, n - done, _BATCH):
+            block = X[done + lo:min(done + lo + _BATCH, n)]
             blind = [i for i in range(len(block)) if norms[lo + i] is None]
             if self._f_star is not None:
                 if blind:
@@ -223,10 +296,7 @@ class Recorder:
             if blind:
                 for i, norm in zip(blind, np.linalg.norm(G, axis=1).tolist()):
                     norms[lo + i] = norm
-        self._trace.extend(ks, tallies, states, x=X, f_gap=gap,
-                           grad_norm=np.array(norms, dtype=float), dist_opt=dist)
-        if self._potential is not None and self._f_star is not None:
-            self._fill_potential()
+        return gap, np.array(norms, dtype=float), dist
 
     def _fill_potential(self):
         """The potential column, and the worst margin with its step in the
@@ -281,7 +351,7 @@ def drive(method, problem, meta, start, view, N=None, check="x", potential=None)
     the way carries the partial trace.
     """
     counters = Counters()
-    rec = Recorder(method, problem, counters, meta, potential)
+    rec = Recorder(method, problem, counters, meta, potential, None if N is None else N + 1)
     state, step = start(CountingOracle(getattr(problem, "smooth", problem), counters))
     try:
         x, grad, snap = view(state)

@@ -553,3 +553,24 @@ def test_certify_evaluates_the_iterates_once_after_the_run(method, monkeypatch, 
     points = [(name, x) for name, x in calls if x.ndim == 1]
     assert [name for name, _ in points] == ["value"]
     assert np.array_equal(points[0][1], trace.x[0])
+
+
+def test_compare_holds_one_trace_at_a_time(tmp_path):
+    # tracemalloc counts numpy's allocations exactly: compare's peak is one
+    # build plus its largest run, not the traces of the methods before it
+    import tracemalloc
+
+    common = ["--problem", "quad:d=300", "--N", "300", "--out", str(tmp_path / "out")]
+
+    def peak(argv):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + common) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    methods = ["gd", "fgm", "ogm", "item"]
+    peak(["run", "--method", "gd"])  # first calls of the process warm up
+    runs = max(peak(["run", "--method", m]) for m in methods)
+    assert peak(["compare", "--methods", ",".join(methods)]) <= 1.1 * runs

@@ -261,3 +261,27 @@ def test_catalyst_line_search_stops_short_of_its_evaluation_cap(monkeypatch, d, 
         assert tr.final.value_calls < 42 * sum(m["inner_counts"])
         assert m["n_total"] == sum(m["inner_counts"]) + m["n_useless"]
         assert tr.final.inner_iters == sum(m["inner_counts"])
+
+
+@pytest.mark.parametrize("budget", [7, 20, 60, 200])
+def test_catalyst_counts_one_hessian_product_per_closed_form_line_search(budget):
+    # on a quadratic each gd_linesearch step is one counted hessian_matvec;
+    # a solve cut by the budget makes its n_useless searches after the last
+    # record, so they are missing from its tallies
+    rng = np.random.default_rng(4)
+    p = oracles.make_quadratic(np.linspace(0.5, 20.0, 7), rng.standard_normal(7), seed=4)
+    x0 = rng.standard_normal(7)
+    searches = []
+    hess = p.hessian_matvec
+    p.hessian_matvec = lambda v: searches.append(1) or hess(v)
+    tr = po.catalyst(p, "gd_linesearch", 0.2, budget, x0)
+    assert tr.final.hess_calls > 0
+    assert tr.final.hess_calls + tr.meta["n_useless"] == len(searches)
+    hess_tally = [r.hess_calls for r in tr]
+    assert hess_tally == sorted(hess_tally) and hess_tally[0] == 0
+    f = oracles.make_huber(0.1, 1.0, 7)  # no closed form: value calls only
+    others = [po.catalyst(p, inner, 0.2, budget, x0) for inner in ("gd", "const_momentum")]
+    others += [po.catalyst(f, "gd_linesearch", 1.0, budget, 10.0 * x0),
+               po.ppa(p, [0.5] * 5, x0),
+               po.accel_inexact_ppa(po.exact_prox_solver(p), [0.5] * 5, 0.0, x0, oracle=p)]
+    assert all(r.hess_calls == 0 for tr in others for r in tr)

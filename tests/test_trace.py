@@ -304,3 +304,117 @@ def test_join_renumbers_offsets_and_marks_epochs(quad_6):
                 + [getattr(r, t) + getattr(a.final, t) for r in b.records[1:]])
         assert got == want, t
     assert joined.potential is None and joined.meta == {"k": 4}
+
+
+# ---------------------------------------------------------------------------
+# Hessian products, and what a trace holds
+
+def test_counting_oracle_counts_hessian_products(quad_6):
+    from accelib import momentum, poly_methods as pm
+
+    counters = tr_mod.Counters()
+    co = tr_mod.CountingOracle(quad_6, counters)
+    v = np.arange(6.0)
+    assert np.array_equal(co.hessian_matvec(v), quad_6.hessian_matvec(v))
+    assert (counters.hess_calls, counters.grad_calls, counters.value_calls) == (1, 0, 0)
+    assert tr_mod.TALLIES[-1] == "hess_calls" and tr_mod.TALLIES.index("value_calls") == 4
+    x0 = np.ones(6)
+    for tr in (pm.gradient_descent(quad_6, 0.1, x0, 5), momentum.fgm(quad_6, x0, 5),
+               momentum.ogm(quad_6, x0, 5), momentum.item(quad_6, x0, 5)):
+        assert [r.hess_calls for r in tr] == [0] * 6, tr.method
+
+
+def _traced(fn):
+    """fn() and the bytes it leaves allocated, as tracemalloc counts them."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_ogm_trace_holds_each_array_once():
+    # x, z, y_prev and g_prev are (N+1) x d values each; a second copy of any
+    # of them (per-record arrays beside a stacked column) would be a fifth
+    from accelib import certify, momentum, oracles
+
+    d, N = 600, 150
+    rng = np.random.default_rng(3)
+    p = oracles.make_quadratic(np.linspace(0.1, 10.0, d), rng.standard_normal(d), seed=3)
+    x0 = rng.standard_normal(d)
+    tr, kept = _traced(lambda: momentum.ogm(p, x0, N))
+    block = (N + 1) * d * 8
+    assert 4 * block < kept < 4.5 * block
+    assert tr.x.shape == (N + 1, d) and tr.x.base is None and not tr.x.flags.writeable
+    columns = {"z": tr.column("z"), "y_prev": tr.column("y_prev", 1),
+               "g_prev": tr.column("g_prev", 1)}
+    for i, state in enumerate(tr.states):
+        for key, col in columns.items():
+            if key in state:
+                assert np.shares_memory(state[key], col), (i, key)
+                assert not state[key].flags.writeable
+    last = tr.states[-1]
+    assert np.shares_memory(last["y_final"], tr.x) and not last["y_final"].flags.writeable
+    # certify reads the same columns: no new stacking, the same margins
+    again, more = _traced(lambda: [tr.column("z"), tr.column("y_prev", 1),
+                                   tr.column("g_prev", 2)])
+    assert all(np.shares_memory(a, columns[k]) for a, k in zip(again, columns))
+    assert more < block / 10
+    _, margins = certify.potential_series(tr, p)
+    k = int(margins.argmin())
+    assert (tr.meta["potential_worst_step"], tr.meta["potential_worst_margin"]) == (k, margins[k])
+
+
+def _replay(source, problem, reads=(), potential=None):
+    """A Recorder fed the rows of `source` blind (no gradient, no N), its
+    trace read after each record count in `reads`; returns the final trace."""
+    rec = tr_mod.Recorder(source.method, problem, tr_mod.Counters(), source.meta, potential)
+    seen = []
+    for i, (k, x, state) in enumerate(zip(source.k, source.x, source.states)):
+        rec.record(k, x, state=state)
+        if i + 1 in reads:
+            tr = rec.trace
+            assert len(tr) == len(tr.x) == len(tr.f_gap) == i + 1
+            seen.append((tr.x, tr.x.copy()))
+    for x, copy in seen:  # rows handed out earlier never change
+        assert np.array_equal(x, copy)
+    return rec.trace
+
+
+@pytest.mark.parametrize("which", ["catalyst", "fixed_restart"])
+def test_a_trace_read_mid_run_fills_as_one_filled_once(which):
+    from accelib import certify, oracles, prox_outer, restart
+
+    rng = np.random.default_rng(8)
+    p = oracles.make_quadratic(np.linspace(0.05, 10.0, 30), rng.standard_normal(30), seed=8)
+    x0 = rng.standard_normal(30)
+    if which == "catalyst":
+        source, potential = prox_outer.catalyst(p, "gd", 0.5, 600, x0), certify.ppa_potential
+    else:
+        source, potential = restart.fixed_restart(p, "fgm", 23, x0, 7, L=10.0), None
+    n = len(source)
+    assert n > 2 * 64 and n % 64
+    once = _replay(source, p, potential=potential)
+    assert once.x.shape == source.x.shape and once.x.base is None
+    assert once.x.tobytes() == source.x.tobytes()
+    for reads in [(1, 63, 64, 65, n - 1), range(1, n + 1, 37)]:
+        mid = _replay(source, p, reads, potential)
+        for name in ("x", "f_gap", "grad_norm", "dist_opt", "potential"):
+            a, b = getattr(once, name), getattr(mid, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (reads, name)
+        assert mid.meta == once.meta and mid.x.base is None
+
+
+def test_a_horizon_past_memory_grows_with_the_run(quad_6):
+    # N + 1 rows that no allocation can hold: the column grows as for N=None
+    rec = tr_mod.Recorder("gd", quad_6, tr_mod.Counters(), rows=10**15)
+    for k in range(70):
+        rec.record(k, np.full(6, 1.0 / (k + 1)))
+    assert rec.trace.x.shape == (70, 6) and rec.trace.x[69, 0] == 1.0 / 70
