@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidArgument, UnsupportedOracle
 from .tolerances import tol_for
 from .oracles import CompositeProblem, bregman_divergence, optimum
-from .trace import _BATCH, in_blocks
+from .trace import _BATCH, evaluate_potential, in_blocks
 
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
 
@@ -29,15 +29,15 @@ def min_slack(margins):
     """Smallest slack of a list of `Margin`s, of an array of per-step potential
     margins, or of the pairwise slack matrix from `check_interpolation` (its
     +inf diagonal carries no condition). Returns 0.0 when there is nothing to
-    check: no margins, or n <= 1 points. A NaN step margin is left out, as a
-    step that cannot be certified is reported by the caller; when every one
-    is NaN the result is NaN."""
-    if isinstance(margins, np.ndarray) and margins.ndim == 2:
+    check: no margins, or n <= 1 points. A NaN margin of a list or of a 1-D
+    array is left out, wherever it sits, as a step that cannot be certified
+    is reported by the caller; when every one is NaN the result is NaN."""
+    if not isinstance(margins, np.ndarray):
+        margins = np.array([m.slack for m in margins], dtype=float)
+    if margins.ndim == 2:
         return float(margins.min()) if margins.size > 1 else 0.0
-    if isinstance(margins, np.ndarray):
-        kept = margins[margins == margins]
-        return float(kept.min()) if kept.size else (np.nan if margins.size else 0.0)
-    return min(m.slack for m in margins) if margins else 0.0
+    kept = margins[margins == margins]
+    return float(kept.min()) if kept.size else (np.nan if margins.size else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +207,13 @@ def potential_series(trace, problem, smooth_values=None):
     if handler is None:
         raise InvalidArgument(f"no potential registered for {trace.method!r}")
 
-    def gap_at(Y):
-        return in_blocks(fun, Y) - f_star
-
     if smooth_values is None:
-        gap = gap_at(trace.x)
+        gap = in_blocks(fun, trace.x) - f_star
     elif isinstance(problem, CompositeProblem):
         gap = smooth_values + in_blocks(problem.nonsmooth.value, trace.x) - f_star
     else:
         gap = smooth_values - f_star
-    return handler(trace, gap, x_star, gap_at)
+    return evaluate_potential(handler, trace, gap, x_star, fun, f_star)
 
 
 def check_potential(trace, problem):

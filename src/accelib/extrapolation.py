@@ -5,9 +5,9 @@ Every extrapolation solves a k x k system in the Gram matrix G G^T of the
 buffered gradients (k <= the buffer's capacity) from one symmetric
 eigendecomposition G G^T = V diag(vals) V^T: its largest eigenvalue
 normalises it, |vals + lam| are the system's singular values, to which the
-module's one singularity rule applies (`SINGULAR_PIVOT_REL`), the condition
-number comes from the same vals, and the solve is V diag(1/(vals + lam)) V^T.
-Pairs whose Gram matrix has a non-finite trace raise DivergedError.
+module's one singularity rule applies (`SINGULAR_PIVOT_REL`), and the solve
+is V diag(1/(vals + lam)) V^T. Pairs whose Gram matrix has a non-finite
+trace raise DivergedError.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class PairBuffer:
 class ExtrapolationResult:
     c: np.ndarray
     x_extr: np.ndarray
-    gram_cond: float
 
 
 def lstsq_qr(A, b):
@@ -110,13 +109,6 @@ def spectral_norm(M):
     return float(np.linalg.eigvalsh(M)[-1])
 
 
-def _cond(vals):
-    """Condition number of a symmetric PSD matrix from its eigenvalues."""
-    lo = max(float(vals.min()), 0.0)
-    hi = float(vals.max())
-    return np.inf if lo == 0.0 else hi / lo
-
-
 def _gram_eigh(G):
     """The eigenvalues (ascending) and eigenvectors of G G^T / ||G G^T||_2,
     from one `eigh`. A non-finite trace of G G^T, which every non-finite
@@ -146,10 +138,9 @@ def _weights(vals, V, lam, c_ref=None):
 
 
 def _solve_weights(G, lam, c_ref=None):
-    """The weights c of the buffered gradients G (one per row) and the
-    eigenvalues of G G^T / ||G G^T||_2 they were solved from: rna's regularized
-    weights at lam > 0, offline_na's (with its fallback) at lam = 0. Every
-    extrapolation takes its weights from here."""
+    """The weights c of the buffered gradients G (one per row): rna's
+    regularized weights at lam > 0, offline_na's (with its fallback) at
+    lam = 0. Every extrapolation takes its weights from here."""
     vals, V = _gram_eigh(G)
     try:
         c = _weights(vals, V, lam, c_ref)
@@ -162,16 +153,15 @@ def _solve_weights(G, lam, c_ref=None):
             raise
         y = lstsq_qr((D / norms[:, None]).T, -G[-1]) / norms
         c = np.append(y, 1.0 - np.sum(y))
-    return c, vals
+    return c
 
 
 def _extrapolate(buf, h, lam, c_ref=None):
     """rna's result (na_mixing's at lam = 0) for the pairs in buf."""
     if len(buf) < 1:
         raise InvalidArgument("need at least one pair")
-    c, vals = _solve_weights(buf.G, lam, c_ref)
-    return ExtrapolationResult(c=c, x_extr=c @ (buf.X - h * buf.G),
-                               gram_cond=_cond(vals + lam))
+    c = _solve_weights(buf.G, lam, c_ref)
+    return ExtrapolationResult(c=c, x_extr=c @ (buf.X - h * buf.G))
 
 
 def offline_na(buf):
@@ -200,7 +190,7 @@ def rna(buf, h, lam, c_ref=None):
     c = w + z (1 - w^T 1)/(z^T 1) with (GG_n + lam I) z = 1, so c^T 1 = 1 exactly.
     Default c_ref is uniform; one given must hold len(buf) finite weights
     summing to 1. Both systems are solved from one eigendecomposition of GG
-    (see the module docstring), which also gives ||GG||_2 and gram_cond.
+    (see the module docstring), which also gives ||GG||_2.
     """
     if not lam > 0:
         raise InvalidArgument("lambda must be > 0")
@@ -343,7 +333,7 @@ def online_rna(oracle, x0, h, lam, m, N, safeguard="none"):
             X, G = buf.X, buf.G
             f_new = None
             try:
-                c = _solve_weights(G, lam)[0]
+                c = _solve_weights(G, lam)
                 t = h
                 if safeguard == "linesearch":
                     t = _search_from_edge(lambda u: co.value(c @ (X - u * G)), 0.0, 4.0 * h)
@@ -389,7 +379,7 @@ def prox_rna(problem, x0, gamma, lam, N, m=None):
             buf.append(z, g)
             fallback = False
             try:
-                z_new = _solve_weights(buf.G, lam)[0] @ (buf.X - gamma * buf.G)
+                z_new = _solve_weights(buf.G, lam) @ (buf.X - gamma * buf.G)
             except SingularSystemError:
                 z_new = z - gamma * g
                 fallback = True

@@ -41,12 +41,9 @@ class Trace(Sequence):
         self.f_gap = self.grad_norm = self.dist_opt = np.empty(0)
         self.potential, self._columns = None, {}  # key -> (lo, stacked column from record lo)
 
-    def extend(self, k, tallies, states, **columns):
-        """Append rows to the lists k, tallies and states; each named array
-        becomes the given column, which holds every row, read-only."""
-        self.k += k
-        self.tallies += tallies
-        self.states += states
+    def set_columns(self, **columns):
+        """Each named array becomes the given column, which holds every row,
+        read-only."""
         for name, col in columns.items():
             col.flags.writeable = False
             setattr(self, name, col)
@@ -158,43 +155,41 @@ class Recorder:
     """Builds a Trace for smooth or composite problems. Only `drive` builds
     one; methods never record directly.
 
-    `record` writes the iterate straight into the trace's `x` column: a
-    buffer of `rows` rows when the run's length is known, else one that
-    doubles when full (at least _BATCH rows). It appends the gradient's norm
-    if passed, one TALLIES tuple and the state snapshot, whose entries are
-    kept as passed, never copied; an entry that is the recorded iterate
-    itself becomes a read-only row of `x`. The fill, at the `record` call
-    marked `last` and whenever `trace` is read, hands the buffer over cut to
-    its rows in place (no copy when nothing else views it) and fills the
-    reporting columns (f_gap, dist_opt, missing gradient norms) in blocks of
-    _BATCH rows that start at multiples of _BATCH, so a trace read mid-run
-    ends bit-identical to one filled once. So every trace a caller sees is
-    complete and holds each iterate once, and `wall_ns` is method time only.
-    A block with a row missing its gradient norm takes the objective and the
-    gradients from one row-stacked `value_and_gradient` call; any other
-    block calls the objective alone. `problem` is a `ProblemOracle` or a
-    `CompositeProblem`, passed raw: reporting-only evaluations never touch
-    the counters. The objective is the smooth value, plus h for a composite
-    problem, and f_gap and dist_opt are measured from the problem's optimum
-    (a composite problem without one: the smooth part's), NaN when none is
-    known. With every gradient passed and no optimum known, `problem` may be
-    None.
+    `record` appends k, one TALLIES tuple and the state snapshot straight to
+    the lists of the trace it returns, and writes the iterate into the trace's
+    `x` column: a buffer of `rows` rows when the run's length is known, else
+    _BATCH rows, doubled whenever full. Snapshot entries are kept as passed,
+    never copied; an entry that is the recorded iterate itself becomes a
+    read-only row of `x`. The fill, at the `record` call marked `last` and
+    whenever `trace` is read, cuts the buffer to its rows in place (a copy
+    only when a column handed out earlier still holds it) and fills the
+    reporting columns (f_gap, dist_opt, missing gradient norms) of every row
+    in blocks of _BATCH rows from row 0, so a trace read mid-run evaluates its
+    earlier rows again and ends bit-identical to one filled once. So every
+    trace a caller sees is complete and holds each iterate once, and `wall_ns`
+    is method time only. A block with a row missing its gradient norm takes
+    the objective and the gradients from one row-stacked `value_and_gradient`
+    call; any other block calls the objective alone. `problem` is a
+    `ProblemOracle` or a `CompositeProblem`, passed raw: reporting-only
+    evaluations never touch the counters. The objective is the smooth value,
+    plus h for a composite problem, and f_gap and dist_opt are measured from
+    the problem's optimum (a composite problem without one: the smooth
+    part's), NaN when none is known. With every gradient passed and no optimum
+    known, `problem` may be None.
 
     `potential`, when given and the optimum is known, is one of the
     `certify` potentials; the fill then sets the `potential` column from it
-    and puts the worst margin and its step in the meta
-    (`potential_worst_margin`, `potential_worst_step`). The snapshot keys it
-    reads are stacked by `Trace.column`, which turns their entries into rows
-    of one column per key.
+    (see `evaluate_potential`) and puts the worst margin and its step in the
+    meta (`potential_worst_margin`, `potential_worst_step`). The snapshot
+    keys it reads are stacked by `Trace.column`, which turns their entries
+    into rows of one column per key.
     """
 
     def __init__(self, method, problem, counters, meta=None, potential=None, rows=None):
         self._trace = Trace(method, meta)
-        self._rows = rows
+        self._rows = rows  # the first buffer's rows, when the run's length is known
         self._X, self._n = None, 0  # the iterate column's buffer and its rows recorded
-        self._k, self._tallies, self._states = [], [], []  # records since the last fill
-        self._norms = []  # recorded gradient norms (None: to evaluate) from row _done on
-        self._done = 0  # rows in whole _BATCH blocks, whose reporting values are final
+        self._norms = []  # recorded gradient norms, one per row (None: to evaluate)
         self._aliases = []  # (row, key) of snapshot entries that were the recorded iterate
         self._counters = counters
         self._smooth = getattr(problem, "smooth", problem)
@@ -208,21 +203,26 @@ class Recorder:
         self._t0 = time.perf_counter_ns()
 
     def record(self, k, x, grad=None, state=None, last=False):
-        c, n = self._counters, self._n
-        if self._X is None or n == len(self._X):
-            self._grow(np.shape(x))
+        c, n, trace = self._counters, self._n, self._trace
+        if self._X is None:
+            try:
+                self._X = np.empty((self._rows or _BATCH, *np.shape(x)))
+            except MemoryError:  # a horizon past memory: grow with the run, as for N=None
+                self._X = np.empty((_BATCH, *np.shape(x)))
+        elif n == len(self._X):
+            self._resize(2 * n)
         self._X[n] = x
         self._n = n + 1
-        self._k.append(k)
+        trace.k.append(k)
         # = np.linalg.norm bit for bit (the same ddot), but vdot does not warn on overflow
         self._norms.append(None if grad is None else math.sqrt(np.vdot(grad, grad)))
-        self._tallies.append((c.grad_calls, c.prox_calls, c.inner_iters,
+        trace.tallies.append((c.grad_calls, c.prox_calls, c.inner_iters,
                               time.perf_counter_ns() - self._t0, c.value_calls, c.hess_calls))
         snap = dict(state) if state else {}
         for key, value in snap.items():
             if value is x:
                 self._aliases.append((n, key))
-        self._states.append(snap)
+        trace.states.append(snap)
         if last:
             self._fill()
 
@@ -232,56 +232,44 @@ class Recorder:
         self._fill()
         return self._trace
 
-    def _grow(self, shape):
-        """A new buffer for the iterates, `rows` rows when the run's length
-        is known, else twice the rows so far, holding the rows so far."""
-        n = self._n
-        rows = self._rows if self._rows is not None and self._rows > n else max(2 * n, _BATCH)
+    def _resize(self, rows):
+        """The iterate buffer grown or cut to `rows` rows in place, or copied
+        when a column handed out by an earlier fill still holds it (the
+        blocks `_report` views are gone once it has returned)."""
         try:
-            X = np.empty((rows, *shape))
-        except MemoryError:  # a horizon past memory: grow with the run, as for N=None
-            self._rows = None
-            X = np.empty((max(2 * n, _BATCH), *shape))
-        if n:
-            X[:n] = self._X[:n]
-        self._X = X
-
-    def _hand_over(self):
-        """The buffer cut to the rows recorded: shrunk in place, or copied
-        when a view of it is alive (rows handed out by an earlier fill; the
-        blocks `_report` viewed are gone once it has returned)."""
-        if len(self._X) > self._n:
-            try:
-                self._X.resize((self._n, *self._X.shape[1:]))
-            except ValueError:
-                self._X = self._X[:self._n].copy()
-        return self._X
+            self._X.resize((rows, *self._X.shape[1:]))
+        except ValueError:
+            X = np.empty((rows, *self._X.shape[1:]))
+            X[:self._n] = self._X[:self._n]
+            self._X = X
 
     def _fill(self):
-        trace, n, done = self._trace, self._n, self._done
-        if n == len(trace):
+        trace, n = self._trace, self._n
+        if len(trace.f_gap) == n:
             return
-        gap, norms, dist = self._report(done, n)
-        if done:  # the rows after `done` are filled anew, in their whole block
-            gap, norms, dist = (np.concatenate([old[:done], new]) for old, new in (
-                (trace.f_gap, gap), (trace.grad_norm, norms), (trace.dist_opt, dist)))
-        trace.extend(self._k, self._tallies, self._states, x=self._hand_over(), f_gap=gap,
-                     grad_norm=norms, dist_opt=dist)
+        self._resize(n)  # a no-op when the buffer holds n rows
+        gap, norms, dist = self._report()
+        trace.set_columns(x=self._X, f_gap=gap, grad_norm=norms, dist_opt=dist)
         for i, key in self._aliases:
             trace.states[i][key] = trace.x[i]
-        self._k, self._tallies, self._states = [], [], []
-        self._done = n - n % _BATCH
-        self._norms = self._norms[self._done - done:]
-        if self._potential is not None and self._f_star is not None:
-            self._fill_potential()
+        if self._potential is None or self._f_star is None:
+            return
+        # from the f_gap column just filled: only potentials that need the
+        # objective at other points (OGM's y_prev) evaluate it again
+        phi, margins = evaluate_potential(self._potential, trace, gap, self._x_star,
+                                          self._objective, self._f_star)
+        phi.flags.writeable = False
+        trace.potential = phi
+        if len(margins):
+            k = int(margins.argmin())
+            trace.meta.update(potential_worst_margin=float(margins[k]), potential_worst_step=k)
 
-    def _report(self, done, n):
-        """f_gap, gradient norms and dist_opt of rows done..n-1 (done a
-        multiple of _BATCH), one block of up to _BATCH rows at a time."""
-        X, norms = self._X, list(self._norms)
-        gap, dist = np.full(n - done, np.nan), np.full(n - done, np.nan)
-        for lo in range(0, n - done, _BATCH):
-            block = X[done + lo:min(done + lo + _BATCH, n)]
+    def _report(self):
+        """f_gap, gradient norms and dist_opt of every row, in blocks of _BATCH rows."""
+        X, n, norms = self._X, self._n, list(self._norms)
+        gap, dist = np.full(n, np.nan), np.full(n, np.nan)
+        for lo in range(0, n, _BATCH):
+            block = X[lo:lo + _BATCH]
             blind = [i for i in range(len(block)) if norms[lo + i] is None]
             if self._f_star is not None:
                 if blind:
@@ -298,22 +286,15 @@ class Recorder:
                     norms[lo + i] = norm
         return gap, np.array(norms, dtype=float), dist
 
-    def _fill_potential(self):
-        """The potential column, and the worst margin with its step in the
-        meta, from the f_gap column already filled: only potentials that need
-        the objective at other points (OGM's y_prev) evaluate it again. A
-        diverged run's column may hold inf/nan."""
-        trace = self._trace
-        with np.errstate(all="ignore"):
-            phi, margins = self._potential(
-                trace, trace.f_gap, self._x_star,
-                lambda Y: in_blocks(self._objective, Y) - self._f_star)
-        phi.flags.writeable = False
-        trace.potential = phi
-        if len(margins):
-            k = int(margins.argmin())
-            trace.meta.update(potential_worst_margin=float(margins[k]),
-                              potential_worst_step=k)
+
+def evaluate_potential(potential, trace, gap, x_star, objective, f_star):
+    """(phi, margins) of a `certify` potential on the trace, given gap =
+    F(x_k) - F* per record; the objective less f_star is evaluated in blocks
+    where the potential needs it at other points. Every potential is
+    evaluated here, by the fill and by `certify.potential_series`: a diverged
+    run, or gd at gamma = 1/mu, gives inf/nan entries and no warning."""
+    with np.errstate(all="ignore"):
+        return potential(trace, gap, x_star, lambda Y: in_blocks(objective, Y) - f_star)
 
 
 def in_blocks(fun, X):
@@ -387,7 +368,8 @@ def join(method, meta, runs):
         states += [{"epoch": e} for _ in run.tallies[1:]]
         base = tuple(map(add, run.tallies[-1], base))
     trace = Trace(method, meta)
-    trace.extend(list(range(len(tallies))), tallies, states, **{
+    trace.k, trace.tallies, trace.states = list(range(len(tallies))), tallies, states
+    trace.set_columns(**{
         name: np.concatenate([getattr(runs[0], name), *(getattr(r, name)[1:] for r in runs[1:])])
         for name in ("x", "f_gap", "grad_norm", "dist_opt")})
     return trace

@@ -566,3 +566,53 @@ def test_lmi_certifies_exactly_the_gd_rate(log_L, ratio, step):
     lam = ct.lmi_gd_distance(rate, gamma, mu, L)
     assert lam is not None and lam >= 0.0
     assert ct.lmi_gd_distance(rate - 1e-7, gamma, mu, L) is None
+
+
+@pytest.mark.parametrize("slacks, want", [
+    ([np.nan, -1.0], -1.0), ([-1.0, np.nan], -1.0),  # wherever the NaN sits
+    ([np.nan, np.nan], np.nan), ([], 0.0)])
+def test_min_slack_of_a_margin_list_follows_the_array_rule(slacks, want):
+    got = ct.min_slack([ct.Margin(k, s) for k, s in enumerate(slacks)])
+    by_array = ct.min_slack(np.array(slacks, dtype=float))
+    assert np.array_equal([got, by_array], [want, want], equal_nan=True)
+
+
+def test_check_potential_of_gd_at_one_over_mu_gives_margins_without_a_warning():
+    # gamma = 1/mu makes the potential's A-sequence divide by 1 - mu/L = 0;
+    # the fill and check_potential evaluate it under one errstate
+    import warnings
+
+    p = oracles.make_quadratic(np.linspace(1, 10, 5), np.ones(5), seed=1)
+    tr = pm.gradient_descent(p, 1.0, np.zeros(5), 20, mu=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins = np.array([m.slack for m in ct.check_potential(tr, p)])
+    assert len(margins) == 20 and not np.isfinite(margins).all()
+    with np.errstate(invalid="ignore"):  # inf - inf: the fill's column gives the same NaN
+        want = tr.potential[:-1] - tr.potential[1:]
+    assert np.array_equal(margins, want, equal_nan=True)
+
+
+UPPER = {"i.upper", "ii.upper", "iii.lower", "iv.lower", "v.upper", "vi.upper", "vii.lower"}
+LOWER = {"i.lower", "ii.lower", "iii.upper", "iv.upper", "v.lower", "vi.lower", "vii.upper"}
+
+
+def _flagged(oracle, mu, L):
+    """The inequality families whose smallest slack on 200 pairs is negative."""
+    worst = {}
+    for m in ct.check_class_inequalities(oracle, mu, L, samples=200, seed=1):
+        worst[m.where[0]] = min(worst.get(m.where[0], np.inf), m.slack)
+    return {name for name, slack in worst.items() if slack < -1e-8}, set(worst)
+
+
+@pytest.mark.parametrize("oracle, mu, L, wrong_mu", [
+    (oracles.make_quadratic(np.linspace(1, 10, 6), np.zeros(6), seed=3), 1.0, 10.0, 5.0),
+    (oracles.make_huber(0.3, 2.0, 2), 0.0, 2.0, 0.5)], ids=["quadratic", "huber"])
+def test_class_inequalities_flag_exactly_the_misstated_side(oracle, mu, L, wrong_mu):
+    # (upper) families use L, (lower) families mu: at the true class none is
+    # flagged; claiming L/2 flags every (upper) one, a larger mu every (lower)
+    flagged, checked = _flagged(oracle, mu, L)
+    assert flagged == set() and checked == (UPPER | LOWER if mu > 0 else
+                                            UPPER | LOWER - {"i.lower", "iii.upper", "iv.upper"})
+    assert _flagged(oracle, mu, L / 2)[0] == UPPER
+    assert _flagged(oracle, wrong_mu, L)[0] == LOWER

@@ -574,3 +574,23 @@ def test_compare_holds_one_trace_at_a_time(tmp_path):
     peak(["run", "--method", "gd"])  # first calls of the process warm up
     runs = max(peak(["run", "--method", m]) for m in methods)
     assert peak(["compare", "--methods", ",".join(methods)]) <= 1.1 * runs
+
+
+def test_run_constant_momentum_reports_its_bound(tmp_path):
+    # the sidecar bound (1 - sqrt(mu/L))^N (f0 + mu R^2 / 2), from x0 drawn as run draws it
+    out = tmp_path / "cm.csv"
+    assert cli.main(["run", "--method", "constant_momentum", "--problem", "quad:d=8",
+                     "--N", "40", "--seed", "3", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "cm.csv.json").read_text())
+    oracle, _ = cli.parse_problem("quad:d=8", 3, None, None)
+    x0 = np.random.default_rng(4).standard_normal(8)
+    mu, L = oracle.params.mu, oracle.params.L
+    R2 = float(np.sum((x0 - oracle.x_star) ** 2))
+    want = (1.0 - math.sqrt(mu / L)) ** 40 * (oracle.value(x0) - oracle.f_star + 0.5 * mu * R2)
+    assert side["bound"] == pytest.approx(want, rel=1e-12)
+    assert side["bound_satisfied"] is True and 0.0 <= side["final_gap"] <= side["bound"]
+
+
+def test_compare_of_one_method_exits_2(capsys):
+    assert cli.main(["compare", "--methods", "gd", "--problem", "quad:d=4"]) == 2
+    assert "needs at least two methods" in capsys.readouterr().err
