@@ -94,7 +94,7 @@ def check_interpolation(triplets, mu, L):
     own = _sq(Gc) / (2.0 * L) + c * _sq(Uc)
     slack = Uc @ ((2.0 * c) * Uc - Gc).T
     slack += (F - own - Xc @ g_mean)[:, None]
-    slack += np.einsum("ij,ij->i", G, Xc) - F - own
+    slack += _dot(G, Xc) - F - own
     np.fill_diagonal(slack, np.inf)
     return slack
 
@@ -117,72 +117,47 @@ def harvest_triplets(trace, oracle):
 ALL_INEQS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
 
-def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0,
-                             scale=1.0):
-    """Evaluate the selected inequalities on random pairs (and a lambda-grid
-    for the combination inequalities). Inequalities (iii)/(iv) need dom f =
-    R^d and are refused on domain-restricted oracles."""
-    if not (0 <= mu < L):
-        raise InvalidArgument("need 0 <= mu < L")
-    which = ALL_INEQS if which is None else tuple(which)
-    restricted = oracle.domain_indicator is not None
-    if restricted and ("iii" in which or "iv" in which):
+def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0):
+    """Slacks of the appendix's inequalities on `samples` normal pairs (x, y), with
+    dx = x - y, dg = g(x) - g(y), q = <dg, dx>, e = f(x) - f(y) - <g(y), dx> and
+    m = lam f(x) + (1-lam) f(y) at x_lam = lam x + (1-lam) y, lam in LAMBDA_GRID:
+      (i) mu|dx| <= |dg| <= L|dx|              (ii) mu/2 |dx|^2 <= e <= L/2 |dx|^2
+      (iii) |dg|^2/(2L) <= e <= |dg|^2/(2mu)   (iv) |dg|^2/L <= q <= |dg|^2/mu
+      (v) mu|dx|^2 <= q <= L|dx|^2    (vi) f - mu/2|.|^2 and L/2|.|^2 - f convex on [y, x]
+      (vii) m - lam(1-lam) L/2 |dx|^2 <= f(x_lam) <= m - lam(1-lam) mu/2 |dx|^2
+    Each side is one Margin((family.lower|.upper, i or (i, lam)), slack), family by family;
+    at mu = 0 no i.lower, iii.upper, iv.upper. Slacks are raw (-4e-16 on a member): compare
+    with -tol_for(scale). `which`: a family or several; (iii), (iv) need dom f = R^d."""
+    which = set(ALL_INEQS if which is None else [which] if isinstance(which, str) else which)
+    if not (0 <= mu < L) or not which <= set(ALL_INEQS):
+        raise InvalidArgument(f"need 0 <= mu < L and families among {ALL_INEQS}")
+    if oracle.domain_indicator is not None and which & {"iii", "iv"}:
         raise UnsupportedOracle("(iii)/(iv) hold only for full-domain functions")
-    rng = np.random.default_rng(seed)
     d = oracle.x_star.shape[0] if oracle.x_star is not None else 5
-    margins = []
-
-    def add(name, i, value):
-        margins.append(Margin((name, i), float(value)))
-
-    for i in range(samples):
-        x = scale * rng.standard_normal(d)
-        y = scale * rng.standard_normal(d)
-        fx, fy = oracle.value(x), oracle.value(y)
-        gx, gy = oracle.gradient(x), oracle.gradient(y)
-        dxy = x - y
-        dg = gx - gy
-        ndx = np.linalg.norm(dxy)
-        ndg = np.linalg.norm(dg)
-        inner = float(np.dot(dg, dxy))
-        if "i" in which:
-            add("i.upper", i, L * ndx - ndg)
-            if mu > 0:
-                add("i.lower", i, ndg - mu * ndx)
-        if "ii" in which:
-            base = fy + np.dot(gy, dxy)
-            add("ii.upper", i, base + 0.5 * L * ndx**2 - fx)
-            add("ii.lower", i, fx - base - 0.5 * mu * ndx**2)
-        if "iii" in which:
-            base = fy + np.dot(gy, dxy)
-            add("iii.lower", i, fx - base - ndg**2 / (2.0 * L))
-            if mu > 0:
-                add("iii.upper", i, base + ndg**2 / (2.0 * mu) - fx)
-        if "iv" in which:
-            add("iv.lower", i, inner - ndg**2 / L)
-            if mu > 0:
-                add("iv.upper", i, ndg**2 / mu - inner)
-        if "v" in which:
-            add("v.upper", i, L * ndx**2 - inner)
-            add("v.lower", i, inner - mu * ndx**2)
-        if "vi" in which or "vii" in which:
-            for lam in LAMBDA_GRID:
-                xm = lam * x + (1.0 - lam) * y
-                fm = oracle.value(xm)
-                if "vi" in which:
-                    # (L/2)||.||^2 - f convex, and f - (mu/2)||.||^2 convex
-                    gsq = lambda v: 0.5 * float(np.dot(v, v))
-                    comb = lam * (L * gsq(x) - fx) + (1 - lam) * (L * gsq(y) - fy)
-                    add("vi.upper", (i, lam), comb - (L * gsq(xm) - fm))
-                    comb2 = lam * (fx - mu * gsq(x)) + (1 - lam) * (fy - mu * gsq(y))
-                    add("vi.lower", (i, lam), comb2 - (fm - mu * gsq(xm)))
-                if "vii" in which:
-                    mix = lam * fx + (1 - lam) * fy
-                    add("vii.lower", (i, lam),
-                        fm - mix + lam * (1 - lam) * 0.5 * L * ndx**2)
-                    add("vii.upper", (i, lam),
-                        mix - lam * (1 - lam) * 0.5 * mu * ndx**2 - fm)
-    return margins
+    P = np.random.default_rng(seed).standard_normal((samples, 2, d))  # rows x_0, y_0, x_1, ..
+    F, G = oracle.value_and_gradient(P.reshape(-1, d))
+    x, y, fx, fy, gy, dg = P[:, 0], P[:, 1], F[0::2], F[1::2], G[1::2], G[0::2] - G[1::2]
+    nx2, ng2, q, e = _sq(x - y), _sq(dg), _dot(dg, x - y), fx - fy - _dot(gy, x - y)
+    nx, ng, lam = np.sqrt(nx2), np.sqrt(ng2), LAMBDA_GRID[:, None]  # lam by pair arrays
+    if which & {"vi", "vii"}:  # f at the midpoints: one stacked call
+        Xm = lam[..., None] * x + (1.0 - lam[..., None]) * y
+        fm = oracle.value(Xm.reshape(-1, d)).reshape(lam.size, -1)
+        hx, hy, hm = (0.5 * _sq(v) for v in (x, y, Xm))
+    chord = lambda a, b, m: lam * a + (1.0 - lam) * b - m  # noqa: E731
+    slacks = {  # thunks: only the chosen families are computed, and no mu side at mu = 0
+        "i.lower": lambda: ng - mu * nx, "i.upper": lambda: L * nx - ng,
+        "ii.lower": lambda: e - 0.5 * mu * nx2, "ii.upper": lambda: 0.5 * L * nx2 - e,
+        "iii.lower": lambda: e - ng2 / (2.0 * L), "iii.upper": lambda: ng2 / (2.0 * mu) - e,
+        "iv.lower": lambda: q - ng2 / L, "iv.upper": lambda: ng2 / mu - q,
+        "v.lower": lambda: q - mu * nx2, "v.upper": lambda: L * nx2 - q,
+        "vi.lower": lambda: chord(fx - mu * hx, fy - mu * hy, fm - mu * hm),
+        "vi.upper": lambda: chord(L * hx - fx, L * hy - fy, L * hm - fm),
+        "vii.lower": lambda: lam * (1.0 - lam) * 0.5 * L * nx2 - chord(fx, fy, fm),
+        "vii.upper": lambda: chord(fx, fy, fm) - lam * (1.0 - lam) * 0.5 * mu * nx2}
+    chosen = [n for n in sorted(slacks) if n.split(".")[0] in which
+              and (mu > 0 or n not in ("i.lower", "iii.upper", "iv.upper"))]
+    return [Margin((n, k[0] if len(k) == 1 else (k[0], LAMBDA_GRID[k[1]])), float(s))
+            for n in chosen for k, s in np.ndenumerate(slacks[n]().T)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +182,12 @@ def potential_series(trace, problem, smooth_values=None):
     if handler is None:
         raise InvalidArgument(f"no potential registered for {trace.method!r}")
 
-    if smooth_values is None:
-        gap = in_blocks(fun, trace.x) - f_star
-    elif isinstance(problem, CompositeProblem):
-        gap = smooth_values + in_blocks(problem.nonsmooth.value, trace.x) - f_star
-    else:
-        gap = smooth_values - f_star
+    def gap():  # under evaluate_potential's errstate, as a diverged trace overflows here
+        if smooth_values is None:
+            return in_blocks(fun, trace.x) - f_star
+        if isinstance(problem, CompositeProblem):
+            return smooth_values + in_blocks(problem.nonsmooth.value, trace.x) - f_star
+        return smooth_values - f_star
     return evaluate_potential(handler, trace, gap, x_star, fun, f_star)
 
 
@@ -224,8 +199,13 @@ def check_potential(trace, problem):
     return [Margin(k, m) for k, m in enumerate(margins.tolist())]
 
 
+def _dot(X, Y):
+    """The inner products of matching rows (the last axis) of X and Y."""
+    return np.einsum("...j,...j->...", X, Y)
+
+
 def _sq(X):
-    return np.einsum("ij,ij->i", X, X)
+    return _dot(X, X)
 
 
 def _dist2(trace, key, x_star):

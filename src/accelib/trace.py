@@ -256,7 +256,7 @@ class Recorder:
             return
         # from the f_gap column just filled: only potentials that need the
         # objective at other points (OGM's y_prev) evaluate it again
-        phi, margins = evaluate_potential(self._potential, trace, gap, self._x_star,
+        phi, margins = evaluate_potential(self._potential, trace, lambda: gap, self._x_star,
                                           self._objective, self._f_star)
         phi.flags.writeable = False
         trace.potential = phi
@@ -288,13 +288,14 @@ class Recorder:
 
 
 def evaluate_potential(potential, trace, gap, x_star, objective, f_star):
-    """(phi, margins) of a `certify` potential on the trace, given gap =
+    """(phi, margins) of a `certify` potential on the trace, given gap() =
     F(x_k) - F* per record; the objective less f_star is evaluated in blocks
     where the potential needs it at other points. Every potential is
-    evaluated here, by the fill and by `certify.potential_series`: a diverged
-    run, or gd at gamma = 1/mu, gives inf/nan entries and no warning."""
+    evaluated here, with its gaps, by the fill and by
+    `certify.potential_series`: a diverged run, or gd at gamma = 1/mu, gives
+    inf/nan entries and no warning."""
     with np.errstate(all="ignore"):
-        return potential(trace, gap, x_star, lambda Y: in_blocks(objective, Y) - f_star)
+        return potential(trace, gap(), x_star, lambda Y: in_blocks(objective, Y) - f_star)
 
 
 def in_blocks(fun, X):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from accelib import (certify as ct, composite as cp, momentum as mo, oracles,
                      poly_methods as pm, prox_outer as po)
-from accelib.errors import InvalidArgument, UnsupportedOracle
+from accelib.errors import DivergedError, InvalidArgument, UnsupportedOracle
 from accelib.tolerances import tol_for
+from accelib.trace import CountingOracle
 
 
 def reference_interpolation(triplets, mu, L):
@@ -616,3 +617,96 @@ def test_class_inequalities_flag_exactly_the_misstated_side(oracle, mu, L, wrong
                                             UPPER | LOWER - {"i.lower", "iii.upper", "iv.upper"})
     assert _flagged(oracle, mu, L / 2)[0] == UPPER
     assert _flagged(oracle, wrong_mu, L)[0] == LOWER
+
+
+def reference_class_inequalities(oracle, mu, L, which, samples, seed):
+    """The appendix's inequalities (i)-(vii) written out one pair at a time,
+    as {(family.side, key): slack}: the reference that the stacked evaluation
+    of check_class_inequalities must match."""
+    rng = np.random.default_rng(seed)
+    d = len(oracle.x_star)
+    out = {}
+    for i in range(samples):
+        x, y = rng.standard_normal(d), rng.standard_normal(d)
+        fx, fy, gx, gy = oracle.value(x), oracle.value(y), oracle.gradient(x), oracle.gradient(y)
+        dx, dg = x - y, gx - gy
+        nx, ng, inner = np.linalg.norm(dx), np.linalg.norm(dg), float(np.dot(dg, dx))
+        e = fx - (fy + np.dot(gy, dx))  # f(x) less its linearisation at y
+        sides = {  # (lower, upper); None where the mu side says nothing at mu = 0
+            # (i)   mu ||x - y|| <= ||g(x) - g(y)|| <= L ||x - y||
+            "i": (ng - mu * nx if mu > 0 else None, L * nx - ng),
+            # (ii)  mu/2 ||x - y||^2 <= e <= L/2 ||x - y||^2
+            "ii": (e - mu / 2 * nx**2, L / 2 * nx**2 - e),
+            # (iii) ||g(x) - g(y)||^2 / (2L) <= e <= ||g(x) - g(y)||^2 / (2 mu)
+            "iii": (e - ng**2 / (2 * L), ng**2 / (2 * mu) - e if mu > 0 else None),
+            # (iv)  ||g(x) - g(y)||^2 / L <= <g(x) - g(y), x - y> <= ||g(x) - g(y)||^2 / mu
+            "iv": (inner - ng**2 / L, ng**2 / mu - inner if mu > 0 else None),
+            # (v)   mu ||x - y||^2 <= <g(x) - g(y), x - y> <= L ||x - y||^2
+            "v": (inner - mu * nx**2, L * nx**2 - inner)}
+        for family, pair in sides.items():
+            for side, slack in zip(("lower", "upper"), pair):
+                if family in which and slack is not None:
+                    out[(f"{family}.{side}", i)] = slack
+        for lam in ct.LAMBDA_GRID:
+            xl = lam * x + (1 - lam) * y
+            fl, mean = oracle.value(xl), lam * fx + (1 - lam) * fy
+            h = lambda v: 0.5 * np.dot(v, v)  # noqa: E731
+            if "vi" in which:  # f - mu/2 ||.||^2 and L/2 ||.||^2 - f are convex
+                out[("vi.lower", (i, lam))] = (lam * (fx - mu * h(x)) + (1 - lam) * (fy - mu * h(y))
+                                               - (fl - mu * h(xl)))
+                out[("vi.upper", (i, lam))] = (lam * (L * h(x) - fx) + (1 - lam) * (L * h(y) - fy)
+                                               - (L * h(xl) - fl))
+            if "vii" in which:
+                # mean - lam(1-lam) L/2 ||x-y||^2 <= f(xl) <= mean - lam(1-lam) mu/2 ||x-y||^2
+                out[("vii.lower", (i, lam))] = fl - (mean - lam * (1 - lam) * L / 2 * nx**2)
+                out[("vii.upper", (i, lam))] = mean - lam * (1 - lam) * mu / 2 * nx**2 - fl
+    return out
+
+
+@pytest.mark.parametrize("which", [None, ("vi",), ("i", "v")], ids=["all", "vi", "i+v"])
+@pytest.mark.parametrize("oracle, mu, L", [
+    (oracles.make_quadratic(np.linspace(1, 10, 6), np.zeros(6), seed=3), 1.0, 10.0),
+    (oracles.make_huber(0.3, 2.0, 2), 0.0, 2.0)], ids=["quadratic", "huber"])
+def test_class_inequalities_match_the_pointwise_reference(oracle, mu, L, which):
+    margins = ct.check_class_inequalities(oracle, mu, L, which=which, samples=50, seed=1)
+    got = {m.where: m.slack for m in margins}
+    want = reference_class_inequalities(oracle, mu, L, which or ct.ALL_INEQS, 50, 1)
+    assert len(got) == len(margins) and got.keys() == want.keys()
+    assert all(got[k] == pytest.approx(want[k], rel=1e-12, abs=1e-12) for k in want)
+
+
+@pytest.mark.parametrize("samples", [1, 200])
+@pytest.mark.parametrize("which, value_calls", [(None, 2), (("i", "v"), 1), ("vii", 2)])
+def test_class_inequalities_call_the_oracle_once_per_stack(quad_2, which, value_calls, samples):
+    # one value_and_gradient call at every pair, one value call at every
+    # midpoint when (vi) or (vii) is checked, whatever the number of pairs
+    co = CountingOracle(quad_2)
+    assert ct.check_class_inequalities(co, 1.0, 10.0, which=which, samples=samples)
+    assert (co.counters.value_calls, co.counters.grad_calls) == (value_calls, 1)
+
+
+def test_class_inequalities_read_a_string_as_one_family(quad_2):
+    margins = ct.check_class_inequalities(quad_2, 5.0, 10.0, which="vi")
+    assert {m.where[0] for m in margins} == {"vi.lower", "vi.upper"}
+    assert len(margins) == 2 * 200 * len(ct.LAMBDA_GRID)
+
+
+@pytest.mark.parametrize("which", [("viii",), ("i", "viii"), "", "iiii"])
+def test_class_inequalities_refuse_an_unknown_family(quad_2, which):
+    # an unknown name once checked nothing, and min_slack read the empty list as 0.0
+    with pytest.raises(InvalidArgument):
+        ct.check_class_inequalities(quad_2, 1.0, 10.0, which=which)
+
+
+def test_check_potential_of_a_diverged_trace_gives_margins_without_a_warning():
+    # the objective at a diverged trace's iterates overflows: check_potential
+    # evaluates it under the potential's errstate, so the run's own warning
+    # policy (error::RuntimeWarning here) does not turn it into an exception
+    q = oracles.make_quadratic(np.linspace(1, 10, 6), np.random.default_rng(7).standard_normal(6),
+                               seed=7)
+    with np.errstate(all="ignore"), pytest.raises(DivergedError) as exc:
+        pm.gradient_descent(q, 3 / 10, np.ones(6), 5000)
+    trace = exc.value.trace
+    margins = np.array([m.slack for m in ct.check_potential(trace, q)])
+    assert len(trace) == 1022 and len(margins) == 1021
+    assert np.isfinite(margins[:10]).all() and not np.isfinite(margins).all()
