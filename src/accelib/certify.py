@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import InvalidArgument, UnsupportedOracle
 from .tolerances import tol_for
-from .oracles import CompositeProblem, bregman_divergence, optimum
-from .trace import _BATCH, evaluate_potential, in_blocks
+from .oracles import _BATCH, CompositeProblem, bregman_divergence, in_blocks, optimum
 
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
 
@@ -127,13 +126,15 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0):
       (vii) m - lam(1-lam) L/2 |dx|^2 <= f(x_lam) <= m - lam(1-lam) mu/2 |dx|^2
     Each side is one Margin((family.lower|.upper, i or (i, lam)), slack), family by family;
     at mu = 0 no i.lower, iii.upper, iv.upper. Slacks are raw (-4e-16 on a member): compare
-    with -tol_for(scale). `which`: a family or several; (iii), (iv) need dom f = R^d."""
+    with -tol_for(scale). `which`: a family or several. Needs x_star; (iii), (iv) dom f = R^d."""
     which = set(ALL_INEQS if which is None else [which] if isinstance(which, str) else which)
     if not (0 <= mu < L) or not which <= set(ALL_INEQS):
         raise InvalidArgument(f"need 0 <= mu < L and families among {ALL_INEQS}")
     if oracle.domain_indicator is not None and which & {"iii", "iv"}:
         raise UnsupportedOracle("(iii)/(iv) hold only for full-domain functions")
-    d = oracle.x_star.shape[0] if oracle.x_star is not None else 5
+    if oracle.x_star is None:
+        raise InvalidArgument("the class inequalities need the oracle's dimension (its x_star)")
+    d = oracle.x_star.shape[0]
     P = np.random.default_rng(seed).standard_normal((samples, 2, d))  # rows x_0, y_0, x_1, ..
     F, G = oracle.value_and_gradient(P.reshape(-1, d))
     x, y, fx, fy, gy, dg = P[:, 0], P[:, 1], F[0::2], F[1::2], G[1::2], G[0::2] - G[1::2]
@@ -167,6 +168,23 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0):
 # x_star, gap_at) -> (phi, margins), with gap = F(x_k) - F* per record and
 # gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
 # `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
+# A potential raises InvalidArgument on a trace whose records do not carry
+# its certificate (form II of fgm, ogm and constant momentum).
+
+def potential_of(method):
+    """The potential _POTENTIALS registers for a method name ("monotone(fgm)": "monotone")."""
+    return _POTENTIALS.get(method.split("(")[0])
+
+
+def evaluate_potential(potential, trace, gap, x_star, objective, f_star):
+    """(phi, margins) of a potential on the trace, given gap() = F(x_k) - F* per
+    record; the objective less f_star is evaluated in blocks where the potential
+    needs it at other points. The recorder's fill and `potential_series` evaluate
+    every potential, with its gaps, here: a diverged run, or gd at gamma = 1/mu,
+    gives inf/nan entries and no warning."""
+    with np.errstate(all="ignore"):
+        return potential(trace, gap(), x_star, lambda Y: in_blocks(objective, Y) - f_star)
+
 
 def potential_series(trace, problem, smooth_values=None):
     """(phi, margins) of the trace method's potential, recomputed from
@@ -178,7 +196,7 @@ def potential_series(trace, problem, smooth_values=None):
     fun, x_star, f_star = optimum(problem)
     if x_star is None:
         raise InvalidArgument("potential checks need a known optimum")
-    handler = _POTENTIALS.get(trace.method.split("(")[0])
+    handler = potential_of(trace.method)
     if handler is None:
         raise InvalidArgument(f"no potential registered for {trace.method!r}")
 
@@ -232,8 +250,8 @@ def gd_potential(trace, gap, x_star, gap_at):
 
 
 def fgm_potential(trace, gap, x_star, gap_at):
-    return _series(_estimate(trace.column("A"), gap, trace.meta["L"], trace.meta["mu"],
-                             _dist2(trace, "z", x_star)))
+    dist2 = _dist2(trace, "z", x_star)  # first: form II, which has no z, stacks no A
+    return _series(_estimate(trace.column("A"), gap, trace.meta["L"], trace.meta["mu"], dist2))
 
 
 def constant_momentum_potential(trace, gap, x_star, gap_at):

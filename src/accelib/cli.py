@@ -6,8 +6,8 @@ Subcommands:
   compare  several methods on the same problem -> aligned gap table
   certify  run a method and check its potential + interpolation margins
 
-Exit codes: 0 ok; 2 config/schema error; 3 divergence (partial trace written);
-4 no certificate registered; 5 certificate violated.
+Exit codes: 0 ok; 2 config/schema error, or out of memory; 3 divergence
+(partial trace written); 4 no certificate registered; 5 certificate violated.
 """
 
 from __future__ import annotations
@@ -312,6 +312,9 @@ def main(argv=None):
     except (ConfigError, InvalidArgument, UnsupportedOracle, ContractViolation,
             RunawayLError) as exc:  # the last two: flags past what the method can take
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except MemoryError as exc:  # flags past what memory can take, e.g. certify's N^2 slacks
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except DivergedError as exc:
         if args.command == "run" and args.out and exc.trace is not None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import certify
 from .errors import InvalidArgument, RunawayLError
 from .momentum import _tau_delta, fgm_bound, next_A
 from .oracles import CompositeProblem, class_params
@@ -115,7 +114,7 @@ def _accelerated_prox(method, problem, x0, N, mu, L0, alpha, mode):
                   {"N": N, "mu": mu, "L0": L0, "alpha": alpha, "mode": mode},
                   lambda co: _composite_factory(method, problem, co, x0, mu, L0, alpha,
                                                 mode),
-                  _view, N, potential=certify.composite_potential)
+                  _view, N)
     trace.meta["wasted"] = trace.final.state["wasted"]
     trace.meta["L_final"] = trace.final.state["L"]
     return trace

@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument
-from . import certify
 from .oracles import CompositeProblem, class_params
 from .oracles import bregman_divergence  # noqa: F401  (also public here)
 from .poly_methods import delta_infty
@@ -116,8 +115,7 @@ def ogm(oracle, x0, N, form="I", L=None):
         snap.update(theta_final=th_f, y_final=y_out, g_final=g_out)
         return y_out, g_out, snap
 
-    return drive("ogm", oracle, meta, start, view, N,
-                 potential=certify.ogm_potential if form == "I" else None)
+    return drive("ogm", oracle, meta, start, view, N)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,7 @@ def fgm(oracle, x0, N, form="I", mu=None, L=None):
                      lambda s: (s["x"], None, {"A": s["A"]}), N)
     return drive("fgm", oracle, meta,
                  lambda co: _fgm_factory(co, x0, mu, L, form_three=(form == "III")),
-                 _x_A_z, N, potential=certify.fgm_potential)
+                 _x_A_z, N)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +220,7 @@ def constant_momentum(oracle, x0, N, form="I", mu=None, L=None):
     if form == "I":
         return drive("constant_momentum", oracle, meta,
                      lambda co: _constant_momentum_factory(co, x0, mu, L),
-                     lambda s: (s["x"], None, {"z": s["z"]}), N,
-                     potential=certify.constant_momentum_potential)
+                     lambda s: (s["x"], None, {"z": s["z"]}), N)
 
     beta = delta_infty(mu, L)
 
@@ -278,8 +275,7 @@ def item(oracle, x0, N, mu=None, L=None):
             return s["x"], None, {"A": s["A"], "z": s["z"]}
         return s["y"], s["g"], {"A": s["A"], "z": s["z"], "y": s["y"], "g": s["g"]}
 
-    return drive("item", oracle, {"N": N, "mu": mu, "L": L}, start, view, N,
-                 potential=certify.item_potential)
+    return drive("item", oracle, {"N": N, "mu": mu, "L": L}, start, view, N)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,7 @@ def tmm(oracle, x0, N, mu=None, L=None):
 
     return drive("tmm", oracle, {"N": N, "mu": mu, "L": L}, start,
                  lambda s: (s["y"], s["g"], {"z": s["z"], "y": s["y"], "g": s["g"]}),
-                 N, check="y", potential=certify.tmm_potential)
+                 N, check="y")
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +352,7 @@ def bregman_agm(problem, x0, N, dgf="euclidean", L=None):
     """
     _, L = class_params(getattr(problem, "smooth", problem), mu=0.0, L=L)
     return drive("bregman_agm", problem, {"N": N, "L": L, "dgf": dgf},
-                 lambda co: _bregman_factory(problem, co, x0, L, dgf), _x_A_z, N,
-                 potential=certify.bregman_potential)
+                 lambda co: _bregman_factory(problem, co, x0, L, dgf), _x_A_z, N)
 
 
 # ---------------------------------------------------------------------------
@@ -417,5 +412,4 @@ def monotone_wrap(method, problem, x0, N, mu=None, L=None, form="I", dgf="euclid
         return {"inner": inner, "x": x0, "best": x0, "f_best": objective(x0)}, step
 
     return drive(f"monotone({method})", problem, {"N": N, "inner": method, "mu": mu, "L": L},
-                 start, lambda s: (s["best"], None, {"A": s["inner"].get("A", 0.0)}), N,
-                 potential=certify.monotone_potential)
+                 start, lambda s: (s["best"], None, {"A": s["inner"].get("A", 0.0)}), N)

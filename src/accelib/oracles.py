@@ -145,6 +145,21 @@ def optimum(problem):
     return problem.value, problem.x_star, problem.f_star
 
 
+# rows per row-stacked reporting or certifying oracle call; bounds the stacked
+# points and their images
+_BATCH = 64
+
+
+def in_blocks(fun, X):
+    """fun over the rows of X in blocks of at most _BATCH rows; fun returns
+    one value per row."""
+    if not len(X):
+        return np.empty(0)
+    if len(X) <= _BATCH:
+        return fun(X)
+    return np.concatenate([fun(X[lo:lo + _BATCH]) for lo in range(0, len(X), _BATCH)])
+
+
 def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     """f(x) = 1/2 <x - x_star; H (x - x_star)> + f_star.
 

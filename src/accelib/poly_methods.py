@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import certify
 from .errors import InvalidArgument, UnsupportedOracle
 from .oracles import class_params
 from .trace import drive
@@ -37,8 +36,7 @@ def gradient_descent(oracle, gamma, x0, N, mu=0.0):
     if N < 0:
         raise InvalidArgument("N must be >= 0")
     return drive("gd", oracle, {"gamma": gamma, "N": N, "mu": mu},
-                 lambda co: _gd_factory(co, x0, gamma), _x_grad, N,
-                 potential=certify.gd_potential)
+                 lambda co: _gd_factory(co, x0, gamma), _x_grad, N)
 
 
 def delta_sequence(mu, L, N):

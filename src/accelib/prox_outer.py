@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify
 from .errors import (ContractViolation, InconsistentCertificate, InnerSolveError,
                      InvalidArgument, UnsupportedOracle)
 from .extrapolation import minimize_unimodal
@@ -66,8 +65,7 @@ def ppa(oracle, lambdas, x0):
         return {"k": 0, "x": np.array(x0, dtype=float), "A": 0.0}, step
 
     return drive("ppa", oracle, {"N": N, "lambdas": lambdas, "mu": mu}, start,
-                 lambda s: (s["x"], None, {"A": s["A"]}), N,
-                 potential=certify.ppa_potential)
+                 lambda s: (s["x"], None, {"A": s["A"]}), N)
 
 
 def ppa_bound(R, lambdas, mu=0.0):
@@ -158,8 +156,7 @@ def accel_inexact_ppa(solver, lambdas, delta, x0, mu=0.0, oracle=None, enforce_d
         return s["x"], grad, {"A": s["A"], "z": s["z"]}
 
     return drive("accel_inexact_ppa", oracle,
-                 {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas}, start, view, N,
-                 potential=certify.ppa_potential)
+                 {"N": N, "delta": delta, "mu": mu, "lambdas": lambdas}, start, view, N)
 
 
 def ahpe_bound(R, lambdas):
@@ -290,8 +287,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                   {"inner": inner, "lambda": lam, "mu": mu, "budget_total": budget_total,
                    "burden": burden}, start,
                   lambda s: (s["x"], s.get("g"), {"A": s["A"], "z": s["z"],
-                                                   "n_inner": s["n_inner"]}),
-                  potential=certify.ppa_potential)
+                                                   "n_inner": s["n_inner"]}))
     inner_counts = [s["n_inner"] for s in trace.states[1:]]
     trace.meta["inner_counts"] = inner_counts
     trace.meta["n_outer"] = len(inner_counts)

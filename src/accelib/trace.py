@@ -11,8 +11,9 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .certify import evaluate_potential, potential_of
 from .errors import DivergedError, InnerSolveError, InvalidArgument
-from .oracles import optimum
+from .oracles import _BATCH, optimum
 
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
 
@@ -147,10 +148,6 @@ class CountingOracle:
         return self._oracle.hessian_matvec(v)
 
 
-# rows per reporting oracle call; bounds the stacked iterates and their images
-_BATCH = 64
-
-
 class Recorder:
     """Builds a Trace for smooth or composite problems. Only `drive` builds
     one; methods never record directly.
@@ -177,12 +174,14 @@ class Recorder:
     part's), NaN when none is known. With every gradient passed and no optimum
     known, `problem` may be None.
 
-    `potential`, when given and the optimum is known, is one of the
-    `certify` potentials; the fill then sets the `potential` column from it
-    (see `evaluate_potential`) and puts the worst margin and its step in the
-    meta (`potential_worst_margin`, `potential_worst_step`). The snapshot
-    keys it reads are stacked by `Trace.column`, which turns their entries
-    into rows of one column per key.
+    `potential`, when given and the optimum is known, is one of the `certify`
+    potentials (`drive` passes the method's); the fill then sets the
+    `potential` column from it (see `certify.evaluate_potential`) and puts the
+    worst margin and its step in the meta (`potential_worst_margin`,
+    `potential_worst_step`), unless it raises InvalidArgument, as on records
+    that carry no certificate (form II), where `potential_series` refuses too.
+    The snapshot keys it reads are stacked by `Trace.column`, which turns
+    their entries into rows of one column per key.
     """
 
     def __init__(self, method, problem, counters, meta=None, potential=None, rows=None):
@@ -256,8 +255,11 @@ class Recorder:
             return
         # from the f_gap column just filled: only potentials that need the
         # objective at other points (OGM's y_prev) evaluate it again
-        phi, margins = evaluate_potential(self._potential, trace, lambda: gap, self._x_star,
-                                          self._objective, self._f_star)
+        try:
+            phi, margins = evaluate_potential(self._potential, trace, lambda: gap,
+                                              self._x_star, self._objective, self._f_star)
+        except InvalidArgument:  # the records carry no certificate (e.g. form II)
+            return
         phi.flags.writeable = False
         trace.potential = phi
         if len(margins):
@@ -287,27 +289,6 @@ class Recorder:
         return gap, np.array(norms, dtype=float), dist
 
 
-def evaluate_potential(potential, trace, gap, x_star, objective, f_star):
-    """(phi, margins) of a `certify` potential on the trace, given gap() =
-    F(x_k) - F* per record; the objective less f_star is evaluated in blocks
-    where the potential needs it at other points. Every potential is
-    evaluated here, with its gaps, by the fill and by
-    `certify.potential_series`: a diverged run, or gd at gamma = 1/mu, gives
-    inf/nan entries and no warning."""
-    with np.errstate(all="ignore"):
-        return potential(trace, gap(), x_star, lambda Y: in_blocks(objective, Y) - f_star)
-
-
-def in_blocks(fun, X):
-    """fun over the rows of X in blocks of at most _BATCH rows; fun returns
-    one value per row."""
-    if not len(X):
-        return np.empty(0)
-    if len(X) <= _BATCH:
-        return fun(X)
-    return np.concatenate([fun(X[lo:lo + _BATCH]) for lo in range(0, len(X), _BATCH)])
-
-
 def check_finite(x, trace=None):
     """Raise DivergedError unless every entry of the 1-D x is finite."""
     # a finite squared norm proves it; only an overflowing one needs the
@@ -316,7 +297,7 @@ def check_finite(x, trace=None):
         raise DivergedError("iterate became non-finite", trace)
 
 
-def drive(method, problem, meta, start, view, N=None, check="x", potential=None):
+def drive(method, problem, meta, start, view, N=None, check="x"):
     """Run a method written as a stepper and return its Trace.
 
     `problem` is a `ProblemOracle` or a `CompositeProblem` (see `Recorder`).
@@ -327,13 +308,14 @@ def drive(method, problem, meta, start, view, N=None, check="x", potential=None)
     recorded gradient norm once the trace is filled (f_gap need not be: an
     entropy or simplex iterate may leave its domain by rounding).
     `view(state)` returns the (x, grad, snapshot) to record; grad=None has
-    the recorder evaluate it uncounted, once the run is over. `potential` is
-    the method's `certify` potential, if it has one; the recorder fills the
-    `potential` column from it. A DivergedError or InnerSolveError raised on
-    the way carries the partial trace.
+    the recorder evaluate it uncounted, once the run is over. The recorder
+    fills the `potential` column from `certify.potential_of(method)`, if any
+    (see `Recorder`). A DivergedError or InnerSolveError raised on the way
+    carries the partial trace.
     """
     counters = Counters()
-    rec = Recorder(method, problem, counters, meta, potential, None if N is None else N + 1)
+    rec = Recorder(method, problem, counters, meta, potential_of(method),
+                   None if N is None else N + 1)
     state, step = start(CountingOracle(getattr(problem, "smooth", problem), counters))
     try:
         x, grad, snap = view(state)

@@ -132,6 +132,20 @@ def test_class_inequalities_domain_restricted():
         ct.check_class_inequalities(p, 0.0, 1.0, which=("iii",))
 
 
+def test_class_inequalities_refuse_an_oracle_of_unknown_dimension():
+    # the pairs are drawn in x_star's dimension; without it no dimension is guessed
+    H = np.diag([1.0, 2.0, 4.0])
+    quad_3 = oracles.ProblemOracle(lambda x: 0.5 * x @ H @ x, lambda x: H @ x,
+                                   params=oracles.ClassParams(1.0, 4.0))
+    half_sq = lambda x: 0.5 * np.add.reduce(x * x, axis=-1)  # noqa: E731
+    coordinatewise_7 = oracles.ProblemOracle(half_sq, lambda x: x, values=half_sq,
+                                             gradients=lambda x: x,
+                                             params=oracles.ClassParams(1.0, 1.0))
+    for p, mu, L in [(quad_3, 1.0, 4.0), (coordinatewise_7, 0.5, 2.0)]:
+        with pytest.raises(InvalidArgument, match="x_star"):
+            ct.check_class_inequalities(p, mu, L)
+
+
 def test_potential_gd(quad_2):
     tr = pm.gradient_descent(quad_2, 1.0 / 10.0, np.array([2.0, -1.0]), 50, mu=1.0)
     margins = ct.check_potential(tr, quad_2)

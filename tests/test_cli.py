@@ -145,6 +145,23 @@ def test_certify_lists_interpolation_pairs_after_steps(monkeypatch, capsys):
     assert violations[:-2] and all(v.isdigit() for v in violations[:-2])
 
 
+@pytest.mark.parametrize("command", ["certify", "run"])
+def test_out_of_memory_is_one_error_line_and_exit_2(command, monkeypatch, capsys, tmp_path):
+    # e.g. certify's (N+1, N+1) slack matrix at N = 20000 under a 1.5 GB limit
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20001, 20001)")
+
+    monkeypatch.setattr(cli.certify_mod, "check_interpolation", exhausted)
+    monkeypatch.setattr(cli.poly_methods, "gradient_descent", exhausted)
+    code = cli.main([command, "--method", "gd", "--problem", "quad:d=2", "--N", "5",
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SCHEMA == 2
+    assert err == ("error: out of memory: Unable to allocate 2.98 GiB for an array "
+                   "with shape (20001, 20001)\n")
+    assert "Traceback" not in err
+
+
 def test_certify_no_registered_certificate_exit_4():
     code = cli.main(["certify", "--method", "chebyshev",
                      "--problem", "quad:d=5", "--N", "10"])

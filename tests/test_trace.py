@@ -157,6 +157,63 @@ def test_potential_column_empty_without_a_potential(quad_6):
         assert all(row.split(",")[4] == "" for row in trace.to_csv().split("\n")[1:-1])
 
 
+def test_potential_column_is_filled_exactly_when_potential_series_succeeds(quad_6):
+    # the one rule behind the column: drive fills it from the registered
+    # potential unless that potential refuses the records (form II carries
+    # no certificate), just as certify.potential_series refuses them
+    from accelib import certify as ct, extrapolation, momentum as mo, oracles
+    from accelib import poly_methods as pm, restart
+    from accelib.errors import InvalidArgument
+
+    x0 = np.ones(6)
+    L = quad_6.params.L
+    comp = oracles.CompositeProblem(quad_6, oracles.make_l1(0.0, 6),
+                                    x_star=quad_6.x_star, F_star=quad_6.f_star)
+    p4 = oracles.make_heb_power(4, 3)
+    heb = restart.HebParams(4, 1.0, p4.smoothness_on_ball(3.0))
+    runs = _column_runs() + [(run, quad_6) for run in [
+        mo.fgm(quad_6, x0, 20, form="II"),
+        mo.fgm(quad_6, x0, 20, form="III"),
+        mo.ogm(quad_6, x0, 20, form="II"),
+        mo.ogm(quad_6, x0, 0, form="II"),
+        mo.constant_momentum(quad_6, x0, 20, form="II"),
+        mo.monotone_wrap("constant_momentum", quad_6, x0, 20),
+        pm.chebyshev(quad_6, x0, 20),
+        pm.heavy_ball(quad_6, x0, 20),
+        pm.conjugate_gradient_quadratic(quad_6, x0, 5),
+        extrapolation.online_rna(quad_6, x0, 1.0 / L, 1e-8, 3, 20),
+        restart.fixed_restart(quad_6, "fgm", 5, x0, 3, L=L),
+        restart.fixed_restart(quad_6, "gd", 5, x0, 3, gamma=1.0 / L),
+        restart.grid_restart(quad_6, L, x0, 16),
+    ]] + [(extrapolation.prox_rna(comp, x0, 1.0 / L, 1e-8, 20), comp),
+          (restart.scheduled_restart(p4, heb, np.array([2.0, 1.0, -1.0]), 4.0, 64), p4)]
+    filled, refused = set(), set()
+    for trace, problem in runs:
+        csv_column = [row.split(",")[4] for row in trace.to_csv().split("\n")[1:-1]]
+        try:
+            phi, margins = ct.potential_series(trace, problem)
+        except InvalidArgument:
+            refused.add((trace.method, trace.meta.get("form")))
+            assert trace.potential is None, trace.method
+            assert "potential_worst_margin" not in trace.meta, trace.method
+            assert "potential_worst_step" not in trace.meta, trace.method
+            assert csv_column == [""] * len(trace), trace.method
+            continue
+        assert trace.potential.tobytes() == phi.tobytes(), trace.method
+        k = int(margins.argmin())
+        assert trace.meta["potential_worst_step"] == k, trace.method
+        assert trace.meta["potential_worst_margin"] == margins[k], trace.method
+        assert csv_column == [repr(v) for v in phi.tolist()], trace.method
+        filled.add((trace.method, trace.meta.get("form")))
+    assert refused == {("fgm", "II"), ("ogm", "II"), ("constant_momentum", "II")} | {
+        (m, None) for m in ("chebyshev", "heavy_ball", "cg", "online_rna", "prox_rna",
+                            "restart(fgm)", "restart(gd)", "grid_restart", "scheduled_restart")}
+    assert filled == {("fgm", "I"), ("fgm", "III"), ("ogm", "I"), ("constant_momentum", "I")} | {
+        (m, None) for m in ("gd", "item", "tmm", "fista", "prox_agm", "bregman_agm",
+                            "monotone(fgm)", "monotone(constant_momentum)", "ppa",
+                            "accel_inexact_ppa", "catalyst")}
+
+
 def test_counting_oracle_counts_values(quad_2):
     counters = tr_mod.Counters()
     co = tr_mod.CountingOracle(quad_2, counters)
