@@ -11,7 +11,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidArgument, UnsupportedOracle
+from .errors import InvalidArgument, NoCertificate, UnsupportedOracle
 from .tolerances import tol_for
 from .oracles import _BATCH, CompositeProblem, bregman_divergence, in_blocks, optimum
 
@@ -29,8 +29,8 @@ def min_slack(margins):
     margins, or of the pairwise slack matrix from `check_interpolation` (its
     +inf diagonal carries no condition). Returns 0.0 when there is nothing to
     check: no margins, or n <= 1 points. A NaN margin of a list or of a 1-D
-    array is left out, wherever it sits, as a step that cannot be certified
-    is reported by the caller; when every one is NaN the result is NaN."""
+    array is left out, wherever it sits, as `verdict` reports a step that cannot
+    be certified as a violation; when every one is NaN the result is NaN."""
     if not isinstance(margins, np.ndarray):
         margins = np.array([m.slack for m in margins], dtype=float)
     if margins.ndim == 2:
@@ -168,7 +168,7 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0):
 # x_star, gap_at) -> (phi, margins), with gap = F(x_k) - F* per record and
 # gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
 # `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
-# A potential raises InvalidArgument on a trace whose records do not carry
+# A potential raises NoCertificate on a trace whose records do not carry
 # its certificate (form II of fgm, ogm and constant momentum).
 
 def potential_of(method):
@@ -195,10 +195,10 @@ def potential_series(trace, problem, smooth_values=None):
     the nonsmooth part's for a `CompositeProblem`, the same floats."""
     fun, x_star, f_star = optimum(problem)
     if x_star is None:
-        raise InvalidArgument("potential checks need a known optimum")
+        raise NoCertificate("potential checks need a known optimum")
     handler = potential_of(trace.method)
     if handler is None:
-        raise InvalidArgument(f"no potential registered for {trace.method!r}")
+        raise NoCertificate(f"no potential registered for {trace.method!r}")
 
     def gap():  # under evaluate_potential's errstate, as a diverged trace overflows here
         if smooth_values is None:
@@ -265,7 +265,7 @@ def ogm_potential(trace, gap, x_star, gap_at):
     - x*||^2 (record N holds x = y_N) enters only the last margin, not the column."""
     L = trace.meta["L"]
     if trace.meta.get("form") != "I":
-        raise InvalidArgument("only form I carries the (y, z, theta) state")
+        raise NoCertificate("only form I carries the (y, z, theta) state")
     phi = 0.5 * L * _dist2(trace, "z", x_star)
     if len(phi) > 1:  # record 0 carries no theta_prev, y_prev, g_prev
         phi[1:] += 2.0 * trace.column("theta_prev", 1) ** 2 * (
@@ -348,6 +348,27 @@ def potential_scale(trace, problem):
     fun, x_star, f_star = optimum(problem)
     x0 = trace.x[0]
     return abs(fun(x0) - f_star) + float(np.sum((x0 - x_star) ** 2)) + 1.0
+
+
+def verdict(trace, problem):
+    """`accelib certify`'s report on a run on `problem`: the potential margins
+    and pairwise interpolation slacks, from one `harvest_triplets` pass. An
+    entry is a violation unless slack >= -tol (so NaN is), tol from
+    `potential_scale` or max |f| + 1; `violations` lists steps k, then pairs
+    (i, j), in index order, and the minima are `min_slack`'s. Raises
+    NoCertificate on a trace without a certificate."""
+    smooth = getattr(problem, "smooth", problem)
+    triplets = harvest_triplets(trace, smooth)
+    _, margins = potential_series(trace, problem, triplets.F)
+    interp = check_interpolation(triplets, smooth.params.mu, smooth.params.L)
+    bad = []
+    for slacks, tol in ((margins, tol_for(potential_scale(trace, problem))),
+                        (interp, tol_for(np.abs(triplets.F).max() + 1.0))):
+        if not slacks.min(initial=np.inf) >= -tol:  # or NaN: the mask only on failure
+            bad += [str(w[0] if len(w) == 1 else tuple(w))
+                    for w in np.argwhere(~(slacks >= -tol)).tolist()]
+    return {"potential_min_slack": min_slack(margins),
+            "interpolation_min_slack": min_slack(interp), "violations": bad, "pass": not bad}
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ write a CSV trace plus a JSON summary sidecar, and verify certificates.
 Subcommands:
   run      one method on one problem -> CSV trace + JSON sidecar
   compare  several methods on the same problem -> aligned gap table
-  certify  run a method and check its potential + interpolation margins
+  certify  run a method and write `certify.verdict` on its trace: its
+           potential margins and pairwise interpolation slacks
 
-Exit codes: 0 ok; 2 config/schema error, or out of memory; 3 divergence
-(partial trace written); 4 no certificate registered; 5 certificate violated.
+Exit codes (2, 3 and 4 from `main`'s table of errors): 0 ok; 2 config/schema
+error, or out of memory; 3 divergence (partial trace written); 4 no
+certificate (`NoCertificate`: no registered potential, records without its
+state, or a composite problem without a known optimum); 5 certificate violated.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 from . import __version__
 from . import certify as certify_mod
 from . import composite, momentum, poly_methods, prox_outer
-from .errors import (ContractViolation, DivergedError, InvalidArgument, RunawayLError,
-                     UnsupportedOracle)
+from .errors import (ContractViolation, DivergedError, InvalidArgument, NoCertificate,
+                     RunawayLError, UnsupportedOracle)
 from .oracles import CompositeProblem, make_huber, make_l1, make_quadratic, make_zero
 from .tolerances import tol_for, tolerances
 
@@ -90,7 +93,7 @@ class Method:
 
 def _gd_bound(args, oracle, x0, R):
     L = oracle.params.L  # the bound holds for the default step 1/L only
-    return L * R * R / (2.0 * args.N) if not args.gamma or args.gamma == 1.0 / L else None
+    return L * R * R / (4.0 * args.N + 2.0) if not args.gamma or args.gamma == 1.0 / L else None
 
 
 def _constant_momentum_bound(args, oracle, x0, R):
@@ -236,30 +239,13 @@ def cmd_compare(args):
 
 
 def cmd_certify(args):
-    """Both certificates come from one fresh row-stacked evaluation of the
-    smooth oracle at the iterates, never from the trace's f_gap or potential
-    columns. A NaN potential margin is a violation: its step is not certified."""
+    """Run the method and write `certify.verdict` on its trace (see there);
+    a trace without a certificate exits 4 through `main`."""
     method, (oracle, problem, x0) = METHODS[args.method], _setup(args)
     target = problem if method.composite else oracle
-    trace = method.run(args, target, x0)
-    triplets = certify_mod.harvest_triplets(trace, oracle)
-    try:
-        _, margins = certify_mod.potential_series(trace, target, triplets.F)
-    except InvalidArgument as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CERT
-    tol = tol_for(certify_mod.potential_scale(trace, target))
-    bad = [str(k) for k in np.flatnonzero(~(margins >= -tol)).tolist()]
-    interp = certify_mod.check_interpolation(triplets, oracle.params.mu, oracle.params.L)
-    interp_min = certify_mod.min_slack(interp)
-    itol = tol_for(np.abs(triplets.F).max() + 1.0)
-    if not interp_min >= -itol:  # or NaN: one NaN slack makes the minimum NaN
-        bad += [str((i, j)) for i, j in np.argwhere(interp < -itol).tolist()]  # row-major
-    _write(args.out, _dumps({"method": args.method,
-                             "potential_min_slack": certify_mod.min_slack(margins),
-                             "interpolation_min_slack": interp_min,
-                             "violations": bad, "pass": not bad}))
-    return EXIT_CERT_FAIL if bad else 0
+    report = certify_mod.verdict(method.run(args, target, x0), target)
+    _write(args.out, _dumps({"method": args.method, **report}))
+    return EXIT_CERT_FAIL if report["violations"] else 0
 
 
 @functools.cache
@@ -309,6 +295,9 @@ def main(argv=None):
     except BrokenPipeError:  # the reader went away (e.g. `| head -1`): not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except NoCertificate as exc:  # before InvalidArgument, its base
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CERT
     except (ConfigError, InvalidArgument, UnsupportedOracle, ContractViolation,
             RunawayLError) as exc:  # the last two: flags past what the method can take
         print(f"error: {exc}", file=sys.stderr)

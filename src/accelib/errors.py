@@ -5,6 +5,11 @@ class InvalidArgument(ValueError):
     """Arguments outside a method's stated preconditions."""
 
 
+class NoCertificate(InvalidArgument):
+    """A trace carries no certificate to check: no registered potential, records
+    without the potential's state, or no known optimum."""
+
+
 class UnsupportedOracle(TypeError):
     """The oracle lacks a capability the operation requires (prox, quadratic form, ...)."""
 

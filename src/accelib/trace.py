@@ -12,7 +12,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .certify import evaluate_potential, potential_of
-from .errors import DivergedError, InnerSolveError, InvalidArgument
+from .errors import DivergedError, InnerSolveError, NoCertificate
 from .oracles import _BATCH, optimum
 
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
@@ -64,7 +64,7 @@ class Trace(Sequence):
             try:
                 col = np.array([s[key] for s in states], dtype=float)
             except KeyError:  # e.g. FGM and constant momentum in form II carry no z
-                raise InvalidArgument(f"the trace's records carry no {key!r} to certify") from None
+                raise NoCertificate(f"the trace's records carry no {key!r} to certify") from None
             col.flags.writeable = False
             if col.ndim > 1:  # array-valued: each float array entry becomes its row
                 for s, row in zip(states, col):
@@ -178,7 +178,7 @@ class Recorder:
     potentials (`drive` passes the method's); the fill then sets the
     `potential` column from it (see `certify.evaluate_potential`) and puts the
     worst margin and its step in the meta (`potential_worst_margin`,
-    `potential_worst_step`), unless it raises InvalidArgument, as on records
+    `potential_worst_step`), unless it raises NoCertificate, as on records
     that carry no certificate (form II), where `potential_series` refuses too.
     The snapshot keys it reads are stacked by `Trace.column`, which turns
     their entries into rows of one column per key.
@@ -258,7 +258,7 @@ class Recorder:
         try:
             phi, margins = evaluate_potential(self._potential, trace, lambda: gap,
                                               self._x_star, self._objective, self._f_star)
-        except InvalidArgument:  # the records carry no certificate (e.g. form II)
+        except NoCertificate:  # the records carry no certificate (e.g. form II)
             return
         phi.flags.writeable = False
         trace.potential = phi

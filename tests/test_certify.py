@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from accelib import (certify as ct, composite as cp, momentum as mo, oracles,
                      poly_methods as pm, prox_outer as po)
 from accelib.errors import DivergedError, InvalidArgument, UnsupportedOracle
+from accelib.errors import NoCertificate
 from accelib.tolerances import tol_for
 from accelib.trace import CountingOracle
 
@@ -724,3 +725,58 @@ def test_check_potential_of_a_diverged_trace_gives_margins_without_a_warning():
     margins = np.array([m.slack for m in ct.check_potential(trace, q)])
     assert len(trace) == 1022 and len(margins) == 1021
     assert np.isfinite(margins[:10]).all() and not np.isfinite(margins).all()
+
+
+# ---------------------------------------------------------------------------
+# verdict: the library form of `accelib certify`
+
+def test_verdict_reduces_both_checks_with_one_rule(quad_6):
+    trace = mo.fgm(quad_6, np.ones(6), 30)
+    report = ct.verdict(trace, quad_6)
+    assert list(report) == ["potential_min_slack", "interpolation_min_slack", "violations",
+                            "pass"]
+    assert report["pass"] is True and report["violations"] == []
+    _, margins = ct.potential_series(trace, quad_6)
+    assert report["potential_min_slack"] == ct.min_slack(margins)
+    triplets = ct.harvest_triplets(trace, quad_6)
+    interp = ct.check_interpolation(triplets, quad_6.params.mu, quad_6.params.L)
+    assert report["interpolation_min_slack"] == ct.min_slack(interp)
+
+
+def test_verdict_labels_steps_then_pairs_in_index_order(quad_6, monkeypatch):
+    # NaN and a negative slack alike, in both checks
+    real_series, real_interp = ct.potential_series, ct.check_interpolation
+
+    def series(*args):
+        phi, margins = real_series(*args)
+        margins[[1, 4]] = np.nan, -1.0
+        return phi, margins
+
+    def interp(*args):
+        slack = real_interp(*args)
+        slack[2, 0], slack[0, 3] = -1.0, np.nan
+        return slack
+
+    monkeypatch.setattr(ct, "potential_series", series)
+    monkeypatch.setattr(ct, "check_interpolation", interp)
+    report = ct.verdict(mo.fgm(quad_6, np.ones(6), 10), quad_6)
+    assert report["violations"] == ["1", "4", "(0, 3)", "(2, 0)"]
+    assert report["potential_min_slack"] == -1.0  # min_slack leaves the NaN margin out
+    assert np.isnan(report["interpolation_min_slack"])
+    assert report["pass"] is False
+
+
+def test_verdict_of_a_trace_without_a_certificate_raises_no_certificate(quad_6):
+    x0 = np.ones(6)
+    lasso = oracles.CompositeProblem(quad_6, oracles.make_l1(0.1, 6))  # no known optimum
+    for trace, problem in [(pm.chebyshev(quad_6, x0, 5), quad_6),
+                           (mo.fgm(quad_6, x0, 5, form="II"), quad_6),
+                           (mo.ogm(quad_6, x0, 5, form="II"), quad_6),
+                           (cp.fista(lasso, x0, 5), lasso)]:
+        with pytest.raises(NoCertificate):
+            ct.verdict(trace, problem)
+    # mu = L is a bad argument, not a missing certificate
+    flat = oracles.make_quadratic([2.0, 2.0], np.zeros(2))
+    with pytest.raises(InvalidArgument, match="need 0 <= mu < L") as info:
+        ct.verdict(pm.gradient_descent(flat, 0.5, np.ones(2), 5), flat)
+    assert not isinstance(info.value, NoCertificate)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -611,3 +612,85 @@ def test_run_constant_momentum_reports_its_bound(tmp_path):
 def test_compare_of_one_method_exits_2(capsys):
     assert cli.main(["compare", "--methods", "gd", "--problem", "quad:d=4"]) == 2
     assert "needs at least two methods" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# certify's one verdict path, and the exit codes from main's table
+
+def test_certify_counts_nan_interpolation_slacks_as_violations(monkeypatch, capsys):
+    # a NaN pairwise slack cannot be certified, as a NaN potential margin cannot;
+    # it used to pass, as NaN < -tol is false
+    real = ct.check_interpolation
+
+    def planted(triplets, mu, L):
+        slack = real(triplets, mu, L)
+        slack[1, 0] = np.nan
+        return slack
+
+    monkeypatch.setattr(ct, "check_interpolation", planted)
+    assert cli.main(["certify", "--method", "fgm", "--problem", "quad:d=5", "--N", "30"]) == 5
+    report = strict_json(capsys.readouterr().out)
+    assert report["violations"] == ["(1, 0)"]
+    assert report["interpolation_min_slack"] == "nan"
+    assert report["pass"] is False
+
+
+@pytest.mark.parametrize("problem", [["quad:d=1"], ["quad:d=4", "--mu", "5", "--L", "5"]])
+def test_certify_with_mu_equal_to_L_is_a_bad_configuration(problem, capsys):
+    # check_interpolation's plain InvalidArgument: exit 2, not the 4 of NoCertificate
+    assert cli.main(["certify", "--method", "gd", "--problem", *problem]) == 2
+    assert capsys.readouterr().err == "error: need 0 <= mu < L\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chebyshev", "quad:d=5"], "no potential registered for 'chebyshev'"),
+    (["fgm", "quad:d=5", "--form", "II"], "the trace's records carry no 'z' to certify"),
+    (["ogm", "quad:d=5", "--form", "II"], "only form I carries the (y, z, theta) state"),
+    (["fista", "lasso:d=6"], "potential checks need a known optimum"),
+])
+def test_certify_exit_4_names_the_missing_certificate(argv, message, capsys):
+    method, problem, *form = argv
+    assert cli.main(["certify", "--method", method, "--problem", problem, "--N", "10", *form]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_a_broken_potential_is_not_a_missing_certificate(monkeypatch, capsys):
+    # only NoCertificate means "no certificate": any other InvalidArgument from
+    # a potential leaves the run, and the CLI reports it as exit 2
+    def broken(trace, gap, x_star, gap_at):
+        raise InvalidArgument("broken potential")
+
+    monkeypatch.setitem(ct._POTENTIALS, "gd", broken)
+    for command in ("run", "certify"):
+        assert cli.main([command, "--method", "gd", "--problem", "quad:d=3", "--N", "5"]) == 2
+        assert capsys.readouterr().err == "error: broken potential\n"
+
+
+@pytest.mark.parametrize("N", [1, 20, 100])
+def test_gd_sidecar_bound_is_attained_on_the_huber_worst_case(N, tmp_path):
+    # Drori & Teboulle (2014): gd with step 1/L has f(x_N) - f* <= L R^2/(4N+2),
+    # attained on the 1-D Huber with threshold R/(2N+1) started at distance R
+    seed, out = 3, tmp_path / "t.csv"
+    R = abs(float(np.random.default_rng(seed + 1).standard_normal(1)[0]))  # the CLI's x0
+    assert cli.main(["run", "--method", "gd", "--problem", f"huber:d=1,tau={R / (2 * N + 1)!r}",
+                     "--N", str(N), "--seed", str(seed), "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.csv.json").read_text())
+    assert side["bound"] == R * R / (4 * N + 2)
+    assert side["bound_satisfied"] is True
+    assert abs(side["final_gap"] / side["bound"] - 1.0) <= 2 * N * np.finfo(float).eps
+
+
+
+def test_gd_bound_is_attained_at_every_horizon_up_to_200():
+    # the same worst case from x0 = R at N = 1..200; the ratio's rounding
+    # grows with N (at most 2.2e-14 here), and the bound check's tol_for covers it
+    from accelib import oracles, poly_methods
+
+    L, R = 1.0, 1.0
+    for N in range(1, 201):
+        huber = oracles.make_huber(R / (2 * N + 1), L, 1)
+        gap = poly_methods.gradient_descent(huber, 1.0 / L, np.array([R]), N).final.f_gap
+        bound = cli._gd_bound(argparse.Namespace(N=N, gamma=None), huber, None, R)
+        assert abs(gap / bound - 1.0) <= 2 * N * np.finfo(float).eps
+        assert gap <= bound + tol_for(bound)

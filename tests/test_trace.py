@@ -475,3 +475,23 @@ def test_a_horizon_past_memory_grows_with_the_run(quad_6):
     for k in range(70):
         rec.record(k, np.full(6, 1.0 / (k + 1)))
     assert rec.trace.x.shape == (70, 6) and rec.trace.x[69, 0] == 1.0 / 70
+
+
+def test_only_a_missing_certificate_leaves_the_potential_column_empty(quad_2, monkeypatch):
+    # the fill swallows NoCertificate alone: any other error of a potential
+    # leaves the run, as it would leave `potential_series`
+    from accelib import certify, poly_methods
+    from accelib.errors import InvalidArgument, NoCertificate
+
+    def refusing(trace, gap, x_star, gap_at):
+        raise NoCertificate("the records carry no z")
+
+    def broken(trace, gap, x_star, gap_at):
+        raise InvalidArgument("broken potential")
+
+    monkeypatch.setitem(certify._POTENTIALS, "gd", refusing)
+    trace = poly_methods.gradient_descent(quad_2, 0.1, np.ones(2), 5)
+    assert trace.potential is None and "potential_worst_margin" not in trace.meta
+    monkeypatch.setitem(certify._POTENTIALS, "gd", broken)
+    with pytest.raises(InvalidArgument, match="broken potential"):
+        poly_methods.gradient_descent(quad_2, 0.1, np.ones(2), 5)
