@@ -169,7 +169,9 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0):
 # gap_at(Y) = F - F* per row of Y: phi is the `potential` column (which
 # `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
 # A potential raises NoCertificate on a trace whose records do not carry
-# its certificate (form II of fgm, ogm and constant momentum).
+# its certificate (form II of fgm, ogm and constant momentum). Temporaries of
+# a whole column (z - x*, say) are formed in the blocks of `in_blocks`, so a
+# potential holds little beyond the trace's own columns.
 
 def potential_of(method):
     """The potential _POTENTIALS registers for a method name ("monotone(fgm)": "monotone")."""
@@ -227,7 +229,7 @@ def _sq(X):
 
 
 def _dist2(trace, key, x_star):
-    return _sq(trace.column(key) - x_star)
+    return in_blocks(lambda Z: _sq(Z - x_star), trace.column(key))
 
 
 def _estimate(A, gap, c, mu, dist2):
@@ -283,8 +285,8 @@ def _y_term(trace, lo, mu, L, x_star):
     """-||g||^2/(2L) - mu/(2(1-q)) ||y - g/L - x*||^2 at y = x (ITEM, TMM),
     from record `lo` on."""
     G = trace.column("g", lo)
-    return (-_sq(G) / (2.0 * L)
-            - mu / (2.0 * (1.0 - mu / L)) * _sq(trace.x[lo:] - G / L - x_star))
+    return (-_sq(G) / (2.0 * L) - mu / (2.0 * (1.0 - mu / L)) * in_blocks(
+        lambda Y, G: _sq(Y - G / L - x_star), trace.x[lo:], G))
 
 
 def item_potential(trace, gap, x_star, gap_at):
@@ -318,8 +320,8 @@ def composite_potential(trace, gap, x_star, gap_at):
 
 
 def bregman_potential(trace, gap, x_star, gap_at):
-    return _series(trace.column("A") * gap + trace.meta["L"] * bregman_divergence(
-        trace.meta["dgf"], x_star, trace.column("z")))
+    return _series(trace.column("A") * gap + trace.meta["L"] * in_blocks(
+        lambda Z: bregman_divergence(trace.meta["dgf"], x_star, Z), trace.column("z")))
 
 
 def ppa_potential(trace, gap, x_star, gap_at):

@@ -150,14 +150,15 @@ def optimum(problem):
 _BATCH = 64
 
 
-def in_blocks(fun, X):
-    """fun over the rows of X in blocks of at most _BATCH rows; fun returns
-    one value per row."""
+def in_blocks(fun, X, *more):
+    """fun over the rows of X, and the matching rows of each array in `more`,
+    in blocks of at most _BATCH rows; fun returns one value per row."""
     if not len(X):
         return np.empty(0)
     if len(X) <= _BATCH:
-        return fun(X)
-    return np.concatenate([fun(X[lo:lo + _BATCH]) for lo in range(0, len(X), _BATCH)])
+        return fun(X, *more)
+    return np.concatenate([fun(X[lo:lo + _BATCH], *[A[lo:lo + _BATCH] for A in more])
+                           for lo in range(0, len(X), _BATCH)])
 
 
 def make_quadratic(eigs, x_star, f_star=0.0, seed=None):

@@ -6,13 +6,14 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import count
 from operator import add
 from types import MappingProxyType
 
 import numpy as np
 
 from .certify import evaluate_potential, potential_of
-from .errors import DivergedError, InnerSolveError, NoCertificate
+from .errors import DivergedError, InnerSolveError, InvalidArgument, NoCertificate
 from .oracles import _BATCH, optimum
 
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
@@ -40,40 +41,39 @@ class Trace(Sequence):
         self.k, self.tallies, self.states = [], [], []
         self.x = np.empty((0, 0))
         self.f_gap = self.grad_norm = self.dist_opt = np.empty(0)
-        self.potential, self._columns = None, {}  # key -> (lo, stacked column from record lo)
+        self.potential, self._columns = None, {"x": (0, self.x)}  # key -> (first record, column)
 
-    def set_columns(self, **columns):
+    def set_columns(self, snapshot=(), **columns):
         """Each named array becomes the given column, which holds every row,
-        read-only."""
+        read-only. So does col of each (key, first, col) in `snapshot`: each
+        record's `key` entry from record `first` on becomes its read-only
+        row, and `column(key)` reads col when it runs to the last record (the
+        key "x" stays the iterates')."""
         for name, col in columns.items():
             col.flags.writeable = False
             setattr(self, name, col)
-        self._columns.clear()
+        self._columns = {"x": (0, self.x)}
+        for key, first, col in snapshot:
+            col.flags.writeable = False
+            for s, row in zip(self.states[first:], col):
+                s[key] = row
+            if first + len(col) == len(self):
+                self._columns.setdefault(key, (first, col))
 
     def column(self, key, lo=0):
         """The iterates (key "x") or the snapshot entry `key` of the records
-        from `lo` on, as floats, read-only. A snapshot key is stacked on first
-        use, and each of its array-valued entries then becomes a read-only row
-        of that one column, so the trace holds the values once; a later call
-        from `lo` on or past it returns a view of the same column."""
-        if key == "x":
-            return self.x[lo:]
-        start, col = self._columns.get(key, (lo, None))
-        if col is None or lo < start:
-            states = self.states[lo:]
+        from `lo` on, as floats, read-only. A snapshot vector is a lookup: a
+        view of the column the recorder wrote at record time, whose rows are
+        the records' entries. A scalar entry is stacked on each call. Raises
+        NoCertificate when a record from `lo` on lacks the key."""
+        first, col = self._columns.get(key, (lo, None))
+        if col is None or lo < first:  # below a vector's first record: a KeyError
             try:
-                col = np.array([s[key] for s in states], dtype=float)
+                col, first = np.array([s[key] for s in self.states[lo:]], dtype=float), lo
             except KeyError:  # e.g. FGM and constant momentum in form II carry no z
                 raise NoCertificate(f"the trace's records carry no {key!r} to certify") from None
             col.flags.writeable = False
-            if col.ndim > 1:  # array-valued: each float array entry becomes its row
-                for s, row in zip(states, col):
-                    entry = s[key]
-                    if type(entry) is np.ndarray and entry.dtype is col.dtype:
-                        s[key] = row
-            start = lo
-            self._columns[key] = start, col
-        return col[lo - start:] if lo > start else col
+        return col[lo - first:]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -153,26 +153,31 @@ class Recorder:
     one; methods never record directly.
 
     `record` appends k, one TALLIES tuple and the state snapshot straight to
-    the lists of the trace it returns, and writes the iterate into the trace's
-    `x` column: a buffer of `rows` rows when the run's length is known, else
-    _BATCH rows, doubled whenever full. Snapshot entries are kept as passed,
-    never copied; an entry that is the recorded iterate itself becomes a
-    read-only row of `x`. The fill, at the `record` call marked `last` and
-    whenever `trace` is read, cuts the buffer to its rows in place (a copy
-    only when a column handed out earlier still holds it) and fills the
-    reporting columns (f_gap, dist_opt, missing gradient norms) of every row
-    in blocks of _BATCH rows from row 0, so a trace read mid-run evaluates its
-    earlier rows again and ends bit-identical to one filled once. So every
-    trace a caller sees is complete and holds each iterate once, and `wall_ns`
-    is method time only. A block with a row missing its gradient norm takes
-    the objective and the gradients from one row-stacked `value_and_gradient`
+    the lists of the trace it returns, and copies the iterate and each float
+    vector of the snapshot into a column at record time, so a step may later
+    modify that array in place: `x`, and one column per snapshot key from the
+    key's first record. A column's buffer holds the rows left in the run when
+    its length is known, else _BATCH rows, doubled in place whenever full. A
+    key whose first entry is the recorded iterate itself is rows of `x`. A
+    vector key must be in every record from its first on (it may stop), and
+    one that began as the iterate must stay it: `record` raises
+    InvalidArgument otherwise. The fill, at the `record` call marked `last`
+    and whenever `trace` is read, cuts each buffer to its rows in place (a
+    copy only when a column handed out earlier still holds it), makes each
+    vector entry a read-only row of its column and fills the reporting
+    columns (f_gap, dist_opt, missing gradient norms) of every row in blocks
+    of _BATCH rows from row 0, so a trace read mid-run evaluates its earlier
+    rows again and ends bit-identical to one filled once. So every trace a
+    caller sees is complete and holds each array once, and `wall_ns` is
+    method time only. A block with a row missing its gradient norm takes the
+    objective and the gradients from one row-stacked `value_and_gradient`
     call; any other block calls the objective alone. `problem` is a
     `ProblemOracle` or a `CompositeProblem`, passed raw: reporting-only
     evaluations never touch the counters. The objective is the smooth value,
     plus h for a composite problem, and f_gap and dist_opt are measured from
     the problem's optimum (a composite problem without one: the smooth
-    part's), NaN when none is known. With every gradient passed and no optimum
-    known, `problem` may be None.
+    part's), NaN when none is known. With every gradient passed and no
+    optimum known, `problem` may be None.
 
     `potential`, when given and the optimum is known, is one of the `certify`
     potentials (`drive` passes the method's); the fill then sets the
@@ -180,17 +185,17 @@ class Recorder:
     worst margin and its step in the meta (`potential_worst_margin`,
     `potential_worst_step`), unless it raises NoCertificate, as on records
     that carry no certificate (form II), where `potential_series` refuses too.
-    The snapshot keys it reads are stacked by `Trace.column`, which turns
-    their entries into rows of one column per key.
+    It reads the snapshot columns through `Trace.column`.
     """
 
     def __init__(self, method, problem, counters, meta=None, potential=None, rows=None):
         self._trace = Trace(method, meta)
-        self._rows = rows  # the first buffer's rows, when the run's length is known
-        self._X, self._n = None, 0  # the iterate column's buffer and its rows recorded
-        self._norms = []  # recorded gradient norms, one per row (None: to evaluate)
-        self._aliases = []  # (row, key) of snapshot entries that were the recorded iterate
-        self._counters = counters
+        self._rows = rows  # the run's records, when its length is known
+        # self._columns: None (the iterate) or a snapshot key -> [first record, rows,
+        # buffer], the entries of records first .. first + rows - 1 (rows of x while
+        # buffer is None); self._norms: the recorded gradient norms (None: to evaluate)
+        self._columns, self._norms = {}, []
+        self._counters, self._potential = counters, potential
         self._smooth = getattr(problem, "smooth", problem)
         self._h = getattr(problem, "nonsmooth", None)
         self._objective = self._x_star = self._f_star = None
@@ -198,20 +203,11 @@ class Recorder:
             self._objective, self._x_star, self._f_star = optimum(problem)
             if self._x_star is None:
                 self._x_star, self._f_star = self._smooth.x_star, self._smooth.f_star
-        self._potential = potential
         self._t0 = time.perf_counter_ns()
 
     def record(self, k, x, grad=None, state=None, last=False):
-        c, n, trace = self._counters, self._n, self._trace
-        if self._X is None:
-            try:
-                self._X = np.empty((self._rows or _BATCH, *np.shape(x)))
-            except MemoryError:  # a horizon past memory: grow with the run, as for N=None
-                self._X = np.empty((_BATCH, *np.shape(x)))
-        elif n == len(self._X):
-            self._resize(2 * n)
-        self._X[n] = x
-        self._n = n + 1
+        c, trace, n = self._counters, self._trace, len(self._trace.k)
+        self._write(None, n, x, None)
         trace.k.append(k)
         # = np.linalg.norm bit for bit (the same ddot), but vdot does not warn on overflow
         self._norms.append(None if grad is None else math.sqrt(np.vdot(grad, grad)))
@@ -219,8 +215,9 @@ class Recorder:
                               time.perf_counter_ns() - self._t0, c.value_calls, c.hess_calls))
         snap = dict(state) if state else {}
         for key, value in snap.items():
-            if value is x:
-                self._aliases.append((n, key))
+            if type(value) is np.ndarray and value.dtype.char == "d" and value.ndim:  # float64
+                self._write(key, n, value, x)
+                snap[key] = None  # the fill binds the entry to its row
         trace.states.append(snap)
         if last:
             self._fill()
@@ -231,26 +228,39 @@ class Recorder:
         self._fill()
         return self._trace
 
-    def _resize(self, rows):
-        """The iterate buffer grown or cut to `rows` rows in place, or copied
-        when a column handed out by an earlier fill still holds it (the
-        blocks `_report` views are gone once it has returned)."""
-        try:
-            self._X.resize((rows, *self._X.shape[1:]))
-        except ValueError:
-            X = np.empty((rows, *self._X.shape[1:]))
-            X[:self._n] = self._X[:self._n]
-            self._X = X
+    def _write(self, key, n, value, x):
+        """`value` as record n's row of `key`'s column (None: the iterate's);
+        ndarray.resize grows a buffer in place only while nothing but its
+        column list holds it, hence no local name for it until then."""
+        col = self._columns.get(key)
+        if col is None:  # the rows left in the run when its length is known, or none
+            try:
+                buf = None if value is x else np.empty(
+                    (max((self._rows or 0) - n, 0) or _BATCH, *np.shape(value)))
+            except MemoryError:  # a horizon past memory: grow with the run, as for N=None
+                buf = np.empty((_BATCH, *np.shape(value)))
+            col = self._columns[key] = [n, 0, buf]
+        elif col[0] + col[1] != n or col[2] is None and value is not x:
+            raise InvalidArgument(f"snapshot vector {key!r} skipped a record or left the iterate")
+        elif col[2] is not None and col[1] == len(col[2]):  # full: doubled
+            _resize(col, 2 * col[1])
+        first, rows, buf = col
+        if buf is not None:
+            buf[rows] = value
+        col[1] = rows + 1
 
     def _fill(self):
-        trace, n = self._trace, self._n
+        trace, n = self._trace, len(self._trace.k)
         if len(trace.f_gap) == n:
             return
-        self._resize(n)  # a no-op when the buffer holds n rows
-        gap, norms, dist = self._report()
-        trace.set_columns(x=self._X, f_gap=gap, grad_norm=norms, dist_opt=dist)
-        for i, key in self._aliases:
-            trace.states[i][key] = trace.x[i]
+        for col in self._columns.values():
+            if col[2] is not None:
+                _resize(col, col[1])
+        X = self._columns[None][2]
+        gap, norms, dist = self._report(X)
+        trace.set_columns([(key, first, X[first:first + rows] if buf is None else buf)
+                           for key, (first, rows, buf) in self._columns.items() if key is not None],
+                          x=X, f_gap=gap, grad_norm=norms, dist_opt=dist)
         if self._potential is None or self._f_star is None:
             return
         # from the f_gap column just filled: only potentials that need the
@@ -266,9 +276,9 @@ class Recorder:
             k = int(margins.argmin())
             trace.meta.update(potential_worst_margin=float(margins[k]), potential_worst_step=k)
 
-    def _report(self):
-        """f_gap, gradient norms and dist_opt of every row, in blocks of _BATCH rows."""
-        X, n, norms = self._X, self._n, list(self._norms)
+    def _report(self, X):
+        """f_gap, gradient norms and dist_opt of every row of X, in blocks of _BATCH rows."""
+        n, norms = len(X), list(self._norms)
         gap, dist = np.full(n, np.nan), np.full(n, np.nan)
         for lo in range(0, n, _BATCH):
             block = X[lo:lo + _BATCH]
@@ -287,6 +297,17 @@ class Recorder:
                 for i, norm in zip(blind, np.linalg.norm(G, axis=1).tolist()):
                     norms[lo + i] = norm
         return gap, np.array(norms, dtype=float), dist
+
+
+def _resize(col, rows):
+    """The buffer col[2] grown or cut to `rows` rows in place (ndarray.resize
+    refuses while anything but col holds it), or copied when a column handed
+    out by an earlier fill still holds it (the blocks `_report` views are gone
+    once it has returned)."""
+    try:
+        col[2].resize((rows, *col[2].shape[1:]))
+    except ValueError:  # a copy, its rows past the old ones to be overwritten
+        col[2] = np.concatenate([col[2][:rows], col[2][:max(rows - len(col[2]), 0)]])
 
 
 def check_finite(x, trace=None):
@@ -309,6 +330,9 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
     entropy or simplex iterate may leave its domain by rounding).
     `view(state)` returns the (x, grad, snapshot) to record; grad=None has
     the recorder evaluate it uncounted, once the run is over. The recorder
+    copies x and the snapshot's float vectors into the trace's columns as it
+    records them (see `Recorder` for the keys it takes), so a step may modify
+    those arrays in place later, and it
     fills the `potential` column from `certify.potential_of(method)`, if any
     (see `Recorder`). A DivergedError or InnerSolveError raised on the way
     carries the partial trace.
@@ -318,17 +342,12 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
                    None if N is None else N + 1)
     state, step = start(CountingOracle(getattr(problem, "smooth", problem), counters))
     try:
-        x, grad, snap = view(state)
-        rec.record(0, x, grad=grad, state=snap, last=N == 0)
-        k = 0
-        while N is None or k < N:
-            state = step(state)
-            if state is None:
-                break
-            check_finite(state[check])
-            k += 1
+        for k in count():
             x, grad, snap = view(state)
             rec.record(k, x, grad=grad, state=snap, last=k == N)
+            if k == N or (state := step(state)) is None:
+                break
+            check_finite(state[check])
     except (DivergedError, InnerSolveError) as exc:
         if exc.trace is None:
             exc.trace = rec.trace

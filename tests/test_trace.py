@@ -495,3 +495,103 @@ def test_only_a_missing_certificate_leaves_the_potential_column_empty(quad_2, mo
     monkeypatch.setitem(certify._POTENTIALS, "gd", broken)
     with pytest.raises(InvalidArgument, match="broken potential"):
         poly_methods.gradient_descent(quad_2, 0.1, np.ones(2), 5)
+
+
+# ---------------------------------------------------------------------------
+# snapshot vectors are copied into their columns at record time
+
+def test_a_step_may_modify_a_recorded_snapshot_vector_in_place(quad_2):
+    # every step overwrites the one z array in place after its view returned it
+    def start(co):
+        def step(s):
+            s["z"][:] = s["k"] + 1.0
+            return {"k": s["k"] + 1, "x": s["x"] / 2.0, "z": s["z"]}
+
+        return {"k": 0, "x": np.ones(2), "z": np.zeros(2)}, step
+
+    tr = tr_mod.drive("in_place", quad_2, {}, start, lambda s: (s["x"], None, {"z": s["z"]}), N=3)
+    want = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+    assert tr.column("z").tolist() == want
+    assert [r.state["z"].tolist() for r in tr] == want
+    for state in tr.states:
+        assert np.shares_memory(state["z"], tr.column("z")) and not state["z"].flags.writeable
+
+
+def test_an_ogm_run_peaks_less_than_half_a_column_above_its_trace():
+    # the recorder copies each snapshot vector once, into its column, and the
+    # potential forms its column-sized temporaries in blocks of 64 rows
+    import gc
+    import tracemalloc
+
+    from accelib import momentum, oracles
+
+    d, N = 200, 1000
+    rng = np.random.default_rng(3)
+    p = oracles.make_quadratic(np.linspace(0.1, 10.0, d), rng.standard_normal(d), seed=3)
+    x0 = rng.standard_normal(d)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = momentum.ogm(p, x0, N)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column = (N + 1) * d * 8
+    assert len(tr) == N + 1 and kept - before > 4 * column  # x, z, y_prev, g_prev
+    assert peak - kept < column / 2
+
+
+def test_snapshot_columns_of_a_run_of_unknown_length_grow_in_place():
+    # 64 rows, doubled whenever full: a buffer that each doubling copied would
+    # hold the old and the new rows together, 1.5 columns above the trace
+    import gc
+    import tracemalloc
+
+    d, n = 100, 1000
+    rec = tr_mod.Recorder("gd", None, tr_mod.Counters())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(n):
+            x = np.full(d, float(k))
+            rec.record(k, x, grad=x, state={"z": -x, "A": float(k)})
+        tr = rec.trace
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column = n * d * 8
+    assert tr.column("z")[n - 1, 0] == -(n - 1.0) and tr.x.base is None
+    assert 2 * column < kept - before and peak - kept < column / 2
+
+
+def test_a_snapshot_vector_is_in_every_record_from_its_first(quad_2):
+    # y is a copy until its last record, where it is the iterate itself (as
+    # OGM's form II records it); z stops after record 2
+    from accelib.errors import InvalidArgument, NoCertificate
+
+    rec = tr_mod.Recorder("gd", quad_2, tr_mod.Counters())
+    for k in range(5):
+        x = np.full(2, float(k))
+        state = {"y": x if k == 4 else x + 10.0}
+        if k < 3:
+            state["z"] = -x
+        rec.record(k, x, state=state)
+    tr = rec.trace
+    assert tr.column("y")[:, 0].tolist() == [10.0, 11.0, 12.0, 13.0, 4.0]
+    assert [s["z"][0] for s in tr.states[:3]] == [0.0, -1.0, -2.0]
+    assert all(not v.flags.writeable for s in tr.states for v in s.values())
+    with pytest.raises(NoCertificate):
+        tr.column("z")  # records 3 and 4 carry no z
+    # a vector key that skips a record, or that began as the iterate and then
+    # holds another array, has no column to extend
+    for states in ([{"z": np.ones(2)}, {}, {"z": np.ones(2)}],
+                   [{"y": None}, {"y": np.ones(2)}]):
+        rec = tr_mod.Recorder("gd", quad_2, tr_mod.Counters())
+        with pytest.raises(InvalidArgument, match="snapshot vector"):
+            for k, state in enumerate(states):
+                x = np.full(2, float(k))
+                rec.record(k, x, state={key: x if v is None else v for key, v in state.items()})
