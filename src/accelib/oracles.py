@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, lapack_lite
 
 from .errors import InvalidArgument, UnsupportedOracle
 
@@ -161,17 +162,42 @@ def in_blocks(fun, X, *more):
                            for lo in range(0, len(X), _BATCH)])
 
 
+def _gaussian_q(rng, d):
+    """The Q factor of a d x d standard Gaussian drawn from rng, and a spare
+    d x d buffer.
+
+    One copy of the Gaussian in column-major order is factored in place by
+    LAPACK's dgeqrf and turned into Q by dorgqr, the routines `np.linalg.qr`
+    calls, so Q has the same bits without that call's input copy and
+    discarded R. Q is returned C-ordered; the buffer, which held the
+    factorisation, is free for the caller to overwrite.
+    """
+    a = rng.standard_normal((d, d)).T.copy()  # a copy even at d = 1
+    tau = np.empty(d)
+    for routine, args in ((lapack_lite.dgeqrf, (d, d, a, d, tau)),
+                          (lapack_lite.dorgqr, (d, d, d, a, d, tau))):
+        work = np.empty(1)
+        routine(*args, work, -1, 0)  # workspace query
+        work = np.empty(max(1, d, int(work[0])))
+        info = routine(*args, work, work.size, 0)["info"]
+        if info != 0:
+            raise LinAlgError(f"{routine.__name__} returned info = {info}")
+    return a.T.copy(), a
+
+
 def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     """f(x) = 1/2 <x - x_star; H (x - x_star)> + f_star.
 
     H is diagonal with the given eigenvalues; pass a seed to conjugate it by a
     random orthogonal matrix Q so methods cannot exploit axis alignment. The
     rotated oracle stores Q and H = B B^T, with B = Q diag(sqrt(eigs)), formed
-    once (a QR and one `syrk`; H is exactly symmetric). value, gradient and
-    `hessian_matvec` cost one d x d product, their row-stacked forms one
-    matrix-matrix product; `value_and_gradient` costs one too, taking
-    f = 1/2 <x - x_star, grad f(x)> + f_star from the gradient. The prox is
-    exact and uses the factored form,
+    once: Q from LAPACK's QR done in place on one copy of a seeded Gaussian
+    (`_gaussian_q`), B written over that copy, then one `syrk` (H is exactly
+    symmetric), so the build holds at most three d x d arrays. value,
+    gradient and `hessian_matvec` cost one d x d product, their row-stacked
+    forms one matrix-matrix product; `value_and_gradient` costs one too,
+    taking f = 1/2 <x - x_star, grad f(x)> + f_star from the gradient. The
+    prox is exact and uses the factored form,
     prox_{lam f}(x) = x_star + Q (I + lam diag(eigs))^{-1} Q^T (x - x_star):
     two d x d products. Raises InvalidArgument when H is not finite.
     """
@@ -187,11 +213,11 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
 
     Q = H = None
     if seed is not None:
-        rng = np.random.default_rng(seed)
-        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        B = Q * np.sqrt(eigs)
+        Q, B = _gaussian_q(np.random.default_rng(seed), d)
+        np.multiply(Q, np.sqrt(eigs), out=B)
         with np.errstate(over="ignore", invalid="ignore"):
             H = B @ B.T
+        del B  # before the finiteness mask, so the peak stays at Q, B and H
         if not np.all(np.isfinite(H)):
             raise InvalidArgument("the rotated Hessian overflows; eigenvalues too large")
 

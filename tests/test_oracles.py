@@ -294,6 +294,48 @@ def test_rotated_quadratic_with_an_overflowing_hessian_is_refused():
         oracles.make_quadratic(np.full(5, np.finfo(float).max), np.zeros(5), seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 17, 64, 200])
+def test_rotated_quadratic_equals_the_numpy_qr_construction_bit_for_bit(d, seed):
+    # the reference: Q from np.linalg.qr of the same draw, H = B B^T with
+    # B = Q diag(sqrt(eigs)), and the oracle's formulas; d = 1 checks that
+    # writing B does not overwrite Q
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    eigs = np.linspace(0.1, 10.0, d)
+    B = Q * np.sqrt(eigs)
+    H = B @ B.T
+    rng = np.random.default_rng(d)
+    x_star, x, X = rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal((5, d))
+    p = oracles.make_quadratic(eigs, x_star, f_star=0.5, seed=seed)
+    w, W = x - x_star, X - x_star
+    np.testing.assert_array_equal(p.gradient(x), w @ H)
+    np.testing.assert_array_equal(p.gradient(X), W @ H)
+    assert p.value(x) == 0.5 * np.dot(w, w @ H) + 0.5
+    np.testing.assert_array_equal(p.value(X), 0.5 * np.einsum("ij,ij->i", W, W @ H) + 0.5)
+    for lam in (1e-3, 1.0):
+        np.testing.assert_array_equal(p.prox(x, lam),
+                                      x_star + Q @ ((Q.T @ w) / (1.0 + lam * eigs)))
+    np.testing.assert_array_equal(p.hessian_matvec(x), x @ H)
+    np.testing.assert_array_equal(p.hessian_matvec(np.eye(d)), H)
+
+
+def test_building_a_rotated_quadratic_holds_three_d_by_d_arrays():
+    # Q, B and H: the QR is done in place on one copy of the Gaussian, which
+    # then holds B (4.13 d^2 doubles when np.linalg.qr's copies were held too)
+    import tracemalloc
+
+    d = 400
+    eigs, x_star = np.linspace(0.1, 10.0, d), np.zeros(d)
+    oracles.make_quadratic(eigs[:2], x_star[:2], seed=1)  # warm up
+    tracemalloc.start()
+    try:
+        oracles.make_quadratic(eigs, x_star, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * d * d) <= 3.05
+
+
 def test_fgm_on_a_rotated_quadratic_is_interpolable_in_high_dimension():
     from accelib import certify, momentum
     from accelib.tolerances import tol_for
