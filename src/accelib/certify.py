@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NoCertificate, UnsupportedOracle
 from .tolerances import tol_for
-from .oracles import _BATCH, CompositeProblem, bregman_divergence, in_blocks, optimum
+from .oracles import _BATCH, bregman_divergence, in_blocks, optimum
 
 LAMBDA_GRID = np.linspace(0.0, 1.0, 11)
 
@@ -178,37 +178,30 @@ def potential_of(method):
     return _POTENTIALS.get(method.split("(")[0])
 
 
-def evaluate_potential(potential, trace, gap, x_star, objective, f_star):
-    """(phi, margins) of a potential on the trace, given gap() = F(x_k) - F* per
-    record; the objective less f_star is evaluated in blocks where the potential
-    needs it at other points. The recorder's fill and `potential_series` evaluate
-    every potential, with its gaps, here: a diverged run, or gd at gamma = 1/mu,
-    gives inf/nan entries and no warning."""
-    with np.errstate(all="ignore"):
-        return potential(trace, gap(), x_star, lambda Y: in_blocks(objective, Y) - f_star)
-
-
-def potential_series(trace, problem, smooth_values=None):
-    """(phi, margins) of the trace method's potential, recomputed from
-    `problem`, whose objective is evaluated row-stacked (see check_potential).
-    `smooth_values`, when given, are the smooth part's values at the trace's
-    iterates, evaluated by the caller in the blocks of `in_blocks` (as
-    `harvest_triplets` does): the objective there is then those values, plus
-    the nonsmooth part's for a `CompositeProblem`, the same floats."""
-    fun, x_star, f_star = optimum(problem)
+def evaluate_potential(potential, trace, problem, values=None):
+    """(phi, margins) of a potential on the trace, measured from the optimum of
+    `problem` (see `oracles.optimum`). The gaps are `values`, the objective at
+    the records' iterates when the caller has them, less F*; else the objective
+    is evaluated there in blocks, as it is wherever the potential needs it at
+    other points. Raises NoCertificate without a known optimum (or a problem)
+    or a potential. The recorder's fill and `potential_series` evaluate every
+    potential here: a diverged run, or gd at gamma = 1/mu, gives inf/nan
+    entries and no warning."""
+    fun, x_star, f_star = (None,) * 3 if problem is None else optimum(problem)
     if x_star is None:
         raise NoCertificate("potential checks need a known optimum")
-    handler = potential_of(trace.method)
-    if handler is None:
+    if potential is None:
         raise NoCertificate(f"no potential registered for {trace.method!r}")
+    with np.errstate(all="ignore"):
+        gap = (in_blocks(fun, trace.x) if values is None else values) - f_star
+        return potential(trace, gap, x_star, lambda Y: in_blocks(fun, Y) - f_star)
 
-    def gap():  # under evaluate_potential's errstate, as a diverged trace overflows here
-        if smooth_values is None:
-            return in_blocks(fun, trace.x) - f_star
-        if isinstance(problem, CompositeProblem):
-            return smooth_values + in_blocks(problem.nonsmooth.value, trace.x) - f_star
-        return smooth_values - f_star
-    return evaluate_potential(handler, trace, gap, x_star, fun, f_star)
+
+def potential_series(trace, problem, values=None):
+    """(phi, margins) of the trace method's potential, recomputed from
+    `problem`, whose objective is evaluated row-stacked (see check_potential)
+    unless `values` gives it at the trace's iterates (see evaluate_potential)."""
+    return evaluate_potential(potential_of(trace.method), trace, problem, values)
 
 
 def check_potential(trace, problem):
@@ -361,7 +354,10 @@ def verdict(trace, problem):
     NoCertificate on a trace without a certificate."""
     smooth = getattr(problem, "smooth", problem)
     triplets = harvest_triplets(trace, smooth)
-    _, margins = potential_series(trace, problem, triplets.F)
+    values = triplets.F  # the objective at the iterates: plus h for a composite problem
+    if smooth is not problem:
+        values = values + in_blocks(problem.nonsmooth.value, trace.x)
+    _, margins = potential_series(trace, problem, values)
     interp = check_interpolation(triplets, smooth.params.mu, smooth.params.L)
     bad = []
     for slacks, tol in ((margins, tol_for(potential_scale(trace, problem))),

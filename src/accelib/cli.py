@@ -27,10 +27,9 @@ import numpy as np
 
 from . import __version__
 from . import certify as certify_mod
-from . import composite, momentum, poly_methods, prox_outer
+from . import composite, momentum, oracles, poly_methods, prox_outer
 from .errors import (ContractViolation, DivergedError, InvalidArgument, NoCertificate,
                      RunawayLError, UnsupportedOracle)
-from .oracles import CompositeProblem, make_huber, make_l1, make_quadratic, make_zero
 from .tolerances import tol_for, tolerances
 
 EXIT_SCHEMA = 2
@@ -64,13 +63,13 @@ def parse_problem(spec, seed, mu, L):
                 lo, hi = hi / opts["kappa"], hi
             eigs = np.linspace(lo, hi, d)
             x_star = rng.standard_normal(d)
-            return make_quadratic(eigs, x_star, seed=seed), None
+            return oracles.make_quadratic(eigs, x_star, seed=seed), None
         if kind == "huber":
-            return make_huber(opts.get("tau", 0.1), L or 1.0, d), None
+            return oracles.make_huber(opts.get("tau", 0.1), L or 1.0, d), None
         if kind == "lasso":
             eigs = np.linspace(mu if mu else 1.0, L if L else 10.0, d)
-            smooth = make_quadratic(eigs, rng.standard_normal(d), seed=seed)
-            problem = CompositeProblem(smooth, make_l1(opts.get("weight", 0.1), d))
+            smooth = oracles.make_quadratic(eigs, rng.standard_normal(d), seed=seed)
+            problem = oracles.CompositeProblem(smooth, oracles.make_l1(opts.get("weight", 0.1), d))
             return smooth, problem
         raise ConfigError(f"unknown problem kind {spec!r}")
     except (ValueError, InvalidArgument) as exc:
@@ -151,8 +150,8 @@ def _setup(args):
     if args.N < 0:
         raise ConfigError("--N must be >= 0")
     if problem is None:
-        problem = CompositeProblem(oracle, make_zero(x0.size), x_star=oracle.x_star,
-                                   F_star=oracle.f_star)
+        problem = oracles.CompositeProblem(oracle, oracles.make_zero(x0.size),
+                                           x_star=oracle.x_star, F_star=oracle.f_star)
     return oracle, problem, x0
 
 
@@ -191,6 +190,7 @@ def write_outputs(trace, args, bound, config):
         "value_calls": trace.final.value_calls,
         "bound": bound,
         "bound_satisfied": satisfied,
+        # null exactly when `certify` with these flags exits 4, and with one record
         "potential_worst_margin": trace.meta.get("potential_worst_margin"),
         "potential_worst_step": trace.meta.get("potential_worst_step"),
         "provenance": {"accelib": __version__, "numpy": np.__version__,

@@ -179,13 +179,16 @@ class Recorder:
     part's), NaN when none is known. With every gradient passed and no
     optimum known, `problem` may be None.
 
-    `potential`, when given and the optimum is known, is one of the `certify`
-    potentials (`drive` passes the method's); the fill then sets the
-    `potential` column from it (see `certify.evaluate_potential`) and puts the
-    worst margin and its step in the meta (`potential_worst_margin`,
-    `potential_worst_step`), unless it raises NoCertificate, as on records
-    that carry no certificate (form II), where `potential_series` refuses too.
-    It reads the snapshot columns through `Trace.column`.
+    `potential` is one of the `certify` potentials or None (`drive` passes
+    the method's). The fill hands it, `problem` and the objective values it
+    just computed to `certify.evaluate_potential`, which measures it from the
+    problem's own optimum (never the smooth part's), and sets the `potential`
+    column from it and the worst margin and its step in the meta
+    (`potential_worst_margin`, `potential_worst_step`), unless that raises
+    NoCertificate: no potential, no known optimum (or no problem), or records
+    that carry no certificate (form II). So the column is filled exactly when
+    `certify.potential_series(trace, problem)` succeeds. The potential reads
+    the snapshot columns through `Trace.column`.
     """
 
     def __init__(self, method, problem, counters, meta=None, potential=None, rows=None):
@@ -195,7 +198,7 @@ class Recorder:
         # buffer], the entries of records first .. first + rows - 1 (rows of x while
         # buffer is None); self._norms: the recorded gradient norms (None: to evaluate)
         self._columns, self._norms = {}, []
-        self._counters, self._potential = counters, potential
+        self._counters, self._potential, self._problem = counters, potential, problem
         self._smooth = getattr(problem, "smooth", problem)
         self._h = getattr(problem, "nonsmooth", None)
         self._objective = self._x_star = self._f_star = None
@@ -257,18 +260,16 @@ class Recorder:
             if col[2] is not None:
                 _resize(col, col[1])
         X = self._columns[None][2]
-        gap, norms, dist = self._report(X)
+        values, norms, dist = self._report(X)
+        gap = values if self._f_star is None else values - self._f_star
         trace.set_columns([(key, first, X[first:first + rows] if buf is None else buf)
                            for key, (first, rows, buf) in self._columns.items() if key is not None],
                           x=X, f_gap=gap, grad_norm=norms, dist_opt=dist)
-        if self._potential is None or self._f_star is None:
-            return
-        # from the f_gap column just filled: only potentials that need the
-        # objective at other points (OGM's y_prev) evaluate it again
+        # from the objective values just computed: only potentials that need
+        # it at other points (OGM's y_prev) evaluate it again
         try:
-            phi, margins = evaluate_potential(self._potential, trace, lambda: gap,
-                                              self._x_star, self._objective, self._f_star)
-        except NoCertificate:  # the records carry no certificate (e.g. form II)
+            phi, margins = evaluate_potential(self._potential, trace, self._problem, values)
+        except NoCertificate:  # no potential, optimum or certificate (e.g. form II)
             return
         phi.flags.writeable = False
         trace.potential = phi
@@ -277,9 +278,10 @@ class Recorder:
             trace.meta.update(potential_worst_margin=float(margins[k]), potential_worst_step=k)
 
     def _report(self, X):
-        """f_gap, gradient norms and dist_opt of every row of X, in blocks of _BATCH rows."""
+        """The objective, gradient norms and dist_opt of every row of X, in
+        blocks of _BATCH rows; the objective and dist_opt are NaN without an optimum."""
         n, norms = len(X), list(self._norms)
-        gap, dist = np.full(n, np.nan), np.full(n, np.nan)
+        values, dist = np.full(n, np.nan), np.full(n, np.nan)
         for lo in range(0, n, _BATCH):
             block = X[lo:lo + _BATCH]
             blind = [i for i in range(len(block)) if norms[lo + i] is None]
@@ -289,14 +291,14 @@ class Recorder:
                     F, G = (F if self._h is None else F + self._h.value(block)), G[blind]
                 else:
                     F = self._objective(block)
-                gap[lo:lo + len(block)] = F - self._f_star
+                values[lo:lo + len(block)] = F
                 dist[lo:lo + len(block)] = np.linalg.norm(block - self._x_star, axis=1)
             elif blind:
                 G = self._smooth.gradient(block[blind])
             if blind:
                 for i, norm in zip(blind, np.linalg.norm(G, axis=1).tolist()):
                     norms[lo + i] = norm
-        return gap, np.array(norms, dtype=float), dist
+        return values, np.array(norms, dtype=float), dist
 
 
 def _resize(col, rows):
@@ -332,10 +334,10 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
     the recorder evaluate it uncounted, once the run is over. The recorder
     copies x and the snapshot's float vectors into the trace's columns as it
     records them (see `Recorder` for the keys it takes), so a step may modify
-    those arrays in place later, and it
-    fills the `potential` column from `certify.potential_of(method)`, if any
-    (see `Recorder`). A DivergedError or InnerSolveError raised on the way
-    carries the partial trace.
+    those arrays in place later, and it fills the `potential` column from
+    `certify.potential_of(method)` exactly when `certify.potential_series`
+    would succeed on the trace and `problem` (see `Recorder`). A DivergedError
+    or InnerSolveError raised on the way carries the partial trace.
     """
     counters = Counters()
     rec = Recorder(method, problem, counters, meta, potential_of(method),

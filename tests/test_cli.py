@@ -694,3 +694,17 @@ def test_gd_bound_is_attained_at_every_horizon_up_to_200():
         bound = cli._gd_bound(argparse.Namespace(N=N, gamma=None), huber, None, R)
         assert abs(gap / bound - 1.0) <= 2 * N * np.finfo(float).eps
         assert gap <= bound + tol_for(bound)
+
+
+@pytest.mark.parametrize("method", ["fista", "prox_agm"])
+def test_run_reports_no_potential_where_certify_has_no_certificate(method, tmp_path, capsys):
+    # a lasso spec has no known optimum: the sidecar's potential keys are null,
+    # not a margin measured from the smooth part's optimum, and certify exits 4
+    argv = ["--method", method, "--problem", "lasso:d=6", "--N", "20"]
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", *argv, "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.csv.json").read_text())
+    assert side["potential_worst_margin"] is None and side["potential_worst_step"] is None
+    assert all(row.split(",")[4] == "" for row in out.read_text().split("\n")[1:-1])
+    assert cli.main(["certify", *argv]) == 4
+    assert capsys.readouterr().err.endswith("error: potential checks need a known optimum\n")

@@ -285,3 +285,13 @@ def test_catalyst_counts_one_hessian_product_per_closed_form_line_search(budget)
                po.ppa(p, [0.5] * 5, x0),
                po.accel_inexact_ppa(po.exact_prox_solver(p), [0.5] * 5, 0.0, x0, oracle=p)]
     assert all(r.hess_calls == 0 for tr in others for r in tr)
+
+
+def test_accel_inexact_ppa_without_an_oracle_reports_the_solver_gradients(quad_2):
+    # problem=None: no optimum, so NaN gaps and distances and no potential,
+    # while every gradient norm comes from the solver's g (x0's is zero)
+    tr = po.accel_inexact_ppa(po.exact_prox_solver(quad_2), [0.5] * 5, 0.0, np.array([3.0, 1.0]))
+    assert len(tr) == 6
+    assert np.isnan(tr.f_gap).all() and np.isnan(tr.dist_opt).all()
+    assert tr.potential is None and "potential_worst_margin" not in tr.meta
+    assert np.isfinite(tr.grad_norm).all() and tr.grad_norm[0] == 0.0

@@ -595,3 +595,24 @@ def test_a_snapshot_vector_is_in_every_record_from_its_first(quad_2):
             for k, state in enumerate(states):
                 x = np.full(2, float(k))
                 rec.record(k, x, state={key: x if v is None else v for key, v in state.items()})
+
+
+def test_a_composite_problem_without_an_optimum_gets_no_potential(quad_6):
+    # the column is measured from the problem's own optimum, as certify's is:
+    # the smooth part's optimum is no certificate of the composite problem
+    from accelib import certify as ct, composite as cp, momentum as mo, oracles
+    from accelib.errors import NoCertificate
+
+    x0, d = np.ones(6), 6
+    lasso = oracles.CompositeProblem(quad_6, oracles.make_l1(0.1, d))
+    simplex = oracles.CompositeProblem(quad_6, oracles.make_simplex_indicator(d))
+    runs = [(cp.fista(lasso, x0, 20), lasso),
+            (cp.prox_agm(lasso, x0, 20), lasso),
+            (mo.bregman_agm(simplex, np.full(d, 1.0 / d), 20, dgf="entropy"), simplex),
+            (mo.monotone_wrap("fista", lasso, x0, 20), lasso)]
+    for trace, problem in runs:
+        assert trace.potential is None, trace.method
+        assert not {"potential_worst_margin", "potential_worst_step"} & set(trace.meta)
+        assert all(row.split(",")[4] == "" for row in trace.to_csv().split("\n")[1:-1])
+        with pytest.raises(NoCertificate, match="potential checks need a known optimum"):
+            ct.potential_series(trace, problem)
