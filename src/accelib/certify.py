@@ -170,8 +170,11 @@ def check_class_inequalities(oracle, mu, L, which=None, samples=200, seed=0):
 # `Recorder` fills), margins[k] = phi_k - phi_{k+1} (or rho v_k - v_{k+1}).
 # A potential raises NoCertificate on a trace whose records do not carry
 # its certificate (form II of fgm, ogm and constant momentum). Temporaries of
-# a whole column (z - x*, say) are formed in the blocks of `in_blocks`, so a
-# potential holds little beyond the trace's own columns.
+# a whole column (z - x*, say) are formed in blocks, so a potential holds
+# little beyond the trace's own columns: the objective in the 64-row blocks of
+# `in_blocks` from row 0, as the recorder's fill evaluates it, and the
+# elementwise distances of `_dist2` and `_y_term` in blocks of _TEMP_BYTES (at
+# least 64 rows), whose size no bit of a row depends on.
 
 def potential_of(method):
     """The potential _POTENTIALS registers for a method name ("monotone(fgm)": "monotone")."""
@@ -221,8 +224,17 @@ def _sq(X):
     return _dot(X, X)
 
 
+_TEMP_BYTES = 256 * 1024
+
+
+def _rows(X):
+    """Rows per block of a temporary shaped like X: _TEMP_BYTES, at least _BATCH."""
+    return max(_BATCH, _TEMP_BYTES // max(X.itemsize * X.shape[-1], 1))
+
+
 def _dist2(trace, key, x_star):
-    return in_blocks(lambda Z: _sq(Z - x_star), trace.column(key))
+    Z = trace.column(key)
+    return in_blocks(lambda B: _sq(B - x_star), Z, rows=_rows(Z))
 
 
 def _estimate(A, gap, c, mu, dist2):
@@ -279,7 +291,7 @@ def _y_term(trace, lo, mu, L, x_star):
     from record `lo` on."""
     G = trace.column("g", lo)
     return (-_sq(G) / (2.0 * L) - mu / (2.0 * (1.0 - mu / L)) * in_blocks(
-        lambda Y, G: _sq(Y - G / L - x_star), trace.x[lo:], G))
+        lambda Y, G: _sq(Y - G / L - x_star), trace.x[lo:], G, rows=_rows(G)))
 
 
 def item_potential(trace, gap, x_star, gap_at):

@@ -16,6 +16,7 @@ state, or a composite problem without a known optimum); 5 certificate violated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -32,47 +33,70 @@ from .errors import (ContractViolation, DivergedError, InvalidArgument, NoCertif
                      RunawayLError, UnsupportedOracle)
 from .tolerances import tol_for, tolerances
 
-EXIT_SCHEMA = 2
-EXIT_DIVERGED = 3
-EXIT_NO_CERT = 4
-EXIT_CERT_FAIL = 5
+EXIT_SCHEMA, EXIT_DIVERGED, EXIT_NO_CERT, EXIT_CERT_FAIL = 2, 3, 4, 5
 
 
 class ConfigError(Exception):
     pass
 
 
+D_MAX = 4096  # the bound on every spec's d (see parse_problem)
+_D = (int, 10, lambda v: 1 <= v <= D_MAX, f"an integer from 1 to {D_MAX}")
+
+
+def _rotated(seed, lo, hi, d):  # eigenvalues spaced from lo to hi; x_star and Q from seed
+    x_star = np.random.default_rng(seed).standard_normal(d)
+    return oracles.make_quadratic(np.linspace(lo, hi, d), x_star, seed=seed)
+
+
+def _quad(seed, mu, L, d, kappa):
+    lo = (L or 10.0) / kappa if kappa else mu if mu and mu > 0 else 1.0
+    return _rotated(seed, lo, L or 10.0, d), None
+
+
+def _lasso(seed, mu, L, d, weight):
+    smooth = _rotated(seed, mu or 1.0, L or 10.0, d)
+    return smooth, oracles.CompositeProblem(smooth, oracles.make_l1(weight, d))
+
+
+# kind -> (builder(seed, mu, L, **options) -> (oracle, composite problem or None),
+#          {key: (parse, default, check, the check in words)}); a float's check
+# also refuses inf, and NaN fails every comparison
+PROBLEMS = {
+    "quad": (_quad, {"d": _D, "kappa": (float, None, lambda v: 1 <= v < np.inf,
+                                        "a finite float >= 1 (it is L/mu)")}),
+    "huber": (lambda seed, mu, L, d, tau: (oracles.make_huber(tau, L or 1.0, d), None),
+              {"d": _D, "tau": (float, 0.1, lambda v: 0 < v < np.inf, "a finite float > 0")}),
+    "lasso": (_lasso, {"d": _D, "weight": (float, 0.1, lambda v: 0 <= v < np.inf,
+                                           "a finite float >= 0")}),
+}
+
+
 def parse_problem(spec, seed, mu, L):
-    """Problem specs: quad:d=20 | quad:d=20,kappa=10 | huber:d=1,tau=0.1 |
-    lasso:d=10,weight=0.1."""
-    try:
-        kind, _, rest = spec.partition(":")
-        opts = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                opts[key] = float(val)
-        d = int(opts.get("d", 10))
-        rng = np.random.default_rng(seed)
-        if kind == "quad":
-            lo = mu if mu and mu > 0 else 1.0
-            hi = L if L else 10.0
-            if "kappa" in opts:
-                if not opts["kappa"] > 0:
-                    raise ConfigError("kappa must be > 0")
-                lo, hi = hi / opts["kappa"], hi
-            eigs = np.linspace(lo, hi, d)
-            x_star = rng.standard_normal(d)
-            return oracles.make_quadratic(eigs, x_star, seed=seed), None
-        if kind == "huber":
-            return oracles.make_huber(opts.get("tau", 0.1), L or 1.0, d), None
-        if kind == "lasso":
-            eigs = np.linspace(mu if mu else 1.0, L if L else 10.0, d)
-            smooth = oracles.make_quadratic(eigs, rng.standard_normal(d), seed=seed)
-            problem = oracles.CompositeProblem(smooth, oracles.make_l1(opts.get("weight", 0.1), d))
-            return smooth, problem
-        raise ConfigError(f"unknown problem kind {spec!r}")
-    except (ValueError, InvalidArgument) as exc:
+    """(smooth oracle, composite problem or None) for `kind:key=value,...`, by
+    the kind's `PROBLEMS` entry. Keys (type, default, check): d (int, 10, 1 to
+    D_MAX = 4096: a rotated quadratic holds three d x d arrays, 384 MiB), quad
+    kappa (float, none, >= 1), huber tau (float, 0.1, > 0), lasso weight (float,
+    0.1, >= 0). Floats are finite. A bad key is a ConfigError naming it."""
+    kind, _, rest = spec.partition(":")
+    if kind not in PROBLEMS:
+        raise ConfigError(f"problem spec {spec!r}: unknown kind (kinds: {', '.join(PROBLEMS)})")
+    build, options = PROBLEMS[kind]
+    given = {}
+    for key, _, text in (item.partition("=") for item in rest.split(",") if rest):
+        where = f"problem spec {spec!r}: {key}={text!r}"
+        if key not in options:
+            raise ConfigError(f"{where}: {kind} takes only {', '.join(options)}")
+        if key in given:
+            raise ConfigError(f"{where}: {key} is given twice")
+        parse, _, check, rule = options[key]
+        with contextlib.suppress(ValueError):
+            given[key] = parse(text)
+        if key not in given or not check(given[key]):
+            raise ConfigError(f"{where}: {key} must be {rule}")
+    try:  # every key is checked before anything is built
+        return build(seed, mu, L, **{k: given.get(k, option[1]) for k, option in options.items()})
+    except ValueError as exc:  # e.g. a negative --seed
         raise ConfigError(str(exc)) from exc
 
 
@@ -185,9 +209,7 @@ def write_outputs(trace, args, bound, config):
     summary = {
         "config": config,
         "final_gap": trace.final.f_gap,
-        "grad_calls": trace.final.grad_calls,
-        "prox_calls": trace.final.prox_calls,
-        "value_calls": trace.final.value_calls,
+        **{key: getattr(trace.final, key) for key in ("grad_calls", "prox_calls", "value_calls")},
         "bound": bound,
         "bound_satisfied": satisfied,
         # null exactly when `certify` with these flags exits 4, and with one record
@@ -208,9 +230,8 @@ def write_outputs(trace, args, bound, config):
 def cmd_run(args):
     method, (oracle, problem, x0) = METHODS[args.method], _setup(args)
     trace = method.run(args, problem if method.composite else oracle, x0)
-    bound = None
-    if method.bound is not None and args.N > 0:
-        bound = method.bound(args, oracle, x0, float(np.linalg.norm(x0 - oracle.x_star)))
+    bound = (method.bound(args, oracle, x0, float(np.linalg.norm(x0 - oracle.x_star)))
+             if method.bound is not None and args.N > 0 else None)
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     write_outputs(trace, args, bound, config)
     return 0
@@ -251,8 +272,7 @@ def cmd_certify(args):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process on first use."""
-    parser = argparse.ArgumentParser(prog="accelib",
-                                     description="first-order method runner")
+    parser = argparse.ArgumentParser(prog="accelib", description="first-order method runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, require_method=True):
@@ -263,9 +283,8 @@ def build_parser():
         p.add_argument("--N", type=int, default=50)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
+        for flag, dest in (("--mu", "mu"), ("--L", "L"), ("--lambda", "lam")):
+            p.add_argument(flag, dest=dest, type=float)
         p.add_argument("--form", default=None, choices=("I", "II", "III"))
         p.add_argument("--mode", default=None, choices=composite.MODES)
         p.add_argument("--gamma", type=float, default=None)
@@ -280,9 +299,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the schema-error code
         return int(exc.code) if exc.code else 0
@@ -295,16 +313,13 @@ def main(argv=None):
     except BrokenPipeError:  # the reader went away (e.g. `| head -1`): not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except NoCertificate as exc:  # before InvalidArgument, its base
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CERT
+    # ContractViolation and RunawayLError: flags past what the method can take;
+    # MemoryError: past what memory can take, e.g. certify's N^2 slacks
     except (ConfigError, InvalidArgument, UnsupportedOracle, ContractViolation,
-            RunawayLError) as exc:  # the last two: flags past what the method can take
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except MemoryError as exc:  # flags past what memory can take, e.g. certify's N^2 slacks
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+            RunawayLError, MemoryError) as exc:
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {oom}{exc}", file=sys.stderr)
+        return EXIT_NO_CERT if isinstance(exc, NoCertificate) else EXIT_SCHEMA
     except DivergedError as exc:
         if args.command == "run" and args.out and exc.trace is not None:
             _write(args.out, exc.trace.to_csv())  # the partial trace

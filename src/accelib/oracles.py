@@ -151,15 +151,15 @@ def optimum(problem):
 _BATCH = 64
 
 
-def in_blocks(fun, X, *more):
+def in_blocks(fun, X, *more, rows=_BATCH):
     """fun over the rows of X, and the matching rows of each array in `more`,
-    in blocks of at most _BATCH rows; fun returns one value per row."""
+    in blocks of at most `rows` rows; fun returns one value per row."""
     if not len(X):
         return np.empty(0)
-    if len(X) <= _BATCH:
+    if len(X) <= rows:
         return fun(X, *more)
-    return np.concatenate([fun(X[lo:lo + _BATCH], *[A[lo:lo + _BATCH] for A in more])
-                           for lo in range(0, len(X), _BATCH)])
+    return np.concatenate([fun(X[lo:lo + rows], *[A[lo:lo + rows] for A in more])
+                           for lo in range(0, len(X), rows)])
 
 
 def _gaussian_q(rng, d):
