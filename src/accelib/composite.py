@@ -51,6 +51,8 @@ def _composite_factory(method, problem, co_f, x0, mu, L0, alpha, mode):
         raise InvalidArgument(f"unknown backtracking mode {mode!r}")
     if alpha <= 1:
         raise InvalidArgument("alpha must be > 1")
+    if not mu >= 0:  # q = mu/L < 0 has no A-sequence (a ZeroDivisionError in _tau_delta)
+        raise InvalidArgument("mu must be >= 0")
     if L0 <= mu:
         raise InvalidArgument("L0 must exceed mu")
     shrink = 1.0 / alpha  # decrease mode's factor

@@ -261,6 +261,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     phi_params = ClassParams(oracle.params.mu + 1.0 / lam, L + 1.0 / lam)
     total = 0
     exhausted = False
+    inner_counts = []  # n_inner of each outer step the run records
 
     def start(co):
         def step(s):
@@ -277,6 +278,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
             if not stopped:
                 exhausted = True
                 return None
+            inner_counts.append(n_inner)
             return {"x": w, "z": _z_next(z, w, g, delta, mu), "A": A1, "g": g,
                     "n_inner": n_inner}
 
@@ -288,7 +290,6 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                    "burden": burden}, start,
                   lambda s: (s["x"], s.get("g"), {"A": s["A"], "z": s["z"],
                                                    "n_inner": s["n_inner"]}))
-    inner_counts = [s["n_inner"] for s in trace.states[1:]]
     trace.meta["inner_counts"] = inner_counts
     trace.meta["n_outer"] = len(inner_counts)
     trace.meta["n_total"] = total

@@ -16,6 +16,10 @@ from .certify import evaluate_potential, potential_of
 from .errors import DivergedError, InnerSolveError, InvalidArgument, NoCertificate
 from .oracles import _BATCH, optimum
 
+# np.vdot without its __array_function__ dispatch: = np.linalg.norm's squared
+# norm bit for bit (the same ddot), but unlike dot it does not warn on overflow
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
+
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
 
 # record fields that accumulate over a run, in the order of a trace's
@@ -30,58 +34,57 @@ TraceRecord = namedtuple("TraceRecord", ("k", "x", "f_gap", "grad_norm", "dist_o
 
 
 class Trace(Sequence):
-    """A run's records, held as columns: `k`, `tallies` (one TALLIES tuple per
-    record) and `states` (the snapshot dicts) are lists; `x` (n rows), f_gap,
-    grad_norm, dist_opt and potential (None without a potential) are
-    read-only arrays. Indexing and iteration give `TraceRecord`s built on
-    access (a slice, a list of them); `records` is the trace itself."""
+    """A run's records, held as columns: `k` and `tallies` (one TALLIES tuple
+    per record) are lists; `x` (n rows), f_gap, grad_norm, dist_opt and
+    potential (None without a potential) are read-only arrays, and so is each
+    snapshot key's column over its records: rows (a float vector), floats (a
+    float) or objects (any other entry). Indexing and iteration give
+    `TraceRecord`s built on access (a slice: a list of them), and `states`
+    their snapshots, a read-only sequence; `records` is the trace itself."""
 
     def __init__(self, method, meta=None):
         self.method, self.meta = method, dict(meta or {})
-        self.k, self.tallies, self.states = [], [], []
-        self.x = np.empty((0, 0))
+        self.k, self.tallies, self.x = [], [], np.empty((0, 0))
         self.f_gap = self.grad_norm = self.dist_opt = np.empty(0)
-        self.potential, self._columns = None, {"x": (0, self.x)}  # key -> (first record, column)
+        self.potential, self._snapshot = None, {}  # key -> (first record, column)
 
     def set_columns(self, snapshot=(), **columns):
-        """Each named array becomes the given column, which holds every row,
-        read-only. So does col of each (key, first, col) in `snapshot`: each
-        record's `key` entry from record `first` on becomes its read-only
-        row, and `column(key)` reads col when it runs to the last record (the
-        key "x" stays the iterates')."""
-        for name, col in columns.items():
+        """Set the named columns and each (key, first record, column) of `snapshot`, read-only."""
+        for col in (*columns.values(), *(col for _, _, col in snapshot)):
             col.flags.writeable = False
-            setattr(self, name, col)
-        self._columns = {"x": (0, self.x)}
-        for key, first, col in snapshot:
-            col.flags.writeable = False
-            for s, row in zip(self.states[first:], col):
-                s[key] = row
-            if first + len(col) == len(self):
-                self._columns.setdefault(key, (first, col))
+        vars(self).update(columns)
+        self._snapshot = {key: (first, col) for key, first, col in snapshot}
+
+    @property
+    def states(self):
+        return _States(self)
 
     def column(self, key, lo=0):
-        """The iterates (key "x") or the snapshot entry `key` of the records
-        from `lo` on, as floats, read-only. A snapshot vector is a lookup: a
-        view of the column the recorder wrote at record time, whose rows are
-        the records' entries. A scalar entry is stacked on each call. Raises
-        NoCertificate when a record from `lo` on lacks the key."""
-        first, col = self._columns.get(key, (lo, None))
-        if col is None or lo < first:  # below a vector's first record: a KeyError
-            try:
-                col, first = np.array([s[key] for s in self.states[lo:]], dtype=float), lo
-            except KeyError:  # e.g. FGM and constant momentum in form II carry no z
-                raise NoCertificate(f"the trace's records carry no {key!r} to certify") from None
+        """The iterates ("x") or snapshot entry `key` of the records from `lo` on,
+        as read-only floats: a view of a float key's column (a lookup), else
+        stacked on each call. Raises NoCertificate if a record lacks the key."""
+        if key == "x":
+            return self.x[lo:]
+        first, col = self._snapshot.get(key, (lo, None))
+        if col is None or lo < first or first + len(col) < len(self):
+            if lo < len(self):  # e.g. FGM and constant momentum in form II carry no z
+                raise NoCertificate(f"the trace's records carry no {key!r} to certify")
+            first, col = lo, np.empty(0, object)
+        if col.dtype == object:
+            col, first = np.array(col[lo - first:], dtype=float), lo
             col.flags.writeable = False
         return col[lo - first:]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        state = {key: col[i - first] if col.ndim > 1 else col.item(i - first)
+                 for key, (first, col) in self._snapshot.items() if 0 <= i - first < len(col)}
         pot = None if self.potential is None else float(self.potential[i])
         return TraceRecord(self.k[i], self.x[i], float(self.f_gap[i]), float(self.grad_norm[i]),
                            float(self.dist_opt[i]), pot, *self.tallies[i],
-                           MappingProxyType(self.states[i]))
+                           MappingProxyType(state))
 
     def __len__(self):
         return len(self.k)
@@ -104,15 +107,25 @@ class Trace(Sequence):
         return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
+class _States(Sequence):
+    """A trace's snapshots: each record's read-only mapping, built on access."""
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def __getitem__(self, i):
+        return [r.state for r in self._trace[i]] if isinstance(i, slice) else self._trace[i].state
+
+    def __len__(self):
+        return len(self._trace)
+
+
 class Counters:
     """Mutable oracle-call counters threaded through a run."""
 
     def __init__(self):
-        self.grad_calls = 0
-        self.prox_calls = 0
-        self.inner_iters = 0
-        self.value_calls = 0
-        self.hess_calls = 0
+        self.grad_calls = self.prox_calls = self.inner_iters = 0
+        self.value_calls = self.hess_calls = 0
 
 
 class CountingOracle:
@@ -152,52 +165,39 @@ class Recorder:
     """Builds a Trace for smooth or composite problems. Only `drive` builds
     one; methods never record directly.
 
-    `record` appends k, one TALLIES tuple and the state snapshot straight to
-    the lists of the trace it returns, and copies the iterate and each float
-    vector of the snapshot into a column at record time, so a step may later
-    modify that array in place: `x`, and one column per snapshot key from the
-    key's first record. A column's buffer holds the rows left in the run when
-    its length is known, else _BATCH rows, doubled in place whenever full. A
-    key whose first entry is the recorded iterate itself is rows of `x`. A
-    vector key must be in every record from its first on (it may stop), and
-    one that began as the iterate must stay it: `record` raises
-    InvalidArgument otherwise. The fill, at the `record` call marked `last`
-    and whenever `trace` is read, cuts each buffer to its rows in place (a
-    copy only when a column handed out earlier still holds it), makes each
-    vector entry a read-only row of its column and fills the reporting
-    columns (f_gap, dist_opt, missing gradient norms) of every row in blocks
-    of _BATCH rows from row 0, so a trace read mid-run evaluates its earlier
-    rows again and ends bit-identical to one filled once. So every trace a
-    caller sees is complete and holds each array once, and `wall_ns` is
-    method time only. A block with a row missing its gradient norm takes the
-    objective and the gradients from one row-stacked `value_and_gradient`
-    call; any other block calls the objective alone. `problem` is a
-    `ProblemOracle` or a `CompositeProblem`, passed raw: reporting-only
-    evaluations never touch the counters. The objective is the smooth value,
-    plus h for a composite problem, and f_gap and dist_opt are measured from
-    the problem's optimum (a composite problem without one: the smooth
-    part's), NaN when none is known. With every gradient passed and no
-    optimum known, `problem` may be None.
-
-    `potential` is one of the `certify` potentials or None (`drive` passes
-    the method's). The fill hands it, `problem` and the objective values it
-    just computed to `certify.evaluate_potential`, which measures it from the
-    problem's own optimum (never the smooth part's), and sets the `potential`
-    column from it and the worst margin and its step in the meta
-    (`potential_worst_margin`, `potential_worst_step`), unless that raises
-    NoCertificate: no potential, no known optimum (or no problem), or records
-    that carry no certificate (form II). So the column is filled exactly when
-    `certify.potential_series(trace, problem)` succeeds. The potential reads
-    the snapshot columns through `Trace.column`.
+    `record` appends k and a TALLIES tuple to the trace's lists and writes the
+    iterate and each snapshot entry once, into its key's column, so a step may
+    later modify a recorded array in place. A key's first entry settles its
+    column's kind: the iterate itself (rows of `x`), a float64 vector (rows),
+    a float (floats) or anything else (objects). A key is in every record from
+    its first on (it may stop), and one that began as the iterate stays it;
+    `record` raises InvalidArgument otherwise. Buffers hold the run's rows
+    when known, else _BATCH rows, doubled in place when full. The fill, at the
+    `record` call marked `last` and whenever `trace` is read, cuts them to
+    their rows (copying one that a trace handed out holds) and fills f_gap,
+    dist_opt and the missing gradient norms of every row in blocks of _BATCH
+    rows from row 0 (a block missing a norm takes the objective and the
+    gradients from one `value_and_gradient` call): a trace read mid-run ends
+    bit-identical to one filled once, and `wall_ns` is method time only.
+    `problem` (a `ProblemOracle` or `CompositeProblem`; None with every
+    gradient passed and no optimum known) is passed raw, so reporting never
+    touches the counters; f_gap and dist_opt are measured from its optimum
+    (else the smooth part's; NaN when none is known), the objective being
+    the smooth value plus h. The fill evaluates `potential` (`drive` passes
+    the method's) with `certify.evaluate_potential`, which reads the snapshot
+    columns through `Trace.column`, and sets the `potential` column and the
+    meta's `potential_worst_margin` and `potential_worst_step` unless that
+    raises NoCertificate: exactly when `certify.potential_series` succeeds.
     """
 
     def __init__(self, method, problem, counters, meta=None, potential=None, rows=None):
         self._trace = Trace(method, meta)
-        self._rows = rows  # the run's records, when its length is known
-        # self._columns: None (the iterate) or a snapshot key -> [first record, rows,
-        # buffer], the entries of records first .. first + rows - 1 (rows of x while
-        # buffer is None); self._norms: the recorded gradient norms (None: to evaluate)
-        self._columns, self._norms = {}, []
+        # _columns: None (the iterates) or a key -> [first record, the record it
+        # left (None while recorded), entries: an array, or None for rows of the
+        # iterates]; every buffer recorded ends at row _cap, and _targets holds
+        # the entries of each of the latest record's _keys
+        self._columns, self._rows, self._cap, self._keys, self._targets = {}, rows, 0, (), ()
+        self._norms = []  # the recorded gradient norms (None: to evaluate)
         self._counters, self._potential, self._problem = counters, potential, problem
         self._smooth = getattr(problem, "smooth", problem)
         self._h = getattr(problem, "nonsmooth", None)
@@ -210,18 +210,25 @@ class Recorder:
 
     def record(self, k, x, grad=None, state=None, last=False):
         c, trace, n = self._counters, self._trace, len(self._trace.k)
-        self._write(None, n, x, None)
+        if n == self._cap:  # full; at record 0 the run's rows, when known
+            try:
+                self._reserve(2 * n or self._rows or _BATCH, x)
+            except MemoryError:  # a horizon past memory: grow with the run, as for N=None
+                self._reserve(2 * n or _BATCH, x)
+        i = n - self._cap  # record n's row, counted from the end of every buffer
+        self._iterates[2][i] = x
         trace.k.append(k)
-        # = np.linalg.norm bit for bit (the same ddot), but vdot does not warn on overflow
-        self._norms.append(None if grad is None else math.sqrt(np.vdot(grad, grad)))
+        self._norms.append(None if grad is None else math.sqrt(_vdot(grad, grad)))
         trace.tallies.append((c.grad_calls, c.prox_calls, c.inner_iters,
                               time.perf_counter_ns() - self._t0, c.value_calls, c.hess_calls))
-        snap = dict(state) if state else {}
-        for key, value in snap.items():
-            if type(value) is np.ndarray and value.dtype.char == "d" and value.ndim:  # float64
-                self._write(key, n, value, x)
-                snap[key] = None  # the fill binds the entry to its row
-        trace.states.append(snap)
+        keys = tuple(state) if state else ()
+        if keys != self._keys:
+            self._settle(n, keys, state, x)
+        for key, entries, value in zip(keys, self._targets, state.values()) if keys else ():
+            if entries is not None:
+                entries[i] = value
+            elif value is not x:
+                raise InvalidArgument(f"snapshot vector {key!r} left the iterate")
         if last:
             self._fill()
 
@@ -231,39 +238,44 @@ class Recorder:
         self._fill()
         return self._trace
 
-    def _write(self, key, n, value, x):
-        """`value` as record n's row of `key`'s column (None: the iterate's);
-        ndarray.resize grows a buffer in place only while nothing but its
-        column list holds it, hence no local name for it until then."""
-        col = self._columns.get(key)
-        if col is None:  # the rows left in the run when its length is known, or none
-            try:
-                buf = None if value is x else np.empty(
-                    (max((self._rows or 0) - n, 0) or _BATCH, *np.shape(value)))
-            except MemoryError:  # a horizon past memory: grow with the run, as for N=None
-                buf = np.empty((_BATCH, *np.shape(value)))
-            col = self._columns[key] = [n, 0, buf]
-        elif col[0] + col[1] != n or col[2] is None and value is not x:
-            raise InvalidArgument(f"snapshot vector {key!r} skipped a record or left the iterate")
-        elif col[2] is not None and col[1] == len(col[2]):  # full: doubled
-            _resize(col, 2 * col[1])
-        first, rows, buf = col
-        if buf is not None:
-            buf[rows] = value
-        col[1] = rows + 1
+    def _reserve(self, cap, x=None):
+        """Every buffer still recorded grown or cut to end at row `cap`."""
+        self._targets, self._cap = (), cap  # while resized, a buffer is held by its column alone
+        if not self._columns:  # record 0
+            self._columns[None] = self._iterates = [0, None, np.empty((cap, *np.shape(x)))]
+        for col in self._columns.values():
+            if col[1] is None and col[2] is not None:
+                _resize(col, cap - col[0])
+        self._targets = tuple(self._columns[key][2] for key in self._keys)
+
+    def _settle(self, n, keys, state, x):
+        """The columns of record n, whose keys differ from the last record's."""
+        self._targets, cols, rows = (), self._columns, self._cap - n
+        for key in set(self._keys) - set(keys):  # stopped: cut to its rows
+            cols[key][1] = n
+            if cols[key][2] is not None:
+                _resize(cols[key], n - cols[key][0])
+        for key, v in ((key, state[key]) for key in keys if key not in cols):
+            vector = type(v) is np.ndarray and v.dtype.char == "d" and v.ndim
+            cols[key] = [n, None, None if v is x else np.empty((rows, *v.shape)) if vector
+                         else np.empty(rows, float if type(v) is float else object)]
+        for key in keys:
+            if cols[key][1] is not None:
+                kind = "vector" if cols[key][2] is None or cols[key][2].ndim > 1 else "entry"
+                raise InvalidArgument(f"snapshot {kind} {key!r} skipped a record")
+        self._keys, self._targets = keys, tuple(cols[key][2] for key in keys)
 
     def _fill(self):
         trace, n = self._trace, len(self._trace.k)
         if len(trace.f_gap) == n:
             return
-        for col in self._columns.values():
-            if col[2] is not None:
-                _resize(col, col[1])
+        self._reserve(n)  # so the next record grows every buffer again
         X = self._columns[None][2]
         values, norms, dist = self._report(X)
         gap = values if self._f_star is None else values - self._f_star
-        trace.set_columns([(key, first, X[first:first + rows] if buf is None else buf)
-                           for key, (first, rows, buf) in self._columns.items() if key is not None],
+        trace.set_columns([(key, first, X[first:stop or n] if entries is None else entries)
+                           for key, (first, stop, entries) in self._columns.items()
+                           if key is not None],
                           x=X, f_gap=gap, grad_norm=norms, dist_opt=dist)
         # from the objective values just computed: only potentials that need
         # it at other points (OGM's y_prev) evaluate it again
@@ -302,10 +314,9 @@ class Recorder:
 
 
 def _resize(col, rows):
-    """The buffer col[2] grown or cut to `rows` rows in place (ndarray.resize
+    """The entries col[2] grown or cut to `rows` rows in place (ndarray.resize
     refuses while anything but col holds it), or copied when a column handed
-    out by an earlier fill still holds it (the blocks `_report` views are gone
-    once it has returned)."""
+    out by an earlier fill still holds them."""
     try:
         col[2].resize((rows, *col[2].shape[1:]))
     except ValueError:  # a copy, its rows past the old ones to be overwritten
@@ -316,7 +327,7 @@ def check_finite(x, trace=None):
     """Raise DivergedError unless every entry of the 1-D x is finite."""
     # a finite squared norm proves it; only an overflowing one needs the
     # entrywise test (vdot, unlike dot, does not warn when it overflows)
-    if not (math.isfinite(np.vdot(x, x)) or np.isfinite(x).all()):
+    if not (math.isfinite(_vdot(x, x)) or np.isfinite(x).all()):
         raise DivergedError("iterate became non-finite", trace)
 
 
@@ -332,11 +343,9 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
     entropy or simplex iterate may leave its domain by rounding).
     `view(state)` returns the (x, grad, snapshot) to record; grad=None has
     the recorder evaluate it uncounted, once the run is over. The recorder
-    copies x and the snapshot's float vectors into the trace's columns as it
-    records them (see `Recorder` for the keys it takes), so a step may modify
-    those arrays in place later, and it fills the `potential` column from
-    `certify.potential_of(method)` exactly when `certify.potential_series`
-    would succeed on the trace and `problem` (see `Recorder`). A DivergedError
+    writes x and each snapshot entry into its key's column (see `Recorder`),
+    so a step may modify those arrays in place later, and fills the
+    `potential` column from `certify.potential_of(method)`. A DivergedError
     or InnerSolveError raised on the way carries the partial trace.
     """
     counters = Counters()
@@ -346,7 +355,7 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
     try:
         for k in count():
             x, grad, snap = view(state)
-            rec.record(k, x, grad=grad, state=snap, last=k == N)
+            rec.record(k, x, grad, snap, k == N)
             if k == N or (state := step(state)) is None:
                 break
             check_finite(state[check])
@@ -364,16 +373,15 @@ def join(method, meta, runs):
     """One trace from restarted runs, each started at the previous run's final
     iterate: record 0 of the first run, then records 1.. of each run with k
     renumbered, tallies offset by the runs before, and state {"epoch": e}
-    for the e-th run (0 for record 0). The joined method has no potential,
-    so its `potential` column is None."""
-    tallies, states, base = runs[0].tallies[:1], [{"epoch": 0}], (0,) * len(TALLIES)
+    for the e-th run (0 for record 0). It has no `potential` column."""
+    tallies, epochs, base = runs[0].tallies[:1], [0], (0,) * len(TALLIES)
     for e, run in enumerate(runs, 1):
         tallies += [tuple(map(add, t, base)) for t in run.tallies[1:]]
-        states += [{"epoch": e} for _ in run.tallies[1:]]
+        epochs += [e] * (len(run) - 1)
         base = tuple(map(add, run.tallies[-1], base))
     trace = Trace(method, meta)
-    trace.k, trace.tallies, trace.states = list(range(len(tallies))), tallies, states
-    trace.set_columns(**{
+    trace.k, trace.tallies = list(range(len(tallies))), tallies
+    trace.set_columns([("epoch", 0, np.array(epochs, dtype=object))], **{
         name: np.concatenate([getattr(runs[0], name), *(getattr(r, name)[1:] for r in runs[1:])])
         for name in ("x", "f_gap", "grad_norm", "dist_opt")})
     return trace

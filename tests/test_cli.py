@@ -708,3 +708,13 @@ def test_run_reports_no_potential_where_certify_has_no_certificate(method, tmp_p
     assert all(row.split(",")[4] == "" for row in out.read_text().split("\n")[1:-1])
     assert cli.main(["certify", *argv]) == 4
     assert capsys.readouterr().err.endswith("error: potential checks need a known optimum\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--method", "fista", "--problem", "quad:d=5"],
+    ["certify", "--method", "prox_agm", "--problem", "huber:d=3"],
+])
+def test_a_negative_mu_is_a_bad_configuration(argv, capsys):
+    # fista and prox_agm used to end in a ZeroDivisionError traceback (exit 1)
+    assert cli.main(argv + ["--N", "20", "--mu", "-1"]) == 2
+    assert capsys.readouterr().err == "error: mu must be >= 0\n"

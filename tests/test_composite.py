@@ -161,3 +161,12 @@ def test_drivers_refuse_a_smooth_problem():
     for run in (cp.fista, cp.prox_agm, mo.bregman_agm):
         with pytest.raises(InvalidArgument, match="CompositeProblem"):
             run(p, np.zeros(5), 5)
+
+
+@pytest.mark.parametrize("method", [cp.fista, cp.prox_agm])
+def test_drivers_refuse_a_negative_mu(method):
+    # q = mu/L < 0 used to end in a ZeroDivisionError inside the A-recurrence
+    with pytest.raises(InvalidArgument, match="mu must be >= 0"):
+        method(lasso_instance(), np.zeros(5), 20, mu=-1.0)
+    with pytest.raises(InvalidArgument, match="mu must be >= 0"):
+        mo.monotone_wrap("fista", lasso_instance(), np.zeros(5), 20, mu=-1.0)

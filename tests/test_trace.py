@@ -616,3 +616,28 @@ def test_a_composite_problem_without_an_optimum_gets_no_potential(quad_6):
         assert all(row.split(",")[4] == "" for row in trace.to_csv().split("\n")[1:-1])
         with pytest.raises(NoCertificate, match="potential checks need a known optimum"):
             ct.potential_series(trace, problem)
+
+
+def test_a_float_scalar_column_is_a_lookup():
+    # a float entry (FGM's A) is written into a float column at record time:
+    # certify's two reads of it per run share that column, and stack nothing
+    import tracemalloc
+
+    from accelib import momentum, oracles
+
+    rng = np.random.default_rng(5)
+    p = oracles.make_quadratic(np.linspace(0.1, 10.0, 8), rng.standard_normal(8), seed=5)
+    tr = momentum.fgm(p, rng.standard_normal(8), 150)
+    first = tr.column("A")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = tr.column("A")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    assert np.shares_memory(first, again) and np.shares_memory(tr.column("A", 1), first)
+    assert not first.flags.writeable and not again.flags.writeable
+    assert first.tolist() == [r.state["A"] for r in tr]
+    assert all(type(s["A"]) is float for s in tr.states)
