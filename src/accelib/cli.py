@@ -75,7 +75,7 @@ PROBLEMS = {
 def parse_problem(spec, seed, mu, L):
     """(smooth oracle, composite problem or None) for `kind:key=value,...`, by
     the kind's `PROBLEMS` entry. Keys (type, default, check): d (int, 10, 1 to
-    D_MAX = 4096: a rotated quadratic holds three d x d arrays, 384 MiB), quad
+    D_MAX = 4096: a rotated quadratic holds two d x d arrays, 256 MiB), quad
     kappa (float, none, >= 1), huber tau (float, 0.1, > 0), lasso weight (float,
     0.1, >= 0). Floats are finite. A bad key is a ConfigError naming it."""
     kind, _, rest = spec.partition(":")

@@ -2,8 +2,9 @@
 
 An oracle bundles value/gradient (and optionally prox) for one function, the
 smoothness/strong-convexity parameters it belongs to, and the optimum when it
-is known in closed form. Oracles are pure: no interior mutation after
-construction, safe to share.
+is known in closed form. Oracles are safe to share: their one interior
+mutation is the rotated quadratic's Q, rebuilt from its seed on the first
+exact prox and kept, with the same bits whichever call builds it.
 """
 
 from __future__ import annotations
@@ -162,17 +163,40 @@ def in_blocks(fun, X, *more, rows=_BATCH):
                            for lo in range(0, len(X), rows)])
 
 
-def _gaussian_q(rng, d):
-    """The Q factor of a d x d standard Gaussian drawn from rng, and a spare
-    d x d buffer.
+# rows and columns per block of `_transpose_in_place`; each swap holds one block
+_BLOCK = 128
 
-    One copy of the Gaussian in column-major order is factored in place by
-    LAPACK's dgeqrf and turned into Q by dorgqr, the routines `np.linalg.qr`
-    calls, so Q has the same bits without that call's input copy and
-    discarded R. Q is returned C-ordered; the buffer, which held the
-    factorisation, is free for the caller to overwrite.
+
+def _transpose_in_place(a):
+    """Transpose the square C-ordered array a in place, one pair of blocks
+    at a time, so at most one block is held beside a."""
+    d = len(a)
+    if d <= _BLOCK:  # one block: one copy, without the loop's slicing
+        a[...] = a.T.copy()
+        return
+    for lo in range(0, d, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(lo + _BLOCK, d, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            block = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = block.T
+
+
+def _gaussian_q(rng, d):
+    """The Q factor of a d x d standard Gaussian drawn from rng, C-ordered,
+    in the one d x d buffer the Gaussian was drawn into.
+
+    The Gaussian is transposed in place, so the buffer holds it column-major;
+    LAPACK's dgeqrf factors it in place and dorgqr turns the factorisation
+    into Q, the routines `np.linalg.qr` calls, so Q has the same bits without
+    that call's input copy and discarded R. A last in-place transpose makes Q
+    C-ordered. No second d x d array is held at any point.
     """
-    a = rng.standard_normal((d, d)).T.copy()  # a copy even at d = 1
+    a = np.empty((d, d))
+    rng.standard_normal(out=a)
+    _transpose_in_place(a)
     tau = np.empty(d)
     for routine, args in ((lapack_lite.dgeqrf, (d, d, a, d, tau)),
                           (lapack_lite.dorgqr, (d, d, d, a, d, tau))):
@@ -182,29 +206,34 @@ def _gaussian_q(rng, d):
         info = routine(*args, work, work.size, 0)["info"]
         if info != 0:
             raise LinAlgError(f"{routine.__name__} returned info = {info}")
-    return a.T.copy(), a
+    _transpose_in_place(a)
+    return a
 
 
 def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
     """f(x) = 1/2 <x - x_star; H (x - x_star)> + f_star.
 
-    H is diagonal with the given eigenvalues; pass a seed to conjugate it by a
-    random orthogonal matrix Q so methods cannot exploit axis alignment. The
-    rotated oracle stores Q and H = B B^T, with B = Q diag(sqrt(eigs)), formed
-    once: Q from LAPACK's QR done in place on one copy of a seeded Gaussian
-    (`_gaussian_q`), B written over that copy, then one `syrk` (H is exactly
-    symmetric), so the build holds at most three d x d arrays. value,
-    gradient and `hessian_matvec` cost one d x d product, their row-stacked
-    forms one matrix-matrix product; `value_and_gradient` costs one too,
-    taking f = 1/2 <x - x_star, grad f(x)> + f_star from the gradient. The
+    H is diagonal with the given eigenvalues; pass a seed (anything
+    `np.random.default_rng` takes) to conjugate it by a random orthogonal
+    matrix Q so methods cannot exploit axis alignment. The rotated oracle
+    keeps H = B B^T alone, with B = Q diag(sqrt(eigs)): Q comes from LAPACK's
+    QR done in place in the buffer a seeded Gaussian was drawn into
+    (`_gaussian_q`), B is written over Q, one `syrk` gives H (exactly
+    symmetric), and B is dropped, so the build holds at most two d x d
+    arrays. value, gradient and `hessian_matvec` cost one d x d product, their
+    row-stacked forms one matrix-matrix product; `value_and_gradient` costs one
+    too, taking f = 1/2 <x - x_star, grad f(x)> + f_star from the gradient. The
     prox is exact and uses the factored form,
     prox_{lam f}(x) = x_star + Q (I + lam diag(eigs))^{-1} Q^T (x - x_star):
-    two d x d products. Raises InvalidArgument when H is not finite.
+    two d x d products. Only the prox reads Q, so its first call rebuilds Q,
+    with the build's bits, by replaying the seed's bit-generator state taken
+    before the draw (a passed-in Generator is not advanced again), and keeps
+    it. Raises InvalidArgument when H is not finite.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
         raise InvalidArgument("eigs must be nonempty")
-    if np.any(eigs <= 0):
+    if (eigs <= 0).any():
         raise InvalidArgument("eigs must be positive")
     x_star = np.asarray(x_star, dtype=float)
     d = eigs.size
@@ -213,13 +242,23 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
 
     Q = H = None
     if seed is not None:
-        Q, B = _gaussian_q(np.random.default_rng(seed), d)
-        np.multiply(Q, np.sqrt(eigs), out=B)
+        rng = np.random.default_rng(seed)
+        bit_generator, state = type(rng.bit_generator), rng.bit_generator.state
+        B = _gaussian_q(rng, d)
+        B *= np.sqrt(eigs)
         with np.errstate(over="ignore", invalid="ignore"):
             H = B @ B.T
-        del B  # before the finiteness mask, so the peak stays at Q, B and H
-        if not np.all(np.isfinite(H)):
+        del B  # before the finiteness mask, so the peak stays at B and H
+        if not np.isfinite(H).all():
             raise InvalidArgument("the rotated Hessian overflows; eigenvalues too large")
+
+    def rotation():  # Q, rebuilt from the seed's state on the first call, then kept
+        nonlocal Q
+        if Q is None:
+            replay = np.random.Generator(bit_generator())
+            replay.bit_generator.state = state
+            Q = _gaussian_q(replay, d)
+        return Q
 
     def hess(V):  # H v, or H v_i for each row v_i of a 2-D V (H is symmetric)
         return eigs * V if H is None else V @ H
@@ -241,9 +280,10 @@ def make_quadratic(eigs, x_star, f_star=0.0, seed=None):
 
     def prox(x, lam):
         w = x - x_star
-        if Q is None:
+        if H is None:
             return x_star + w / (1.0 + lam * eigs)
-        return x_star + Q @ ((Q.T @ w) / (1.0 + lam * eigs))
+        rot = rotation()
+        return x_star + rot @ ((rot.T @ w) / (1.0 + lam * eigs))
 
     params = ClassParams(float(eigs.min()), float(eigs.max()))
     oracle = ProblemOracle(value, gradient, params=params, prox=prox,
