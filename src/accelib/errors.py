@@ -14,12 +14,17 @@ class UnsupportedOracle(TypeError):
     """The oracle lacks a capability the operation requires (prox, quadratic form, ...)."""
 
 
-class DivergedError(RuntimeError):
-    """An iterate became non-finite. Carries the partial trace."""
+class RunError(RuntimeError):
+    """A run failed part way. Carries the partial trace: `trace.drive`
+    attaches it when the raiser passes none."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class DivergedError(RunError):
+    """An iterate became non-finite."""
 
 
 class SingularSystemError(RuntimeError):
@@ -30,12 +35,8 @@ class RunawayLError(RuntimeError):
     """Backtracking increased L more than 200 times within one iteration."""
 
 
-class InnerSolveError(RuntimeError):
-    """An inner subproblem solver failed. Carries the partial trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+class InnerSolveError(RunError):
+    """An inner subproblem solver failed."""
 
 
 class ContractViolation(RuntimeError):

@@ -45,30 +45,22 @@ def _stack(M, row, drop):
 class PairBuffer:
     """Ordered (x_i, g_i) pairs with optional capacity; oldest evicted first.
 
-    `X` and `G` are the pairs stacked as rows, formed once per `append` and
-    read-only."""
+    The attributes `X` and `G` are the pairs stacked as rows, formed once per
+    `append` and read-only."""
 
     def __init__(self, capacity=None):
         if capacity is not None and capacity < 1:
             raise InvalidArgument("capacity must be >= 1")
         self.capacity = capacity
-        self._X = self._G = _NO_ROWS
+        self.X = self.G = _NO_ROWS
 
     def append(self, x, g):
         drop = int(self.capacity is not None and len(self) == self.capacity)
-        self._X = _stack(self._X, x, drop)
-        self._G = _stack(self._G, g, drop)
+        self.X = _stack(self.X, x, drop)
+        self.G = _stack(self.G, g, drop)
 
     def __len__(self):
-        return len(self._X)
-
-    @property
-    def X(self):
-        return self._X
-
-    @property
-    def G(self):
-        return self._G
+        return len(self.X)
 
 
 @dataclass
@@ -360,9 +352,9 @@ def prox_rna(problem, x0, gamma, lam, N, m=None):
     Maintains z_k with x_k = prox_{gamma h}(z_k); the extrapolated residuals are
     g_k = (gamma grad f(x_k) + z_k - x_k)/gamma, and the z-sequence is
     extrapolated then re-proxed so every reported x_k lies in dom h. Each
-    step's z_{k+1} is rna's x_extr (lam > 0) or na_mixing's (lam == 0) at the
-    mixing step gamma, its weights solved as `online_rna` solves them; a
-    singular solve falls back to z_k - gamma g_k and flags the record.
+    step's z_{k+1} is `_extrapolate`'s x_extr at the mixing step gamma: rna's
+    (lam > 0) or na_mixing's (lam == 0); a singular solve falls back to
+    z_k - gamma g_k and flags the record.
     """
     if gamma <= 0:
         raise InvalidArgument("gamma must be > 0")
@@ -379,7 +371,7 @@ def prox_rna(problem, x0, gamma, lam, N, m=None):
             buf.append(z, g)
             fallback = False
             try:
-                z_new = _solve_weights(buf.G, lam) @ (buf.X - gamma * buf.G)
+                z_new = _extrapolate(buf, gamma, lam).x_extr
             except SingularSystemError:
                 z_new = z - gamma * g
                 fallback = True

@@ -135,10 +135,6 @@ class CompositeProblem:
         """F(x), or F at each row of a 2-D x."""
         return self.smooth.value(x) + self.nonsmooth.value(x)
 
-    @property
-    def domain_indicator(self):
-        return self.nonsmooth.domain_indicator
-
 
 def optimum(problem):
     """(objective, x_star, f_star) of a ProblemOracle or a CompositeProblem."""
@@ -146,6 +142,10 @@ def optimum(problem):
         return problem.objective, problem.x_star, problem.F_star
     return problem.value, problem.x_star, problem.f_star
 
+
+# np.vdot without its __array_function__ dispatch: = np.linalg.norm's squared
+# norm bit for bit (the same ddot), but unlike dot it does not warn on overflow
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
 
 # rows per row-stacked reporting or certifying oracle call; bounds the stacked
 # points and their images
@@ -155,8 +155,6 @@ _BATCH = 64
 def in_blocks(fun, X, *more, rows=_BATCH):
     """fun over the rows of X, and the matching rows of each array in `more`,
     in blocks of at most `rows` rows; fun returns one value per row."""
-    if not len(X):
-        return np.empty(0)
     if len(X) <= rows:
         return fun(X, *more)
     return np.concatenate([fun(X[lo:lo + rows], *[A[lo:lo + rows] for A in more])
@@ -171,9 +169,6 @@ def _transpose_in_place(a):
     """Transpose the square C-ordered array a in place, one pair of blocks
     at a time, so at most one block is held beside a."""
     d = len(a)
-    if d <= _BLOCK:  # one block: one copy, without the loop's slicing
-        a[...] = a.T.copy()
-        return
     for lo in range(0, d, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         a[rows, rows] = a[rows, rows].T.copy()

@@ -13,7 +13,7 @@ from .errors import (ContractViolation, InconsistentCertificate, InnerSolveError
                      InvalidArgument, UnsupportedOracle)
 from .extrapolation import minimize_unimodal
 from .momentum import _constant_momentum_factory, _tau_delta
-from .oracles import ClassParams, ProblemOracle, class_params
+from .oracles import ClassParams, ProblemOracle, _vdot, class_params
 from .tolerances import tol_for
 from .trace import drive
 
@@ -76,15 +76,15 @@ def ppa_bound(R, lambdas, mu=0.0):
 
 
 def exact_prox_solver(oracle):
-    """Wrap an oracle with exact prox as an inexact-prox inner solver; the
-    returned residual is exactly zero by the prox optimality condition."""
+    """Wrap an oracle with exact prox as an inexact-prox inner solver
+    `solve(y, lam, counters)`, which counts its one prox call in `counters`;
+    the returned residual is exactly zero by the prox optimality condition."""
     if not oracle.has_prox:
         raise UnsupportedOracle("oracle has no prox")
 
-    def solve(y, lam, counters=None):
+    def solve(y, lam, counters):
         x_next = oracle.prox(y, lam)
-        if counters is not None:
-            counters.prox_calls += 1
+        counters.prox_calls += 1
         g = (y - x_next) / lam
         e = x_next - y + lam * g  # identically zero
         return x_next, g, e
@@ -313,9 +313,8 @@ def _inner_solve(co, y, lam, inner, phi_params, budget_left, cap):
         g = co.gradient(w)
         r = w - y
         g_phi = g + r / lam  # grad Phi(w), as `_regularized` forms it
-        # = np.linalg.norm bit for bit (the same ddot)
-        dist = math.sqrt(np.vdot(r, r))
-        if lam * math.sqrt(np.vdot(g_phi, g_phi)) - dist <= tol_for(dist):
+        dist = math.sqrt(_vdot(r, r))
+        if lam * math.sqrt(_vdot(g_phi, g_phi)) - dist <= tol_for(dist):
             return w, g, i, True
         if i < n:
             if inner == "gd":

@@ -13,12 +13,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .certify import evaluate_potential, potential_of
-from .errors import DivergedError, InnerSolveError, InvalidArgument, NoCertificate
-from .oracles import _BATCH, optimum
-
-# np.vdot without its __array_function__ dispatch: = np.linalg.norm's squared
-# norm bit for bit (the same ddot), but unlike dot it does not warn on overflow
-_vdot = getattr(np.vdot, "_implementation", np.vdot)
+from .errors import DivergedError, InvalidArgument, NoCertificate, RunError
+from .oracles import _BATCH, _vdot, optimum
 
 CSV_HEADER = "k,f_gap,grad_norm,dist_opt,potential,grad_calls,prox_calls,inner_iters,wall_ns"
 
@@ -60,19 +56,15 @@ class Trace(Sequence):
         return _States(self)
 
     def column(self, key, lo=0):
-        """The iterates ("x") or snapshot entry `key` of the records from `lo` on,
-        as read-only floats: a view of a float key's column (a lookup), else
-        stacked on each call. Raises NoCertificate if a record lacks the key."""
+        """The iterates ("x") or snapshot entry `key` of the records from `lo` on:
+        a read-only view of the key's column, its entries as recorded. Raises
+        NoCertificate if a record lacks the key."""
         if key == "x":
             return self.x[lo:]
         first, col = self._snapshot.get(key, (lo, None))
         if col is None or lo < first or first + len(col) < len(self):
-            if lo < len(self):  # e.g. FGM and constant momentum in form II carry no z
-                raise NoCertificate(f"the trace's records carry no {key!r} to certify")
-            first, col = lo, np.empty(0, object)
-        if col.dtype == object:
-            col, first = np.array(col[lo - first:], dtype=float), lo
-            col.flags.writeable = False
+            # e.g. FGM and constant momentum in form II carry no z
+            raise NoCertificate(f"the trace's records carry no {key!r} to certify")
         return col[lo - first:]
 
     def __getitem__(self, i):
@@ -345,8 +337,8 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
     the recorder evaluate it uncounted, once the run is over. The recorder
     writes x and each snapshot entry into its key's column (see `Recorder`),
     so a step may modify those arrays in place later, and fills the
-    `potential` column from `certify.potential_of(method)`. A DivergedError
-    or InnerSolveError raised on the way carries the partial trace.
+    `potential` column from `certify.potential_of(method)`. Any
+    `errors.RunError` raised on the way carries the partial trace.
     """
     counters = Counters()
     rec = Recorder(method, problem, counters, meta, potential_of(method),
@@ -359,7 +351,7 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
             if k == N or (state := step(state)) is None:
                 break
             check_finite(state[check])
-    except (DivergedError, InnerSolveError) as exc:
+    except RunError as exc:
         if exc.trace is None:
             exc.trace = rec.trace
         raise

@@ -641,3 +641,49 @@ def test_a_float_scalar_column_is_a_lookup():
     assert not first.flags.writeable and not again.flags.writeable
     assert first.tolist() == [r.state["A"] for r in tr]
     assert all(type(s["A"]) is float for s in tr.states)
+
+
+@pytest.mark.parametrize("error", ["InnerSolveError", "DivergedError"])
+def test_a_run_error_raised_without_a_trace_gets_the_partial_one(quad_2, error):
+    # both partial-trace errors share one base: drive attaches the records
+    # made before the failing step to either, and RunError catches both
+    from accelib import errors
+
+    def start(co):
+        def step(s):
+            if s["k"] == 2:  # the step from record 2: records 0, 1 and 2 are made
+                raise getattr(errors, error)("toy stepper failed")
+            return {"k": s["k"] + 1, "x": s["x"] / 2.0}
+
+        return {"k": 0, "x": np.array([4.0, -2.0])}, step
+
+    with pytest.raises(errors.RunError) as info:
+        tr_mod.drive("toy", quad_2, {}, start, lambda s: (s["x"], None, {}), N=10)
+    assert type(info.value) is getattr(errors, error)
+    assert info.value.trace is not None and len(info.value.trace) == 3
+    assert info.value.trace.x[:, 0].tolist() == [4.0, 2.0, 1.0]
+    assert info.value.trace.k == [0, 1, 2]
+
+
+def test_column_of_an_object_key_is_its_entries_as_recorded(quad_2, quad_6):
+    # a snapshot entry that is neither a float nor a float vector is looked up,
+    # not stacked as floats: a read-only view of its column, types kept
+    from accelib import extrapolation as ex, restart as rs
+    from accelib.errors import NoCertificate
+
+    k = 20
+    restarted = rs.fixed_restart(quad_2, "fgm", k, np.array([5.0, -4.0]), epochs=3, L=10.0)
+    epoch = restarted.column("epoch")
+    assert epoch.tolist() == [0] + [1] * k + [2] * k + [3] * k
+    assert all(type(e) is int for e in epoch.tolist())
+    assert not epoch.flags.writeable
+    assert np.shares_memory(epoch, restarted.column("epoch", 1))
+
+    online = ex.online_rna(quad_6, np.full(6, 1.5), h=0.1, lam=0.0, m=8, N=12)
+    fallback = online.column("fallback", 1)
+    assert fallback.tolist() == [r.state["fallback"] for r in online.records[1:]]
+    assert all(type(f) is bool for f in fallback.tolist()) and any(fallback.tolist())
+    assert not fallback.flags.writeable
+    assert np.shares_memory(fallback, online.column("fallback", 1))
+    with pytest.raises(NoCertificate):
+        online.column("fallback")  # record 0 carries no fallback
