@@ -96,7 +96,7 @@ def parse_problem(spec, seed, mu, L):
             raise ConfigError(f"{where}: {key} must be {rule}")
     try:  # every key is checked before anything is built
         return build(seed, mu, L, **{k: given.get(k, option[1]) for k, option in options.items()})
-    except ValueError as exc:  # e.g. a negative --seed
+    except ValueError as exc:  # a library caller's negative seed, or a builder's InvalidArgument
         raise ConfigError(str(exc)) from exc
 
 
@@ -116,7 +116,7 @@ class Method:
 
 def _gd_bound(args, oracle, x0, R):
     L = oracle.params.L  # the bound holds for the default step 1/L only
-    return L * R * R / (4.0 * args.N + 2.0) if not args.gamma or args.gamma == 1.0 / L else None
+    return L * R * R / (4.0 * args.N + 2.0) if args.gamma in (None, 1.0 / L) else None
 
 
 def _constant_momentum_bound(args, oracle, x0, R):
@@ -134,7 +134,8 @@ def _accelerated_prox(name):
 
 METHODS = {
     "gd": Method(lambda a, o, x0: poly_methods.gradient_descent(
-                     o, a.gamma or 1.0 / o.params.L, x0, a.N, mu=o.params.mu),
+                     o, 1.0 / o.params.L if a.gamma is None else a.gamma, x0, a.N,
+                     mu=o.params.mu),
                  _gd_bound),
     "chebyshev": Method(lambda a, o, x0: poly_methods.chebyshev(o, x0, a.N),
                         lambda a, o, x0, R: poly_methods.chebyshev_bound(
@@ -155,9 +156,9 @@ METHODS = {
     "tmm": Method(lambda a, o, x0: momentum.tmm(o, x0, a.N)),
     "fista": _accelerated_prox("fista"),
     "prox_agm": _accelerated_prox("prox_agm"),
-    "ppa": Method(lambda a, o, x0: prox_outer.ppa(o, [a.lam or 1.0] * a.N, x0)),
+    "ppa": Method(lambda a, o, x0: prox_outer.ppa(o, [1.0 if a.lam is None else a.lam] * a.N, x0)),
     "catalyst": Method(lambda a, o, x0: prox_outer.catalyst(
-                           o, "gd", a.lam or 1.0 / o.params.L, a.N, x0)),
+                           o, "gd", 1.0 / o.params.L if a.lam is None else a.lam, a.N, x0)),
 }
 
 
@@ -169,10 +170,11 @@ def _setup(args):
         value = getattr(args, name)
         if value and not np.isfinite(1.0 / value):
             raise ConfigError(f"{name}={value!r} has no finite reciprocal")
+    for name in ("N", "seed"):  # before anything is built
+        if getattr(args, name) < 0:
+            raise ConfigError(f"--{name} must be >= 0")
     oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
     x0 = np.random.default_rng(args.seed + 1).standard_normal(oracle.x_star.shape[0])
-    if args.N < 0:
-        raise ConfigError("--N must be >= 0")
     if problem is None:
         problem = oracles.CompositeProblem(oracle, oracles.make_zero(x0.size),
                                            x_star=oracle.x_star, F_star=oracle.f_star)
@@ -245,6 +247,9 @@ def cmd_compare(args):
         raise ConfigError("compare needs at least two methods")
     if set(names) - set(METHODS):
         raise ConfigError(f"unknown method in {args.methods!r}")
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"method {name!r} is named twice in {args.methods!r}")
     oracle, problem, x0 = _setup(args)
     columns = {}
     for name in names:

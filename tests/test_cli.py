@@ -718,3 +718,65 @@ def test_a_negative_mu_is_a_bad_configuration(argv, capsys):
     # fista and prox_agm used to end in a ZeroDivisionError traceback (exit 1)
     assert cli.main(argv + ["--N", "20", "--mu", "-1"]) == 2
     assert capsys.readouterr().err == "error: mu must be >= 0\n"
+
+
+# ---------------------------------------------------------------------------
+# flags taken as given, and refused before anything is built
+
+@pytest.mark.parametrize("method, flag, message", [
+    ("gd", "--gamma", "gamma must be > 0"),
+    ("catalyst", "--lambda", "lambda must be > 0"),
+], ids=["gd", "catalyst"])
+def test_a_zero_step_is_refused_not_replaced_by_the_default(method, flag, message, capsys):
+    # `--gamma 0` used to run gd at 1/L, `--lambda 0` catalyst at 1/L
+    argv = ["run", "--method", method, "--problem", "quad:d=5", "--N", "5", flag, "0"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_ppa_runs_at_lambda_zero_as_given(tmp_path):
+    # `--lambda 0` used to run ppa at lambda = 1; prox at step 0 keeps x0 up to rounding
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--method", "ppa", "--problem", "quad:d=5", "--N", "5",
+                     "--lambda", "0", "--out", str(out)]) == 0
+    gaps = [float(row.split(",")[1]) for row in out.read_text().strip().split("\n")[1:]]
+    assert gaps == pytest.approx([gaps[0]] * 6, rel=1e-12)
+    assert json.loads((tmp_path / "t.csv.json").read_text())["config"]["lam"] == 0.0
+
+
+def test_gd_bound_is_none_at_a_zero_gamma():
+    oracle, _ = cli.parse_problem("quad:d=3", 0, None, None)
+    args = argparse.Namespace(N=5, gamma=0.0)
+    assert cli._gd_bound(args, oracle, None, 1.0) is None
+
+
+def test_compare_refuses_a_method_named_twice(capsys):
+    # used to exit 0, run gd twice and report it once
+    assert cli.main(["compare", "--methods", "gd,fgm,gd", "--problem", "quad:d=4"]) == 2
+    assert capsys.readouterr().err == "error: method 'gd' is named twice in 'gd,fgm,gd'\n"
+
+
+@pytest.mark.parametrize("flag", ["--N", "--seed"])
+def test_a_negative_count_is_refused_before_the_build(flag, monkeypatch, capsys):
+    # the builder used to run first (5.7 s at quad:d=4096), and a negative
+    # --seed then ended in numpy's message, which names no flag
+    def build(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setitem(cli.PROBLEMS, "quad", (build, cli.PROBLEMS["quad"][1]))
+    assert cli.main(["run", "--method", "gd", "--problem", "quad:d=4096", flag, "-1"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0\n"
+
+
+def test_compare_exits_0_when_its_reader_left_before_it_wrote(tmp_path):
+    # the pipe is closed before compare's one write, so its flush meets the closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "accelib.cli", "compare", "--methods",
+                                 "gd,fgm", "--problem", "quad:d=5", "--N", "200"],
+                                env=env, stdout=subprocess.PIPE, stderr=err)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        assert (code, err.read()) == (0, "")

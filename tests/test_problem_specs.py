@@ -161,3 +161,10 @@ def test_generated_spec_runs_or_exits_2_with_one_error_line(spec):
     if code == 2:
         [line] = err.getvalue().splitlines()
         assert line.startswith("error: ")
+
+
+def test_a_repeated_key_exits_2_in_process(capsys):
+    # the subprocess cases above leave this branch unreached by an in-process trace
+    assert cli.main(["run", "--method", "gd", "--problem", "quad:d=5,d=7", "--N", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: problem spec 'quad:d=5,d=7': d='7': d is given twice\n")
