@@ -173,6 +173,8 @@ def _setup(args):
     for name in ("N", "seed"):  # before anything is built
         if getattr(args, name) < 0:
             raise ConfigError(f"--{name} must be >= 0")
+    if args.L is not None and args.L <= 0:  # a zero would build the default instance
+        raise ConfigError("--L must be > 0")
     oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
     x0 = np.random.default_rng(args.seed + 1).standard_normal(oracle.x_star.shape[0])
     if problem is None:

@@ -355,6 +355,11 @@ def prox_rna(problem, x0, gamma, lam, N, m=None):
     step's z_{k+1} is `_extrapolate`'s x_extr at the mixing step gamma: rna's
     (lam > 0) or na_mixing's (lam == 0); a singular solve falls back to
     z_k - gamma g_k and flags the record.
+
+    m bounds the buffer to the latest m pairs. With m=None it keeps every
+    pair, so its memory and each step's Gram matrix grow with k; at lam = 0,
+    past d + 1 pairs, every step falls back to the gradient step while still
+    rebuilding the whole Gram matrix. Pass m to bound both.
     """
     if gamma <= 0:
         raise InvalidArgument("gamma must be > 0")
@@ -382,4 +387,4 @@ def prox_rna(problem, x0, gamma, lam, N, m=None):
         return {"x": x, "z": x.copy()}, step
 
     return drive("prox_rna", problem, {"gamma": gamma, "lambda": lam, "N": N},
-                 start, _x_grad_fallback, N, check="z")
+                 start, _x_grad_fallback, N)

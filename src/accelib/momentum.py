@@ -91,8 +91,7 @@ def ogm(oracle, x0, N, form="I", L=None):
             return {"k": 0, "x": x0, "y": x0.copy()}, step
 
         return drive("ogm", oracle, meta, start,
-                     lambda s: (s["y"] if s["k"] == N else s["x"], None, {"y": s["y"]}),
-                     N, check="y")
+                     lambda s: (s["y"] if s["k"] == N else s["x"], None, {"y": s["y"]}), N)
 
     def start(co):
         def step(s):
@@ -290,19 +289,18 @@ def tmm(oracle, x0, N, mu=None, L=None):
     sq = np.sqrt(mu / L)
     beta = delta_infty(mu, L)
 
-    def start(co):
+    def start(co):  # the state's "x" is the y-sequence, recorded as "y"
         def step(s):
-            y_prev, z, g_prev = s["y"], s["z"], s["g"]
+            y_prev, z, g_prev = s["x"], s["z"], s["g"]
             y = beta * (y_prev - g_prev / L) + (1.0 - beta) * z
             g = co.gradient(y)
-            return {"y": y, "z": sq * (y - g / mu) + (1.0 - sq) * z, "g": g}
+            return {"x": y, "z": sq * (y - g / mu) + (1.0 - sq) * z, "g": g}
 
         x = np.array(x0, dtype=float)
-        return {"y": x.copy(), "z": x.copy(), "g": co.gradient(x)}, step
+        return {"x": x.copy(), "z": x.copy(), "g": co.gradient(x)}, step
 
     return drive("tmm", oracle, {"N": N, "mu": mu, "L": L}, start,
-                 lambda s: (s["y"], s["g"], {"z": s["z"], "y": s["y"], "g": s["g"]}),
-                 N, check="y")
+                 lambda s: (s["x"], s["g"], {"z": s["z"], "y": s["x"], "g": s["g"]}), N)
 
 
 # ---------------------------------------------------------------------------

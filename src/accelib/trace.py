@@ -164,13 +164,15 @@ class Recorder:
     a float (floats) or anything else (objects). A key is in every record from
     its first on (it may stop), and one that began as the iterate stays it;
     `record` raises InvalidArgument otherwise. Buffers hold the run's rows
-    when known, else _BATCH rows, doubled in place when full. The fill, at the
-    `record` call marked `last` and whenever `trace` is read, cuts them to
-    their rows (copying one that a trace handed out holds) and fills f_gap,
-    dist_opt and the missing gradient norms of every row in blocks of _BATCH
-    rows from row 0 (a block missing a norm takes the objective and the
-    gradients from one `value_and_gradient` call): a trace read mid-run ends
-    bit-identical to one filled once, and `wall_ns` is method time only.
+    when known, else _BATCH rows, doubled in place when full. The fill runs
+    inside the `record` call that writes the last of the `rows` given (so a
+    run of known length is filled before `record` returns) and whenever
+    `trace` is read. It cuts the buffers to their rows (copying one that a
+    trace handed out holds) and fills f_gap, dist_opt and the missing
+    gradient norms of every row in blocks of _BATCH rows from row 0 (a block
+    missing a norm takes the objective and the gradients from one
+    `value_and_gradient` call): a trace read mid-run ends bit-identical to
+    one filled once, and `wall_ns` is method time only.
     `problem` (a `ProblemOracle` or `CompositeProblem`; None with every
     gradient passed and no optimum known) is passed raw, so reporting never
     touches the counters; f_gap and dist_opt are measured from its optimum
@@ -200,7 +202,7 @@ class Recorder:
                 self._x_star, self._f_star = self._smooth.x_star, self._smooth.f_star
         self._t0 = time.perf_counter_ns()
 
-    def record(self, k, x, grad=None, state=None, last=False):
+    def record(self, k, x, grad=None, state=None):
         c, trace, n = self._counters, self._trace, len(self._trace.k)
         if n == self._cap:  # full; at record 0 the run's rows, when known
             try:
@@ -221,7 +223,7 @@ class Recorder:
                 entries[i] = value
             elif value is not x:
                 raise InvalidArgument(f"snapshot vector {key!r} left the iterate")
-        if last:
+        if n + 1 == self._rows:
             self._fill()
 
     @property
@@ -323,22 +325,25 @@ def check_finite(x, trace=None):
         raise DivergedError("iterate became non-finite", trace)
 
 
-def drive(method, problem, meta, start, view, N=None, check="x"):
+def drive(method, problem, meta, start, view, N=None):
     """Run a method written as a stepper and return its Trace.
 
     `problem` is a `ProblemOracle` or a `CompositeProblem` (see `Recorder`).
     `start(co)` receives the counting wrapper of the smooth oracle (its
     `counters` are the run's) and returns (state, step). `step(state)`
     returns the next state dict, or None to stop; N=None runs until it does.
-    After every step `state[check]` must be finite, and so must every
-    recorded gradient norm once the trace is filled (f_gap need not be: an
-    entropy or simplex iterate may leave its domain by rounding).
+    After every step `state["x"]` must be finite, so a stepper keeps the
+    sequence that can diverge under "x"; so must every recorded gradient norm
+    once the trace is filled (f_gap need not be: an entropy or simplex
+    iterate may leave its domain by rounding).
     `view(state)` returns the (x, grad, snapshot) to record; grad=None has
     the recorder evaluate it uncounted, once the run is over. The recorder
     writes x and each snapshot entry into its key's column (see `Recorder`),
-    so a step may modify those arrays in place later, and fills the
-    `potential` column from `certify.potential_of(method)`. Any
-    `errors.RunError` raised on the way carries the partial trace.
+    so a step may modify those arrays in place later. Given N, the recorder
+    holds N + 1 rows and fills the trace, its `potential` column from
+    `certify.potential_of(method)` included, inside the `record` call of
+    record N. Any `errors.RunError` raised on the way carries the partial
+    trace.
     """
     counters = Counters()
     rec = Recorder(method, problem, counters, meta, potential_of(method),
@@ -347,10 +352,10 @@ def drive(method, problem, meta, start, view, N=None, check="x"):
     try:
         for k in count():
             x, grad, snap = view(state)
-            rec.record(k, x, grad, snap, k == N)
+            rec.record(k, x, grad, snap)
             if k == N or (state := step(state)) is None:
                 break
-            check_finite(state[check])
+            check_finite(state["x"])
     except RunError as exc:
         if exc.trace is None:
             exc.trace = rec.trace

@@ -768,6 +768,18 @@ def test_a_negative_count_is_refused_before_the_build(flag, monkeypatch, capsys)
     assert capsys.readouterr().err == f"error: {flag} must be >= 0\n"
 
 
+@pytest.mark.parametrize("L", ["0", "-1"])
+def test_an_L_not_above_zero_is_refused_before_the_build(L, monkeypatch, capsys):
+    # --L 0 used to build the default instance (L = 10) while the sidecar
+    # said 0.0, and --L -1 ended in a builder's message, which names no flag
+    def build(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setitem(cli.PROBLEMS, "quad", (build, cli.PROBLEMS["quad"][1]))
+    assert cli.main(["run", "--method", "gd", "--problem", "quad:d=5", "--N", "5", "--L", L]) == 2
+    assert capsys.readouterr().err == "error: --L must be > 0\n"
+
+
 def test_compare_exits_0_when_its_reader_left_before_it_wrote(tmp_path):
     # the pipe is closed before compare's one write, so its flush meets the closed pipe
     src = Path(__file__).resolve().parents[1] / "src"

@@ -371,3 +371,16 @@ def test_monotone_wrap_refuses_a_misspelt_option():
     p, lasso, x0 = _wrap_problems()
     with pytest.raises(TypeError):
         mo.monotone_wrap("fista", lasso, x0, 5, moed="reset")
+
+
+def test_both_ogm_forms_diverge_at_a_far_too_small_L(quad_6):
+    # drive checks each form's "x" after every step: both stop on the same
+    # step with a partial trace of finite iterates (the record count itself
+    # may depend on the BLAS kernel, so only the equality is pinned)
+    partial = []
+    for form in ("I", "II"):
+        with np.errstate(all="ignore"), pytest.raises(DivergedError) as exc:
+            mo.ogm(quad_6, np.full(6, 1.5), 400, form=form, L=0.05)
+        partial.append(exc.value.trace)
+    assert len(partial[0]) == len(partial[1]) > 1
+    assert all(np.isfinite(tr.x).all() for tr in partial)

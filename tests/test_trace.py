@@ -687,3 +687,23 @@ def test_column_of_an_object_key_is_its_entries_as_recorded(quad_2, quad_6):
     assert np.shares_memory(fallback, online.column("fallback", 1))
     with pytest.raises(NoCertificate):
         online.column("fallback")  # record 0 carries no fallback
+
+
+def test_a_recorder_given_its_rows_fills_inside_the_last_record(quad_2, monkeypatch):
+    # rows=3: the third record is the last, so the fill's reporting calls run
+    # inside it, and reading the trace afterwards makes none
+    calls = []
+    for name in ("value", "gradient", "value_and_gradient"):
+        fn = getattr(quad_2, name)
+        monkeypatch.setattr(quad_2, name, lambda *a, _fn=fn: calls.append(1) or _fn(*a))
+    rec = tr_mod.Recorder("gd", quad_2, tr_mod.Counters(), rows=3)
+    per_record = []
+    for k in range(3):
+        before = len(calls)
+        rec.record(k, np.full(2, 1.0 / (k + 1)))
+        per_record.append(len(calls) - before)
+    assert per_record[:2] == [0, 0] and per_record[2] > 0
+    before = len(calls)
+    tr = rec.trace
+    assert len(calls) == before
+    assert len(tr) == 3 and np.isfinite(tr.f_gap).all() and np.isfinite(tr.grad_norm).all()

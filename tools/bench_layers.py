@@ -9,9 +9,11 @@ order of the cases.
   L=10.0)` at d = 200, from after the build (`fixed_restart_records`).
 - `cases`: gd, fgm, ogm, item, fista and catalyst each run once on `quad:d=10`
   and `quad:d=50` (N = 150, seed 1) through the CLI's method table, and every
-  `Recorder.record` call of the run's recorder is captured. The record-only
-  replay of those calls into a fresh `Recorder`, the fill and the whole run
-  are timed apart.
+  `Recorder.record` call of the run's recorder is captured. The replay of
+  those calls into a fresh `Recorder` is timed in two parts: the records
+  before the last (`replay_us_per_record`), and the last record with the
+  trace read (`fill_us`: a recorder given the run's rows fills inside that
+  record). The whole run is timed apart.
 - `dims`: the rotated quadratic's build (eigenvalues 0.1 to 10, x* = 0, seed
   2) and its first prox (x = 1, step 0.3) at d = 10 to 1000, timed and traced
   in separate passes, since tracing slows the allocations it counts.
@@ -99,13 +101,13 @@ def _capture(run):
             if not made:
                 made.append((self, (method, problem, dict(meta or {}), potential, rows)))
 
-        def record(self, k, x, grad=None, state=None, last=False):
+        def record(self, k, x, grad=None, state=None):
             if self is made[0][0]:
                 x_copy = x.copy()
                 snap = {key: x_copy if v is x else v.copy() if isinstance(v, np.ndarray) else v
                         for key, v in (state or {}).items()}
                 calls.append((k, x_copy, None if grad is None else grad.copy(), snap))
-            super().record(k, x, grad, state, last)
+            super().record(k, x, grad, state)
 
     trace.Recorder = Capturing
     try:
@@ -127,14 +129,16 @@ def _medians(items, repeats, measure):
 
 
 def _replay_and_run(run, init, calls):
-    """(record-only us, fill us) of one replay into a fresh Recorder, whole run us)."""
+    """(us of the records before the last, us of the last record and the
+    trace read, of one replay into a fresh Recorder; whole run us)."""
     method, problem, meta, potential, rows = init
     rec = trace.Recorder(method, problem, trace.Counters(), meta, potential, rows)
-    record = rec.record
+    record, (*head, last) = rec.record, calls
     t0 = time.perf_counter_ns()
-    for k, x, grad, state in calls:
+    for k, x, grad, state in head:
         record(k, x, grad, state)
     t1 = time.perf_counter_ns()
+    record(*last)
     rec.trace
     t2 = time.perf_counter_ns()
     run()
@@ -151,7 +155,7 @@ def _cases(repeats):
     medians = _medians(list(cases), repeats, lambda name: _replay_and_run(*cases[name]))
     for name, (replay, fill, whole) in medians.items():
         n = len(cases[name][2])
-        result[name] = {"records": n, "replay_us_per_record": replay / n, "fill_us": fill,
+        result[name] = {"records": n, "replay_us_per_record": replay / (n - 1), "fill_us": fill,
                         "run_us": whole, "recorder_frac": (replay + fill) / whole}
     return result
 
