@@ -36,10 +36,6 @@ from .tolerances import tol_for, tolerances
 EXIT_SCHEMA, EXIT_DIVERGED, EXIT_NO_CERT, EXIT_CERT_FAIL = 2, 3, 4, 5
 
 
-class ConfigError(Exception):
-    pass
-
-
 D_MAX = 4096  # the bound on every spec's d (see parse_problem)
 _D = (int, 10, lambda v: 1 <= v <= D_MAX, f"an integer from 1 to {D_MAX}")
 
@@ -77,27 +73,27 @@ def parse_problem(spec, seed, mu, L):
     the kind's `PROBLEMS` entry. Keys (type, default, check): d (int, 10, 1 to
     D_MAX = 4096: a rotated quadratic holds two d x d arrays, 256 MiB), quad
     kappa (float, none, >= 1), huber tau (float, 0.1, > 0), lasso weight (float,
-    0.1, >= 0). Floats are finite. A bad key is a ConfigError naming it."""
+    0.1, >= 0). Floats are finite. A bad key is an InvalidArgument naming it."""
     kind, _, rest = spec.partition(":")
     if kind not in PROBLEMS:
-        raise ConfigError(f"problem spec {spec!r}: unknown kind (kinds: {', '.join(PROBLEMS)})")
+        raise InvalidArgument(f"problem spec {spec!r}: unknown kind (kinds: {', '.join(PROBLEMS)})")
     build, options = PROBLEMS[kind]
     given = {}
     for key, _, text in (item.partition("=") for item in rest.split(",") if rest):
         where = f"problem spec {spec!r}: {key}={text!r}"
         if key not in options:
-            raise ConfigError(f"{where}: {kind} takes only {', '.join(options)}")
+            raise InvalidArgument(f"{where}: {kind} takes only {', '.join(options)}")
         if key in given:
-            raise ConfigError(f"{where}: {key} is given twice")
+            raise InvalidArgument(f"{where}: {key} is given twice")
         parse, _, check, rule = options[key]
         with contextlib.suppress(ValueError):
             given[key] = parse(text)
         if key not in given or not check(given[key]):
-            raise ConfigError(f"{where}: {key} must be {rule}")
+            raise InvalidArgument(f"{where}: {key} must be {rule}")
     try:  # every key is checked before anything is built
         return build(seed, mu, L, **{k: given.get(k, option[1]) for k, option in options.items()})
     except ValueError as exc:  # a library caller's negative seed, or a builder's InvalidArgument
-        raise ConfigError(str(exc)) from exc
+        raise InvalidArgument(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -169,12 +165,12 @@ def _setup(args):
     for name in ("mu", "L", "lam", "gamma"):  # e.g. a subnormal --L, whose 1/L overflows
         value = getattr(args, name)
         if value and not np.isfinite(1.0 / value):
-            raise ConfigError(f"{name}={value!r} has no finite reciprocal")
+            raise InvalidArgument(f"{name}={value!r} has no finite reciprocal")
     for name in ("N", "seed"):  # before anything is built
         if getattr(args, name) < 0:
-            raise ConfigError(f"--{name} must be >= 0")
+            raise InvalidArgument(f"--{name} must be >= 0")
     if args.L is not None and args.L <= 0:  # a zero would build the default instance
-        raise ConfigError("--L must be > 0")
+        raise InvalidArgument("--L must be > 0")
     oracle, problem = parse_problem(args.problem, args.seed, args.mu, args.L)
     x0 = np.random.default_rng(args.seed + 1).standard_normal(oracle.x_star.shape[0])
     if problem is None:
@@ -246,12 +242,12 @@ def cmd_compare(args):
     taken, before the next method runs: the peak is one build plus one run."""
     names = args.methods.split(",")
     if len(names) < 2:
-        raise ConfigError("compare needs at least two methods")
+        raise InvalidArgument("compare needs at least two methods")
     if set(names) - set(METHODS):
-        raise ConfigError(f"unknown method in {args.methods!r}")
+        raise InvalidArgument(f"unknown method in {args.methods!r}")
     for name in names:
         if names.count(name) > 1:
-            raise ConfigError(f"method {name!r} is named twice in {args.methods!r}")
+            raise InvalidArgument(f"method {name!r} is named twice in {args.methods!r}")
     oracle, problem, x0 = _setup(args)
     columns = {}
     for name in names:
@@ -322,8 +318,8 @@ def main(argv=None):
         return 0
     # ContractViolation and RunawayLError: flags past what the method can take;
     # MemoryError: past what memory can take, e.g. certify's N^2 slacks
-    except (ConfigError, InvalidArgument, UnsupportedOracle, ContractViolation,
-            RunawayLError, MemoryError) as exc:
+    except (InvalidArgument, UnsupportedOracle, ContractViolation, RunawayLError,
+            MemoryError) as exc:
         oom = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"error: {oom}{exc}", file=sys.stderr)
         return EXIT_NO_CERT if isinstance(exc, NoCertificate) else EXIT_SCHEMA

@@ -213,12 +213,11 @@ def _phi_value(oracle, y, lam, x):
 
 def _regularized(oracle, y, lam):
     """Phi(x) = f(x) + ||x - y||^2/(2 lam)."""
-    mu = oracle.params.mu if oracle.params is not None else 0.0
-    L = oracle.params.L
+    p = oracle.params
     return ProblemOracle(
         lambda x: _phi_value(oracle, y, lam, x),
         lambda x: oracle.gradient(x) + (x - y) / lam,
-        params=ClassParams(mu + 1.0 / lam, L + 1.0 / lam),
+        params=ClassParams(p.mu + 1.0 / lam, p.L + 1.0 / lam),
         name="catalyst_subproblem",
     )
 
@@ -260,12 +259,10 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
     # the class of every subproblem Phi_k: its check refuses an infinite L + 1/lam
     phi_params = ClassParams(oracle.params.mu + 1.0 / lam, L + 1.0 / lam)
     total = 0
-    exhausted = False
-    inner_counts = []  # n_inner of each outer step the run records
 
     def start(co):
         def step(s):
-            nonlocal total, exhausted
+            nonlocal total
             if total >= budget_total:
                 return None
             x, z, A = s["x"], s["z"], s["A"]
@@ -276,9 +273,7 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
             co.counters.inner_iters += n_inner
             total += n_inner
             if not stopped:
-                exhausted = True
                 return None
-            inner_counts.append(n_inner)
             return {"x": w, "z": _z_next(z, w, g, delta, mu), "A": A1, "g": g,
                     "n_inner": n_inner}
 
@@ -290,10 +285,11 @@ def catalyst(oracle, inner, lam, budget_total, x0, mu=0.0):
                    "burden": burden}, start,
                   lambda s: (s["x"], s.get("g"), {"A": s["A"], "z": s["z"],
                                                    "n_inner": s["n_inner"]}))
+    inner_counts = trace.column("n_inner", 1).tolist()
     trace.meta["inner_counts"] = inner_counts
     trace.meta["n_outer"] = len(inner_counts)
-    trace.meta["n_total"] = total
-    trace.meta["n_useless"] = total - sum(inner_counts) if exhausted else 0
+    trace.meta["n_total"] = total  # the final record misses a solve the budget cut
+    trace.meta["n_useless"] = total - sum(inner_counts)
     return trace
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelib import cli
+from accelib.errors import InvalidArgument
 
 
 def _digest(spec, seed, mu, L):
@@ -168,3 +169,9 @@ def test_a_repeated_key_exits_2_in_process(capsys):
     assert cli.main(["run", "--method", "gd", "--problem", "quad:d=5,d=7", "--N", "3"]) == 2
     assert capsys.readouterr().err == (
         "error: problem spec 'quad:d=5,d=7': d='7': d is given twice\n")
+
+
+def test_a_bad_spec_is_an_invalid_argument():
+    # the library's one error type for bad input, which cli.main maps to exit 2
+    with pytest.raises(InvalidArgument, match=r"problem spec 'quad:d=0': d='0'"):
+        cli.parse_problem("quad:d=0", 0, None, None)
